@@ -139,7 +139,7 @@ class RelationResidual:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return bool(self.residual <= self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -195,31 +195,27 @@ def displaced_squeezed_feasibility(g2: float, g3: float, tol: float = 1e-6,
         root = np.sqrt(disc)
         return tuple(c for c in (a * x + root, a * x - root) if 0.0 <= c <= c_max(a) + 1e-12)
 
-    def g3_residual(a, x):
-        best = 1e6  # finite penalty keeps the local optimizer differentiable
+    def best_root(a, x):
+        """(|g3(a, c, x) - g3|, c) at the root c that reproduces g3 best."""
+        best = (1e6, None)  # finite penalty keeps the local optimizer differentiable
         for c in candidates(a, x):
             val = 6.0 + 9.0 * (c**2 - 2 * a * c * x - a**2) + 4 * a**3 + 12 * a**2 * c * x
-            best = min(best, abs(val - g3))
+            if abs(val - g3) < best[0]:
+                best = (abs(val - g3), c)
         return best
 
     avals = np.linspace(0.0, 1.0, grid)
     xvals = np.linspace(-1.0, 1.0, grid)
-    coarse = [(g3_residual(a, x), a, x) for a in avals for x in xvals]
+    coarse = [(best_root(a, x)[0], a, x) for a in avals for x in xvals]
     coarse.sort(key=lambda t: t[0])
     best = (np.inf, None)
     for res0, a0, x0 in coarse[:5]:
         if res0 >= 1e6:
             continue
-        opt = minimize(lambda v: g3_residual(v[0], v[1]), x0=[a0, x0],
+        opt = minimize(lambda v: best_root(v[0], v[1])[0], x0=[a0, x0],
                        bounds=[(0.0, 1.0), (-1.0, 1.0)], method="L-BFGS-B")
         if opt.fun < best[0]:
-            cands = candidates(*opt.x)
-            cbest = None
-            for c in cands:
-                val = 6.0 + 9.0 * (c**2 - 2 * opt.x[0] * c * opt.x[1] - opt.x[0] ** 2) \
-                    + 4 * opt.x[0] ** 3 + 12 * opt.x[0] ** 2 * c * opt.x[1]
-                if abs(val - g3) == opt.fun or cbest is None:
-                    cbest = c
+            cbest = best_root(*opt.x)[1]
             best = (opt.fun, {"a": float(opt.x[0]), "c": float(cbest) if cbest is not None else None,
                               "x": float(opt.x[1])})
     feasible = best[0] <= tol

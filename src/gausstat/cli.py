@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -242,7 +243,6 @@ def cmd_verify(args) -> int:
             lines += [f"{mode},{n},{p:.12g}" for n, p in enumerate(dist)]
         Path(args.photon_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     moments = derive_moments(params)
-    table = moments.to_moment_table()
     rows = []
 
     def add(name, closed, direct):
@@ -348,7 +348,9 @@ def cmd_bucket(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="gausstat",
         description="Photon-statistics observables, classification and "

@@ -17,6 +17,7 @@ coherences g1, and the annihilation covariances cov_ij.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.linalg import logm
@@ -104,6 +105,16 @@ def polar_squeeze(z: np.ndarray):
     return 0.5 * (r + r.conj().T), w @ vh
 
 
+def _squeeze_blocks(z: np.ndarray):
+    """cosh(r) and sinh(r) e^{i theta} of the left polar form z = r e^{i theta}."""
+    r, expith = polar_squeeze(np.asarray(z, dtype=complex))
+    vals, vecs = np.linalg.eigh(r)
+    vals = np.clip(vals, 0.0, None)
+    cosh_r = (vecs * np.cosh(vals)) @ vecs.conj().T
+    sinh_r = (vecs * np.sinh(vals)) @ vecs.conj().T
+    return cosh_r, sinh_r @ expith
+
+
 def _unitary_from_hermitian(phi: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (phi + phi.conj().T))
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
@@ -135,14 +146,10 @@ class BogoliubovMap:
 
 def bogoliubov_map(params: GaussianParams) -> BogoliubovMap:
     """Bogoliubov blocks of the unitary D(alpha) S(z) R(phi)."""
-    r, expith = polar_squeeze(params.squeeze)
-    rvals, rvecs = np.linalg.eigh(r)
-    rvals = np.clip(rvals, 0.0, None)
-    cosh_r = (rvecs * np.cosh(rvals)) @ rvecs.conj().T
-    sinh_r = (rvecs * np.sinh(rvals)) @ rvecs.conj().T
+    cosh_r, sinh_r_expith = _squeeze_blocks(params.squeeze)
     expiphi = _unitary_from_hermitian(params.rotation)
     E = cosh_r @ expiphi
-    F = -sinh_r @ expith @ expiphi.conj()  # e^{-i phi^T} = conj(e^{i phi})
+    F = -sinh_r_expith @ expiphi.conj()  # e^{-i phi^T} = conj(e^{i phi})
     disp = np.concatenate([params.alpha, params.alpha.conj()])
     return BogoliubovMap(E, F, disp)
 
@@ -225,72 +232,80 @@ def _require_occupied(moments: MomentSummary, modes) -> None:
             )
 
 
+def _pair_blocks(moments: MomentSummary):
+    """Normalized moment blocks shared by the g2 and g3 kernels.
+
+    With g = g1, returns c_ij = cov_ij / sqrt(n_i n_j), b_i = alpha_i / sqrt(n_i),
+    h = c + b b^T, a = |b|^2 and the pair matrix
+
+        P_ij = |g_ij|^2 + |c_ij|^2 - a_i a_j + 2 Re(c_ij conj(b_i b_j))
+             = |g_ij|^2 + |h_ij|^2 - 2 a_i a_j = g2_ij - 1.
+
+    Entries touching a mode with nbar = 0 are NaN, and no warning is raised.
+    """
+    inv_root = 1.0 / np.sqrt(np.where(moments.nbar > 0, moments.nbar, np.nan))
+    b = moments.alpha * inv_root
+    c = moments.cov * np.outer(inv_root, inv_root)
+    h = c + np.outer(b, b)
+    a = np.abs(b) ** 2
+    pair = np.abs(moments.g1) ** 2 + np.abs(h) ** 2 - 2.0 * np.outer(a, a)
+    return c, b, h, a, pair
+
+
+def _g3_array(moments: MomentSummary) -> np.ndarray:
+    """All g3[i, j, k] at once from the sixth-order decomposition of the g3 word.
+
+    With the blocks of ``_pair_blocks``,
+
+        g3_ijk = 1 + 4 a_i a_j a_k + 2 Re(g_ij g_jk g_ki) + K_ijk + K_jki + K_kij,
+        K_ijk = P_ij - w_ij a_k
+                + 2 Re(g_ij [conj(c_jk) h_ik + conj(b_j b_k) c_ik]),
+        w_ij = 4 Re(c_ij conj(b_i b_j)) + 2 Re(g_ij b_i conj(b_j)).
+    """
+    g = moments.g1
+    c, b, h, a, pair = _pair_blocks(moments)
+    bb = np.outer(b, b)
+    w = 4.0 * (c * bb.conj()).real + 2.0 * (g * np.outer(b, b.conj())).real
+    gij = g[:, :, None]
+    k = (pair[:, :, None] - w[:, :, None] * a
+         + 2.0 * (gij * (c.conj() * h[:, None, :] + bb.conj() * c[:, None, :])).real)
+    return (1.0 + 4.0 * a[:, None, None] * np.outer(a, a)
+            + 2.0 * (gij * g * g.T[:, None, :]).real
+            + k + k.transpose(2, 0, 1) + k.transpose(1, 2, 0))
+
+
 def g2_tensor(moments: MomentSummary) -> np.ndarray:
     """Second-order correlation matrix.
 
     g2_ij = 1 + |g1_ij|^2 + (|cov_ij + alpha_i alpha_j|^2
             - 2 |alpha_i|^2 |alpha_j|^2) / (nbar_i nbar_j).
     """
-    m = moments.modes
-    _require_occupied(moments, range(m))
-    al = moments.alpha
-    denom = np.outer(moments.nbar, moments.nbar)
-    mixed = np.abs(moments.cov + np.outer(al, al)) ** 2
-    disp = 2.0 * np.outer(np.abs(al) ** 2, np.abs(al) ** 2)
-    g2 = 1.0 + np.abs(moments.g1) ** 2 + (mixed - disp) / denom
-    return 0.5 * (g2 + g2.T).real
+    _require_occupied(moments, range(moments.modes))
+    g2 = 1.0 + _pair_blocks(moments)[-1]
+    return 0.5 * (g2 + g2.T)
 
 
 def g3_value(moments: MomentSummary, i: int, j: int, k: int) -> float:
-    """Third-order correlation g3_ijk from at most second-order moments.
-
-    Direct evaluation of the sixth-order decomposition specialised to the
-    g3 word; the triple is sorted first so permutation symmetry is exact.
-    """
+    """Third-order correlation g3_ijk, read at the sorted triple of the full tensor."""
     i, j, k = sorted((i, j, k))
     _require_occupied(moments, (i, j, k))
-    n = moments.nbar
-    g1 = moments.g1
-    cov = moments.cov
-    al = moments.alpha
-
-    def re(x):
-        return float(np.real(x))
-
-    aa = np.abs(al) ** 2
-    val = (
-        1.0
-        + abs(g1[i, j]) ** 2 + abs(g1[j, k]) ** 2 + abs(g1[i, k]) ** 2
-        + 2.0 * re(g1[i, j] * g1[j, k] * g1[k, i])
-        + (abs(cov[i, j]) ** 2 - aa[i] * aa[j]) / (n[i] * n[j])
-        + (abs(cov[j, k]) ** 2 - aa[j] * aa[k]) / (n[j] * n[k])
-        + (abs(cov[i, k]) ** 2 - aa[i] * aa[k]) / (n[i] * n[k])
-        + (2.0 - 4.0 * aa[k] / n[k]) * re(cov[i, j] * np.conj(al[i] * al[j])) / (n[i] * n[j])
-        + (2.0 - 4.0 * aa[j] / n[j]) * re(cov[i, k] * np.conj(al[i] * al[k])) / (n[i] * n[k])
-        + (2.0 - 4.0 * aa[i] / n[i]) * re(cov[j, k] * np.conj(al[j] * al[k])) / (n[j] * n[k])
-        + 4.0 * aa[i] * aa[j] * aa[k] / (n[i] * n[j] * n[k])
-        + 2.0 * re(g1[i, j] * np.conj(cov[j, k]) * cov[i, k]) / (n[k] * np.sqrt(n[i] * n[j]))
-        + 2.0 * re(g1[j, k] * np.conj(cov[i, k]) * cov[i, j]) / (n[i] * np.sqrt(n[j] * n[k]))
-        + 2.0 * re(g1[k, i] * np.conj(cov[i, j]) * cov[j, k]) / (n[j] * np.sqrt(n[i] * n[k]))
-        - 2.0 * aa[k] / n[k] * re(g1[i, j] * al[i] * np.conj(al[j])) / np.sqrt(n[i] * n[j])
-        - 2.0 * aa[i] / n[i] * re(g1[j, k] * al[j] * np.conj(al[k])) / np.sqrt(n[j] * n[k])
-        - 2.0 * aa[j] / n[j] * re(g1[k, i] * al[k] * np.conj(al[i])) / np.sqrt(n[i] * n[k])
-        + 2.0 * (re(g1[i, j] * al[i] * al[k] * np.conj(cov[j, k]))
-                 + re(g1[i, j] * np.conj(al[j] * al[k]) * cov[i, k])) / (n[k] * np.sqrt(n[i] * n[j]))
-        + 2.0 * (re(g1[j, k] * al[i] * al[j] * np.conj(cov[i, k]))
-                 + re(g1[j, k] * np.conj(al[i] * al[k]) * cov[i, j])) / (n[i] * np.sqrt(n[j] * n[k]))
-        + 2.0 * (re(g1[k, i] * al[j] * al[k] * np.conj(cov[i, j]))
-                 + re(g1[k, i] * np.conj(al[i] * al[j]) * cov[j, k])) / (n[j] * np.sqrt(n[i] * n[k]))
-    )
-    return float(val)
+    return float(_g3_array(moments)[i, j, k])
 
 
 def g3_tensor(moments: MomentSummary, triples=None) -> dict[tuple[int, int, int], float]:
-    """g3 for the requested triples (default: all i <= j <= k)."""
-    m = moments.modes
+    """g3 for the requested triples (default: all i <= j <= k).
+
+    Each value is read at the sorted triple, so permutation symmetry is exact.
+    """
     if triples is None:
-        triples = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(j, m)]
-    return {tuple(t): g3_value(moments, *t) for t in triples}
+        triples = combinations_with_replacement(range(moments.modes), 3)
+    triples = [tuple(t) for t in triples]
+    index = np.sort(np.array(triples, dtype=int).reshape(-1, 3), axis=1)
+    if not moments.nbar.min() > 0:
+        for t in triples:
+            _require_occupied(moments, sorted(t))
+    values = _g3_array(moments)[index[:, 0], index[:, 1], index[:, 2]]
+    return dict(zip(triples, values.tolist()))
 
 
 def single_mode_g2_g3(params: GaussianParams) -> tuple[float, float]:
@@ -383,21 +398,11 @@ def rotate_displacement(phi: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return u.conj().T @ np.asarray(alpha, dtype=complex)
 
 
-def rotate_squeeze(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """R†(phi) S(z) R(phi) = S(e^{-i phi} z e^{-i phi^T})."""
-    u = _unitary_from_hermitian(np.asarray(phi, dtype=complex))
-    zz = np.asarray(z, dtype=complex)
-    return u.conj().T @ zz @ u.conj()
-
-
 def squeeze_displacement(z: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """S†(z) D(alpha) S(z) = D(cosh(r) alpha + sinh(r) e^{i theta} alpha*)."""
-    r, expith = polar_squeeze(np.asarray(z, dtype=complex))
-    vals, vecs = np.linalg.eigh(r)
-    cosh_r = (vecs * np.cosh(vals)) @ vecs.conj().T
-    sinh_r = (vecs * np.sinh(vals)) @ vecs.conj().T
+    cosh_r, sinh_r_expith = _squeeze_blocks(z)
     alpha = np.asarray(alpha, dtype=complex)
-    return cosh_r @ alpha + sinh_r @ expith @ alpha.conj()
+    return cosh_r @ alpha + sinh_r_expith @ alpha.conj()
 
 
 def _elementary_bogoliubov(kind: str, value, modes: int) -> BogoliubovMap:
@@ -410,12 +415,8 @@ def _elementary_bogoliubov(kind: str, value, modes: int) -> BogoliubovMap:
         u = _unitary_from_hermitian(np.asarray(value, dtype=complex))
         return BogoliubovMap(u, zero, np.zeros(2 * modes, dtype=complex))
     if kind == "S":
-        z = np.asarray(value, dtype=complex)
-        r, expith = polar_squeeze(z)
-        vals, vecs = np.linalg.eigh(r)
-        cosh_r = (vecs * np.cosh(vals)) @ vecs.conj().T
-        sinh_r = (vecs * np.sinh(vals)) @ vecs.conj().T
-        return BogoliubovMap(cosh_r, -sinh_r @ expith, np.zeros(2 * modes, dtype=complex))
+        cosh_r, sinh_r_expith = _squeeze_blocks(value)
+        return BogoliubovMap(cosh_r, -sinh_r_expith, np.zeros(2 * modes, dtype=complex))
     raise ValidationError(f"unknown unitary kind {kind!r}")
 
 
@@ -457,11 +458,8 @@ def canonical_order(ops: list[tuple[str, np.ndarray]], modes: int,
                     u = _unitary_from_hermitian(prev_val)
                     beta = u @ beta
                 elif prev_kind == "S":
-                    r, expith = polar_squeeze(prev_val)
-                    vals, vecs = np.linalg.eigh(r)
-                    cosh_r = (vecs * np.cosh(vals)) @ vecs.conj().T
-                    sinh_r = (vecs * np.sinh(vals)) @ vecs.conj().T
-                    beta = cosh_r @ beta - sinh_r @ expith @ beta.conj()
+                    cosh_r, sinh_r_expith = _squeeze_blocks(prev_val)
+                    beta = cosh_r @ beta - sinh_r_expith @ beta.conj()
             alpha = alpha + beta
         elif kind == "S":
             znew = value

@@ -144,3 +144,23 @@ def test_trace_formulas_match_kernel_sum_strong_parameters(rng):
              for i, j, k in product(range(3), repeat=3))
     assert obs.g2_b == pytest.approx(s4 / t1**2, rel=1e-11)
     assert obs.g3_b == pytest.approx(s6 / t1**3, rel=1e-11)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 5, 8])
+def test_trace_formulas_match_summed_tensors(rng, modes):
+    # sum_ij g2_ij n_i n_j = g2_B T^2 and sum_ijk g3_ijk n_i n_j n_k = g3_B T^3
+    from itertools import product
+
+    from gausstat.states import g3_tensor
+
+    params = random_params(rng, modes, alpha_max=1.4, r_max=1.1, n_max=1.5)
+    mom = derive_moments(params)
+    obs = bucket_correlations(mom)
+    n = mom.nbar
+    t1 = n.sum()
+    s4 = n @ g2_tensor(mom) @ n
+    g3 = g3_tensor(mom, product(range(modes), repeat=3))
+    s6 = sum(val * n[i] * n[j] * n[k] for (i, j, k), val in g3.items())
+    assert len(g3) == modes**3
+    assert s4 == pytest.approx(obs.g2_b * t1**2, rel=1e-10)
+    assert s6 == pytest.approx(obs.g3_b * t1**3, rel=1e-10)

@@ -115,6 +115,23 @@ class TestFeasibilitySearch:
         ok, _, res = displaced_squeezed_feasibility(1.0, 50.0, tol=1e-6)
         assert not ok and res > 1.0
 
+    def test_witness_reproduces_data_whenever_feasible(self):
+        # fixed-seed sweep of displaced squeezed thermal states on a coarse grid;
+        # at draw 36 the two roots for c give different g3, and only one matches
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            alpha = rng.uniform(0.05, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            params = GaussianParams.single_mode(alpha, rng.uniform(0.05, 1.2),
+                                                rng.uniform(-np.pi, np.pi), rng.uniform(0.0, 1.0))
+            g2, g3 = single_mode_g2_g3(params)
+            nbar = float(derive_moments(params).nbar[0])
+            ok, w, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar, grid=51)
+            if ok:
+                a, c, x = w["a"], w["c"], w["x"]
+                assert 2.0 + c**2 - 2 * a * c * x - a**2 == pytest.approx(g2, abs=1e-6)
+                assert (6.0 + 9.0 * (c**2 - 2 * a * c * x - a**2) + 4 * a**3
+                        + 12 * a**2 * c * x) == pytest.approx(g3, abs=1e-6)
+
 
 class TestMultimode:
     def test_displaced_thermal_classifies_nonsqueezed(self, rng):

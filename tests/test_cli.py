@@ -84,6 +84,24 @@ class TestClassifyReconstruct:
         assert rec["meta"]["sector"] == "ns"
         assert rec["meta"]["observable_residual"] < 1e-7
 
+    @pytest.mark.parametrize("modes,displaced,sector", [(3, False, "NonDisplaced"),
+                                                        (4, True, "NonSqueezed")])
+    def test_classify_multimode(self, tmp_path, rng, modes, displaced, sector):
+        from conftest import random_hermitian, random_symmetric
+
+        alpha = np.zeros(modes)
+        z = random_symmetric(rng, modes, 0.5)
+        if displaced:
+            alpha = rng.uniform(0.3, 0.6, modes) * np.exp(1j * rng.uniform(-np.pi, np.pi, modes))
+            z = np.zeros((modes, modes))
+        params = GaussianParams(alpha, z, random_hermitian(rng, modes, 0.7),
+                                rng.uniform(0.1, 0.4, modes))
+        spath = write_params(tmp_path, params)
+        meas, report = tmp_path / "meas.json", tmp_path / "report.json"
+        assert run("simulate", spath, "--out", meas) == 0
+        assert run("classify", meas, "--out", report) == 0
+        assert load(report)["sector"] == sector
+
     def test_dst_two_files(self, tmp_path):
         params = GaussianParams.single_mode(alpha=0.3 * np.exp(0.6j), r=0.4,
                                             theta=0.1, occupation=0.1)

@@ -8,6 +8,7 @@ from gausstat.errors import UndefinedCorrelationError, ValidationError
 from gausstat.fock import build_density, oracle_moments, vacuum_overlap
 from gausstat.states import (
     GaussianParams,
+    MomentSummary,
     apply_uniform_loss,
     balanced_beamsplitter_duplicate,
     bogoliubov_map,
@@ -281,3 +282,107 @@ class TestClosedFormsVsKernel:
             denom = np.prod([mom.nbar[t] for t in triple])
             direct = gaussian_moment(word, table).real / denom
             assert g3_value(mom, *triple) == pytest.approx(direct, rel=1e-11)
+
+
+def _g2_reference(moments):
+    """The former closed-form g2 matrix, kept as a reference for the kernel."""
+    al = moments.alpha
+    denom = np.outer(moments.nbar, moments.nbar)
+    mixed = np.abs(moments.cov + np.outer(al, al)) ** 2
+    disp = 2.0 * np.outer(np.abs(al) ** 2, np.abs(al) ** 2)
+    g2 = 1.0 + np.abs(moments.g1) ** 2 + (mixed - disp) / denom
+    return 0.5 * (g2 + g2.T).real
+
+
+def _g3_reference(moments, i, j, k):
+    """The former per-triple expansion of g3_ijk, kept as a reference for the kernel."""
+    i, j, k = sorted((i, j, k))
+    n = moments.nbar
+    g1 = moments.g1
+    cov = moments.cov
+    al = moments.alpha
+
+    def re(x):
+        return float(np.real(x))
+
+    aa = np.abs(al) ** 2
+    val = (
+        1.0
+        + abs(g1[i, j]) ** 2 + abs(g1[j, k]) ** 2 + abs(g1[i, k]) ** 2
+        + 2.0 * re(g1[i, j] * g1[j, k] * g1[k, i])
+        + (abs(cov[i, j]) ** 2 - aa[i] * aa[j]) / (n[i] * n[j])
+        + (abs(cov[j, k]) ** 2 - aa[j] * aa[k]) / (n[j] * n[k])
+        + (abs(cov[i, k]) ** 2 - aa[i] * aa[k]) / (n[i] * n[k])
+        + (2.0 - 4.0 * aa[k] / n[k]) * re(cov[i, j] * np.conj(al[i] * al[j])) / (n[i] * n[j])
+        + (2.0 - 4.0 * aa[j] / n[j]) * re(cov[i, k] * np.conj(al[i] * al[k])) / (n[i] * n[k])
+        + (2.0 - 4.0 * aa[i] / n[i]) * re(cov[j, k] * np.conj(al[j] * al[k])) / (n[j] * n[k])
+        + 4.0 * aa[i] * aa[j] * aa[k] / (n[i] * n[j] * n[k])
+        + 2.0 * re(g1[i, j] * np.conj(cov[j, k]) * cov[i, k]) / (n[k] * np.sqrt(n[i] * n[j]))
+        + 2.0 * re(g1[j, k] * np.conj(cov[i, k]) * cov[i, j]) / (n[i] * np.sqrt(n[j] * n[k]))
+        + 2.0 * re(g1[k, i] * np.conj(cov[i, j]) * cov[j, k]) / (n[j] * np.sqrt(n[i] * n[k]))
+        - 2.0 * aa[k] / n[k] * re(g1[i, j] * al[i] * np.conj(al[j])) / np.sqrt(n[i] * n[j])
+        - 2.0 * aa[i] / n[i] * re(g1[j, k] * al[j] * np.conj(al[k])) / np.sqrt(n[j] * n[k])
+        - 2.0 * aa[j] / n[j] * re(g1[k, i] * al[k] * np.conj(al[i])) / np.sqrt(n[i] * n[k])
+        + 2.0 * (re(g1[i, j] * al[i] * al[k] * np.conj(cov[j, k]))
+                 + re(g1[i, j] * np.conj(al[j] * al[k]) * cov[i, k])) / (n[k] * np.sqrt(n[i] * n[j]))
+        + 2.0 * (re(g1[j, k] * al[i] * al[j] * np.conj(cov[i, k]))
+                 + re(g1[j, k] * np.conj(al[i] * al[k]) * cov[i, j])) / (n[i] * np.sqrt(n[j] * n[k]))
+        + 2.0 * (re(g1[k, i] * al[j] * al[k] * np.conj(cov[i, j]))
+                 + re(g1[k, i] * np.conj(al[i] * al[j]) * cov[j, k])) / (n[j] * np.sqrt(n[i] * n[k]))
+    )
+    return float(val)
+
+
+def _assert_matches_reference(mom, triples=None):
+    g3 = g3_tensor(mom, triples)
+    if triples is None:
+        m = mom.modes
+        assert list(g3) == [(i, j, k) for i in range(m) for j in range(i, m)
+                            for k in range(j, m)]
+    else:
+        assert list(g3) == list(dict.fromkeys(tuple(t) for t in triples))
+    for key, val in g3.items():
+        ref = _g3_reference(mom, *key)
+        assert abs(val - ref) <= 1e-12 * abs(ref), key
+
+
+class TestG3KernelVsExpansion:
+    """The broadcast kernel against the former per-triple expansion."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_random_states_every_mode_count(self, rng):
+        for m in range(1, 17):
+            draws = [random_params(rng, m), random_params(rng, m, alpha_max=0.0),
+                     random_params(rng, m, r_max=0.0),
+                     random_params(rng, m, alpha_max=0.0, r_max=0.0)]
+            for params in draws:
+                mom = derive_moments(params)
+                _assert_matches_reference(mom)
+                ref = _g2_reference(mom)
+                assert np.abs(g2_tensor(mom) - ref).max() <= 1e-12 * np.abs(ref).max()
+            triples = [tuple(rng.integers(0, m, 3)) for _ in range(5)]
+            _assert_matches_reference(mom, triples)
+            for t in triples:
+                assert g3_value(mom, *t) == g3_tensor(mom, [t])[t]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vacuum_mode_outside_and_inside_the_triples(self, rng):
+        # mode 1 is an uncoupled vacuum: nbar_1 = 0, so g1, g2 and g3 touching it
+        # are undefined while every other entry stays computable
+        full = derive_moments(random_params(rng, 3))
+        keep = np.array([1.0, 0.0, 1.0])
+        mom = MomentSummary.from_unnormalized(full.coherence_matrix() * np.outer(keep, keep),
+                                              full.cov * np.outer(keep, keep),
+                                              full.alpha * keep)
+        assert mom.nbar[1] == 0 and np.isnan(mom.g1[0, 1])
+        _assert_matches_reference(mom, [(0, 0, 0), (2, 0, 2), (0, 2, 2), (2, 2, 2)])
+        for triple in [(0, 1, 2), (1, 1, 1), (2, 2, 1)]:
+            with pytest.raises(UndefinedCorrelationError,
+                               match="normalized correlations undefined: mode 1 has nbar = 0"):
+                g3_tensor(mom, [(0, 0, 0), triple])
+            with pytest.raises(UndefinedCorrelationError, match="mode 1 has nbar = 0"):
+                g3_value(mom, *triple)
+        with pytest.raises(UndefinedCorrelationError, match="mode 1 has nbar = 0"):
+            g3_tensor(mom)
+        with pytest.raises(UndefinedCorrelationError, match="mode 1 has nbar = 0"):
+            g2_tensor(mom)
