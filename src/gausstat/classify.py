@@ -11,6 +11,7 @@ falls back to a flat tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,18 +69,24 @@ class MeasurementSet:
                 if v.shape != (m, m):
                     raise ValidationError(f"{name} must be {m}x{m}")
                 object.__setattr__(self, name, v)
+        # comparisons skip NaN entries without the all-NaN warning of nanmin
         if self.g1_abs is not None:
-            if np.nanmin(self.g1_abs) < -1e-12 or np.nanmax(self.g1_abs) > 1 + 1e-6:
+            if ((self.g1_abs < -1e-12) | (self.g1_abs > 1 + 1e-6)).any():
                 raise ValidationError("|g1| entries must lie in [0, 1]")
         if self.g1_phase is not None and np.abs(self.g1_phase + self.g1_phase.T).max() > 1e-8:
             raise ValidationError("g1 phases must be antisymmetric")
-        if self.g2 is not None and np.nanmin(self.g2) < 0:
+        if self.g2 is not None and (self.g2 < 0).any():
             raise ValidationError("g2 entries must be nonnegative")
         cleaned = {}
         for key, val in self.g3.items():
+            key, val = tuple(sorted(key)), float(val)
+            if len(key) != 3 or key[0] < 0 or key[2] >= m:
+                raise ValidationError(f"g3 key {key} must be three mode indices in [0, {m})")
+            if not math.isfinite(val):
+                raise ValidationError(f"g3 entry {key} must be finite, got {val}")
             if val < 0:
                 raise ValidationError("g3 entries must be nonnegative")
-            cleaned[tuple(sorted(key))] = float(val)
+            cleaned[key] = val
         object.__setattr__(self, "g3", cleaned)
 
     def g1_complex(self) -> np.ndarray:
@@ -164,6 +171,31 @@ def _tolerance(m: MeasurementSet, flat_tol: float, dg2: float = 0.0, dg3: float 
     return max(flat_tol, 3.0 * propagated)
 
 
+def _feasibility_grid(u: float, g3: float, nbar: float | None,
+                      avals: np.ndarray, xvals: np.ndarray) -> np.ndarray:
+    """|g3(a, c, x) - g3| at the better admissible root c, on the (a, x) grid.
+
+    Rows follow ``avals`` and columns ``xvals``.  An entry is 1e6 where
+    neither root of c^2 - 2 a x c - (a^2 + u) = 0 lies in [0, c_max(a)].
+    """
+    a = avals[:, None]
+    x = xvals[None, :]
+    ax = a * x
+    disc = ax**2 + a**2 + u
+    root = np.sqrt(np.maximum(disc, 0.0))
+    if nbar is None:
+        cap = np.inf
+    else:
+        cap = np.sqrt(np.maximum((1.0 - a) * (1.0 - a + 1.0 / nbar), 0.0)) + 1e-12
+    res = np.full(disc.shape, 1e6)
+    for c in (ax + root, ax - root):
+        val = 6.0 + 9.0 * (c**2 - 2 * a * c * x - a**2) + 4 * a**3 + 12 * a**2 * c * x
+        ok = (disc >= 0.0) & (c >= 0.0) & (c <= cap)
+        # fmin skips a NaN residual, as the scalar comparison did
+        res = np.where(ok, np.fmin(res, np.abs(val - g3)), res)
+    return res
+
+
 def displaced_squeezed_feasibility(g2: float, g3: float, tol: float = 1e-6,
                                    nbar: float | None = None, grid: int = 201):
     """Search the physical (a, c, x) region for a witness of the (g2, g3) pair.
@@ -184,15 +216,15 @@ def displaced_squeezed_feasibility(g2: float, g3: float, tol: float = 1e-6,
 
     def c_max(a):
         if nbar is None:
-            return np.inf
-        return np.sqrt(np.clip((1.0 - a) * (1.0 - a + 1.0 / nbar), 0.0, None))
+            return math.inf
+        return math.sqrt(max((1.0 - a) * (1.0 - a + 1.0 / nbar), 0.0))
 
     def candidates(a, x):
         # c^2 - 2 a x c - (a^2 + u) = 0 for fixed (a, x)
         disc = (a * x) ** 2 + a**2 + u
         if disc < 0:
             return ()
-        root = np.sqrt(disc)
+        root = math.sqrt(disc)
         return tuple(c for c in (a * x + root, a * x - root) if 0.0 <= c <= c_max(a) + 1e-12)
 
     def best_root(a, x):
@@ -206,20 +238,21 @@ def displaced_squeezed_feasibility(g2: float, g3: float, tol: float = 1e-6,
 
     avals = np.linspace(0.0, 1.0, grid)
     xvals = np.linspace(-1.0, 1.0, grid)
-    coarse = [(best_root(a, x)[0], a, x) for a in avals for x in xvals]
-    coarse.sort(key=lambda t: t[0])
+    coarse = _feasibility_grid(u, g3, nbar, avals, xvals)
     best = (np.inf, None)
-    for res0, a0, x0 in coarse[:5]:
-        if res0 >= 1e6:
+    # a stable sort keeps ties in a-major, x-minor order
+    for flat in np.argsort(coarse, axis=None, kind="stable")[:5]:
+        i, k = divmod(int(flat), grid)
+        if coarse[i, k] >= 1e6:
             continue
-        opt = minimize(lambda v: best_root(v[0], v[1])[0], x0=[a0, x0],
+        opt = minimize(lambda v: best_root(float(v[0]), float(v[1]))[0],
+                       x0=[avals[i], xvals[k]],
                        bounds=[(0.0, 1.0), (-1.0, 1.0)], method="L-BFGS-B")
         if opt.fun < best[0]:
             cbest = best_root(*opt.x)[1]
             best = (opt.fun, {"a": float(opt.x[0]), "c": float(cbest) if cbest is not None else None,
                               "x": float(opt.x[1])})
-    feasible = best[0] <= tol
-    return feasible, best[1], float(best[0])
+    return bool(best[0] <= tol), best[1], float(best[0])
 
 
 def classify_single_mode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
@@ -230,6 +263,11 @@ def classify_single_mode(m: MeasurementSet, tol: float = 1e-6) -> Classification
         raise InsufficientDataError("single-mode classification needs g2 and g3")
     g2 = float(m.g2[0, 0])
     g3 = m.g3[(0, 0, 0)]
+    if not math.isfinite(g2):
+        raise ValidationError(f"g2 must be finite, got {g2}")
+    nbar = float(m.nbar[0]) if m.nbar is not None else None
+    if nbar is not None and not (math.isfinite(nbar) and nbar > 0.0):
+        raise ValidationError(f"nbar must be finite and positive, got {nbar}")
     notes = [EVIDENCE_CAVEAT]
     residuals = []
 
@@ -268,7 +306,6 @@ def classify_single_mode(m: MeasurementSet, tol: float = 1e-6) -> Classification
             sector = NON_DISPLACED if r1 <= tol_r1 else NON_SQUEEZED
         witness = None
     else:
-        nbar = float(m.nbar[0]) if m.nbar is not None else None
         feas_tol = _tolerance(m, max(tol, 1e-6), dg2=9.0, dg3=1.0)
         feasible, witness, res = displaced_squeezed_feasibility(g2, g3, feas_tol, nbar=nbar)
         residuals.append(RelationResidual("displaced-squeezed feasibility witness",

@@ -1,8 +1,11 @@
 """Sector classification from correlation data."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_symmetric
+from scipy.optimize import minimize
 
 from gausstat.classify import (
     COHERENT_LIKE,
@@ -16,6 +19,7 @@ from gausstat.classify import (
     classify,
     classify_multimode,
     classify_single_mode,
+    _feasibility_grid,
     displaced_squeezed_feasibility,
     synthesize_measurements,
 )
@@ -46,6 +50,24 @@ def squeezed_thermal_params(rng, modes):
     phi = random_hermitian(rng, modes, 0.8)
     occ = rng.uniform(0.05, 0.4, modes)
     return GaussianParams(np.zeros(modes), z, phi, occ)
+
+
+def g2_g3_nbar(params):
+    g2, g3 = single_mode_g2_g3(params)
+    return g2, g3, float(derive_moments(params).nbar[0])
+
+
+def random_displaced_squeezed(rng):
+    """(g2, g3, nbar) of a random single-mode displaced squeezed thermal state."""
+    alpha = rng.uniform(0.05, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    return g2_g3_nbar(GaussianParams.single_mode(alpha, rng.uniform(0.05, 1.2),
+                                                 rng.uniform(-np.pi, np.pi),
+                                                 rng.uniform(0.0, 1.0)))
+
+
+# a Gaussian state whose feasibility search stops in a local minimum
+LOCAL_MINIMUM_STATE = g2_g3_nbar(GaussianParams.single_mode(1.76 * np.exp(-1.77j),
+                                                            1.14, 3.12, 0.05))
 
 
 class TestSingleMode:
@@ -116,21 +138,117 @@ class TestFeasibilitySearch:
         assert not ok and res > 1.0
 
     def test_witness_reproduces_data_whenever_feasible(self):
-        # fixed-seed sweep of displaced squeezed thermal states on a coarse grid;
-        # at draw 36 the two roots for c give different g3, and only one matches
+        self.check_witness_sweep(grid=51)
+
+    def test_witness_reproduces_data_at_production_grid(self):
+        self.check_witness_sweep(grid=201)
+
+    @staticmethod
+    def check_witness_sweep(grid):
+        # fixed-seed sweep of displaced squeezed thermal states; at draw 36 the
+        # two roots for c give different g3, and only one matches
         rng = np.random.default_rng(0)
         for _ in range(40):
-            alpha = rng.uniform(0.05, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            params = GaussianParams.single_mode(alpha, rng.uniform(0.05, 1.2),
-                                                rng.uniform(-np.pi, np.pi), rng.uniform(0.0, 1.0))
-            g2, g3 = single_mode_g2_g3(params)
-            nbar = float(derive_moments(params).nbar[0])
-            ok, w, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar, grid=51)
+            g2, g3, nbar = random_displaced_squeezed(rng)
+            ok, w, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar, grid=grid)
             if ok:
                 a, c, x = w["a"], w["c"], w["x"]
                 assert 2.0 + c**2 - 2 * a * c * x - a**2 == pytest.approx(g2, abs=1e-6)
                 assert (6.0 + 9.0 * (c**2 - 2 * a * c * x - a**2) + 4 * a**3
                         + 12 * a**2 * c * x) == pytest.approx(g3, abs=1e-6)
+
+    def test_returns_plain_python_types(self):
+        for g2, g3 in ((1.0, 1.0), (1.0, 50.0)):
+            result = displaced_squeezed_feasibility(g2, g3, tol=1e-6)
+            ok, _, res = result
+            assert type(ok) is bool and type(res) is float
+            json.dumps(result)
+
+    @pytest.mark.xfail(strict=True, reason="L-BFGS-B stops in a local minimum short of "
+                                           "the witness (FOUND in CHANGES.md)")
+    def test_local_minimum_reproducer_is_feasible(self):
+        # a Gaussian state, so a witness exists: true (a, c, x) = (0.79, 0.46, 0.97)
+        g2, g3, nbar = LOCAL_MINIMUM_STATE
+        ok, _, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar)
+        assert ok
+
+
+def _reference_feasibility(g2, g3, tol=1e-6, nbar=None, grid=201):
+    """The per-point scalar search that the vectorized grid replaced.
+
+    Returns the search's result tuple and its coarse residual grid.
+    """
+    u = g2 - 2.0
+
+    def c_max(a):
+        if nbar is None:
+            return np.inf
+        return np.sqrt(np.clip((1.0 - a) * (1.0 - a + 1.0 / nbar), 0.0, None))
+
+    def candidates(a, x):
+        disc = (a * x) ** 2 + a**2 + u
+        if disc < 0:
+            return ()
+        root = np.sqrt(disc)
+        return tuple(c for c in (a * x + root, a * x - root) if 0.0 <= c <= c_max(a) + 1e-12)
+
+    def best_root(a, x):
+        best = (1e6, None)
+        for c in candidates(a, x):
+            val = 6.0 + 9.0 * (c**2 - 2 * a * c * x - a**2) + 4 * a**3 + 12 * a**2 * c * x
+            if abs(val - g3) < best[0]:
+                best = (abs(val - g3), c)
+        return best
+
+    avals = np.linspace(0.0, 1.0, grid)
+    xvals = np.linspace(-1.0, 1.0, grid)
+    coarse = [(best_root(a, x)[0], a, x) for a in avals for x in xvals]
+    residuals = np.array([t[0] for t in coarse]).reshape(grid, grid)
+    coarse.sort(key=lambda t: t[0])
+    best = (np.inf, None)
+    for res0, a0, x0 in coarse[:5]:
+        if res0 >= 1e6:
+            continue
+        opt = minimize(lambda v: best_root(v[0], v[1])[0], x0=[a0, x0],
+                       bounds=[(0.0, 1.0), (-1.0, 1.0)], method="L-BFGS-B")
+        if opt.fun < best[0]:
+            cbest = best_root(*opt.x)[1]
+            best = (opt.fun, {"a": float(opt.x[0]), "c": float(cbest) if cbest is not None else None,
+                              "x": float(opt.x[1])})
+    feasible = best[0] <= tol
+    return (feasible, best[1], float(best[0])), residuals
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFeasibilityGridVsScalar:
+    """The vectorized coarse grid against the per-point scalar search it replaced."""
+
+    @staticmethod
+    def assert_same(g2, g3, nbar, grid):
+        ref, ref_grid = _reference_feasibility(g2, g3, 1e-6, nbar=nbar, grid=grid)
+        vec_grid = _feasibility_grid(g2 - 2.0, g3, nbar, np.linspace(0.0, 1.0, grid),
+                                     np.linspace(-1.0, 1.0, grid))
+        np.testing.assert_allclose(vec_grid, ref_grid, rtol=0.0, atol=1e-12)
+        assert displaced_squeezed_feasibility(g2, g3, 1e-6, nbar=nbar, grid=grid) == ref
+
+    def test_seeded_states(self):
+        # 150 draws, each with nbar known and unknown; the scalar reference
+        # costs too much at the production grid for a sweep of this size
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            g2, g3, nbar = random_displaced_squeezed(rng)
+            for known in (nbar, None):
+                self.assert_same(g2, g3, known, grid=51)
+
+    @pytest.mark.parametrize("point", [
+        (1.0, 1.0, None),  # coherent point
+        g2_g3_nbar(GaussianParams.single_mode(r=0.4))[:2] + (None,),  # squeezed vacuum
+        (1.0, 50.0, None),  # infeasible
+        LOCAL_MINIMUM_STATE,
+        LOCAL_MINIMUM_STATE[:2] + (None,),
+    ])
+    def test_named_points_at_production_grid(self, point):
+        self.assert_same(*point, grid=201)
 
 
 class TestMultimode:

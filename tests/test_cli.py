@@ -126,6 +126,24 @@ class TestClassifyReconstruct:
         run("simulate", spath, "--out", meas)
         assert run("reconstruct", meas, "--sector", "ns") == 3
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["g3"].append({"modes": [0, 0, 5], "value": 1.0}),
+        lambda doc: doc["g3"][0].update(value=float("nan")),
+        lambda doc: doc["g3"][0].update(value=float("inf")),
+        lambda doc: doc["g2"][0].__setitem__(0, float("nan")),
+        lambda doc: doc["nbar"].__setitem__(0, float("nan")),
+        lambda doc: doc["nbar"].__setitem__(0, 0.0),
+    ], ids=["g3-mode-out-of-range", "g3-nan", "g3-inf", "g2-nan", "nbar-nan", "nbar-zero"])
+    def test_classify_rejects_malformed_single_mode_data(self, tmp_path, corrupt):
+        params = GaussianParams.single_mode(alpha=0.5 * np.exp(0.4j), r=0.45,
+                                            theta=0.3, occupation=0.1)
+        meas = tmp_path / "meas.json"
+        assert run("simulate", write_params(tmp_path, params), "--out", meas) == 0
+        doc = load(meas)
+        corrupt(doc)
+        dump(doc, meas)
+        assert run("classify", meas) == 2
+
 
 class TestScanCli:
     def test_scan_csv(self, tmp_path):
