@@ -437,6 +437,9 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
         raise InsufficientDataError("multimode classification needs g2 and |g1|")
     mm = m.modes
     g2, g1a = m.g2, m.g1_abs
+    # a NaN residual fails every '>' test, so it would pass a hypothesis
+    if not (np.isfinite(g2).all() and np.isfinite(g1a).all()):
+        raise ValidationError("multimode classification needs finite g2 and |g1| entries")
     residuals = []
     notes = [EVIDENCE_CAVEAT]
     tol_rel = _tolerance(m, tol, dg2=3.0, dg3=1.0)

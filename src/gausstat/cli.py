@@ -221,27 +221,14 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-VERIFY_CUTOFFS = {1: 50, 2: 20, 3: 8}
+# Cutoffs per mode count that verify tries in turn, ending at dimension 1728
+# or less; the first is the default and usually settles it.
+VERIFY_LADDERS = {1: (50, 64, 80), 2: (20, 24, 28), 3: (8, 10, 12)}
+VERIFY_CUTOFFS = {m: ladder[0] for m, ladder in VERIFY_LADDERS.items()}
 
 
-def cmd_verify(args) -> int:
-    """Closed forms versus the truncated-Fock oracle, as a residual table.
-
-    Uses deeper cutoffs than the library defaults (sixth-order moments feel
-    the Fock boundary strongly) and scales its failure threshold with the
-    measured truncation indicators, so an unconverged oracle is reported as
-    such instead of masquerading as a closed-form bug.
-    """
-    config = _config_from_args(args)
-    params = serialize.params_from_json(serialize.load(args.params))
-    cutoff = config.fock_cutoff or VERIFY_CUTOFFS[min(params.modes, 3)]
-    rho = fock.build_density(params, cutoff=cutoff)
-    if args.photon_csv:
-        lines = ["mode,n,probability"]
-        for mode in range(params.modes):
-            dist = fock.photon_number_distribution(rho, mode)
-            lines += [f"{mode},{n},{p:.12g}" for n, p in enumerate(dist)]
-        Path(args.photon_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _verify_rows(params, rho) -> list[dict]:
+    """Closed form against oracle value, one row per observable."""
     moments = derive_moments(params)
     rows = []
 
@@ -271,10 +258,41 @@ def cmd_verify(args) -> int:
         t1 = fock.total_number_factorial_moment(rho, 1)
         add("g2_bucket", obs.g2_b, fock.total_number_factorial_moment(rho, 2) / t1**2)
         add("g3_bucket", obs.g3_b, fock.total_number_factorial_moment(rho, 3) / t1**3)
-    worst = max(row["abs_error"] for row in rows)
-    # sixth-order moments amplify boundary occupancy by up to ~3e4 (measured,
-    # including the 1/nbar^3 normalization of the g3 rows)
-    budget = max(1e-6, 3e4 * (rho.deficit + rho.tail_mass))
+    return rows
+
+
+def cmd_verify(args) -> int:
+    """Closed forms versus the truncated-Fock oracle, as a residual table.
+
+    Uses deeper cutoffs than the library defaults (sixth-order moments feel
+    the Fock boundary strongly) and scales its failure threshold with the
+    measured truncation indicators, so an unconverged oracle is reported as
+    such instead of masquerading as a closed-form bug.  Without ``--cutoff``
+    it walks a short ladder of cutoffs (VERIFY_LADDERS): when the worst error
+    misses the budget at one cutoff, the oracle is rebuilt at the next, and
+    the output reports the cutoff it settled on.  A g3 row divides by
+    nbar^3, so a small mean photon number can push a converged-looking
+    oracle past the budget at the default cutoff.
+    """
+    config = _config_from_args(args)
+    params = serialize.params_from_json(serialize.load(args.params))
+    ladder = ((config.fock_cutoff,) if config.fock_cutoff
+              else VERIFY_LADDERS[min(params.modes, 3)])
+    for cutoff in ladder:
+        rho = fock.build_density(params, cutoff=cutoff)
+        rows = _verify_rows(params, rho)
+        worst = max(row["abs_error"] for row in rows)
+        # sixth-order moments amplify boundary occupancy by up to ~3e4
+        # (measured, including the 1/nbar^3 normalization of the g3 rows)
+        budget = max(1e-6, 3e4 * (rho.deficit + rho.tail_mass))
+        if worst <= budget:
+            break
+    if args.photon_csv:
+        lines = ["mode,n,probability"]
+        for mode in range(params.modes):
+            dist = fock.photon_number_distribution(rho, mode)
+            lines += [f"{mode},{n},{p:.12g}" for n, p in enumerate(dist)]
+        Path(args.photon_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     doc = {
         "schema": serialize.SCHEMA,
         "type": "verification",

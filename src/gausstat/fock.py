@@ -1,7 +1,23 @@
 """Brute-force verification backend on a truncated Fock space.
 
-The density operator is built literally as D S R rho_th R† S† D† with the
-unitaries obtained by exponentiating truncated ladder-operator generators.
+The density operator is D S R rho_th R† S† D†, each unitary the exponential
+of a truncated ladder-operator generator.  It is built from a square root,
+rho = W W^H with W = D S R W_th: the columns of W_th are sqrt(p_n) |n> for
+the thermal weights p_n that are not zero, so a pure state has one column.
+No unitary is formed on the full space:
+
+- R: the truncated a_i† a_j keeps the total photon number, so the rotation
+  generator is block diagonal over it and each block is exponentiated alone.
+  A diagonal phi (always, for one mode) is skipped: it multiplies each
+  thermal column by a phase, and W W^H cancels it.
+- S: a_i a_j and a_i† a_j† change the total number by two, so the squeeze
+  generator keeps its parity and splits into two blocks.
+- D: the displacement terms act on one mode each and commute, so D is the
+  Kronecker product of d x d factors, each applied along its mode's axis.
+
+Every block G is anti-hermitian, so 1j*G is hermitian and eigh gives
+1j*G = V diag(w) V^H with real w and unitary V.  Then exp(G) =
+V diag(e^{-iw}) V^H, unitary to rounding, whatever the norm of G.
 Truncated generators of D and S are still anti-hermitian, so those factors
 remain exactly unitary and the trace deficit alone cannot detect their
 truncation error; the builder therefore also records the occupancy of the top
@@ -17,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 
 from .errors import TruncationError, ValidationError
 from .states import GaussianParams
@@ -43,11 +58,6 @@ def _sparse_annihilators(modes: int, cutoff: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _mode_annihilators(modes: int, cutoff: int) -> tuple[np.ndarray, ...]:
-    return tuple(op.toarray() for op in _sparse_annihilators(modes, cutoff))
-
-
 @dataclass(frozen=True)
 class TruncatedDensity:
     """Dense truncated density matrix with its measured truncation indicators."""
@@ -67,18 +77,50 @@ class TruncatedDensity:
             raise ValidationError(f"density not positive semidefinite: min eig {evals.min():.2e}")
 
 
-def _thermal_density(occupations: np.ndarray, cutoff: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _number_blocks(modes: int, cutoff: int):
+    """Fock-basis indices grouped by total photon number, and by its parity."""
+    total = np.indices((cutoff,) * modes).reshape(modes, -1).sum(axis=0)
+    by_number = tuple(np.flatnonzero(total == n) for n in range(total.max() + 1))
+    by_parity = tuple(np.flatnonzero(total % 2 == p) for p in (0, 1))
+    return by_number, by_parity
+
+
+def _thermal_columns(occupations: np.ndarray, cutoff: int) -> np.ndarray:
+    """Columns sqrt(p_n) |n> of the thermal seed, zero weights dropped (dim x k)."""
     n = np.arange(cutoff)
-    rho = None
+    p = np.ones(1)
     for occ in occupations:
-        if occ > 0:
-            p = (occ / (occ + 1.0)) ** n / (occ + 1.0)
-        else:
-            p = np.zeros(cutoff)
-            p[0] = 1.0
-        block = np.diag(p.astype(complex))
-        rho = block if rho is None else np.kron(rho, block)
-    return rho
+        p = np.kron(p, (occ / (occ + 1.0)) ** n / (occ + 1.0) if occ > 0 else n == 0)
+    cols = np.flatnonzero(p)
+    w = np.zeros((p.size, cols.size), dtype=complex)
+    w[cols, np.arange(cols.size)] = np.sqrt(p[cols])
+    return w
+
+
+def _exp_anti_hermitian(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, phases) with exp(gen) = V diag(phases) V^H, from eigh of the hermitian 1j*gen."""
+    evals, vecs = np.linalg.eigh(1j * gen)
+    return vecs, np.exp(-1j * evals)
+
+
+def _apply_blocked(w: np.ndarray, gen, blocks) -> None:
+    """w <- exp(gen) w in place, for a sparse anti-hermitian ``gen`` that maps
+    the span of each index block to itself."""
+    gen = gen.toarray()
+    for idx in blocks:
+        rows = w[idx]
+        if not rows.any():
+            continue
+        vecs, phases = _exp_anti_hermitian(gen[np.ix_(idx, idx)])
+        w[idx] = vecs @ (phases[:, None] * (vecs.conj().T @ rows))
+
+
+def _displacement(alpha: complex, cutoff: int) -> np.ndarray:
+    """exp(alpha a^+ - alpha* a) of one truncated mode (cutoff x cutoff)."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    vecs, phases = _exp_anti_hermitian(alpha * a.T - np.conj(alpha) * a)
+    return (vecs * phases) @ vecs.conj().T
 
 
 def build_density(params: GaussianParams, cutoff: int | None = None,
@@ -102,29 +144,27 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
         raise ValidationError(f"requested dimension {d**m} exceeds limit {MAX_DIMENSION}")
 
     ladders = _sparse_annihilators(m, d)
+    by_number, by_parity = _number_blocks(m, d)
     dim = d**m
-    gen_d = sparse.csr_matrix((dim, dim), dtype=complex)
-    gen_s = sparse.csr_matrix((dim, dim), dtype=complex)
-    gen_r = sparse.csr_matrix((dim, dim), dtype=complex)
-    for i in range(m):
-        ai = ladders[i]
-        gen_d = gen_d + params.alpha[i] * ai.conj().T - np.conj(params.alpha[i]) * ai
-        for j in range(m):
-            aj = ladders[j]
-            zij = params.squeeze[i, j]
-            if zij != 0:
-                gen_s = gen_s + 0.5 * np.conj(zij) * (ai @ aj) \
-                    - 0.5 * zij * (ai.conj().T @ aj.conj().T)
-            pij = params.rotation[i, j]
-            if pij != 0:
-                gen_r = gen_r + 1j * pij * (ai.conj().T @ aj)
-
-    rho = _thermal_density(params.thermal, d)
-    for gen in (gen_r, gen_s, gen_d):
-        if gen.count_nonzero() == 0:
-            continue
-        u = expm(gen.toarray())
-        rho = u @ rho @ u.conj().T
+    w = _thermal_columns(params.thermal, d)
+    phi, z = params.rotation, params.squeeze
+    # a diagonal rotation generator (always, for one mode) only multiplies
+    # each thermal column |n> by a phase, which W W^H cancels
+    if np.any(phi - np.diag(np.diag(phi))):
+        gen_r = sum(1j * phi[i, j] * (ladders[i].conj().T @ ladders[j])
+                    for i in range(m) for j in range(m) if phi[i, j] != 0)
+        _apply_blocked(w, gen_r, by_number)
+    if np.any(z):
+        gen_s = sum(0.5 * np.conj(z[i, j]) * (ladders[i] @ ladders[j])
+                    - 0.5 * z[i, j] * (ladders[i].conj().T @ ladders[j].conj().T)
+                    for i in range(m) for j in range(m) if z[i, j] != 0)
+        _apply_blocked(w, gen_s, by_parity)
+    t = w.reshape((d,) * m + (-1,))
+    for i, alpha in enumerate(params.alpha):
+        if alpha != 0:
+            t = np.moveaxis(np.tensordot(_displacement(alpha, d), t, axes=(1, i)), 0, i)
+    w = t.reshape(dim, -1)
+    rho = w @ w.conj().T
     rho = 0.5 * (rho + rho.conj().T)
 
     deficit = float(abs(1.0 - np.trace(rho).real))
@@ -197,16 +237,3 @@ def total_number_factorial_moment(rho: TruncatedDensity, order: int) -> float:
         weight *= digits - k
     return float((np.diag(rho.matrix).real * weight).sum())
 
-
-def oracle_moments(rho: TruncatedDensity):
-    """(alpha, <a_i a_j>, <a_i† a_j>) measured directly from the density."""
-    m, d = rho.modes, rho.dim
-    ladders = _mode_annihilators(m, d)
-    alpha = np.array([complex((rho.matrix * ladders[i].T).sum()) for i in range(m)])
-    aa = np.zeros((m, m), dtype=complex)
-    adag_a = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            aa[i, j] = (rho.matrix * (ladders[i] @ ladders[j]).T).sum()
-            adag_a[i, j] = (rho.matrix * (ladders[i].conj().T @ ladders[j]).T).sum()
-    return alpha, aa, adag_a

@@ -145,6 +145,25 @@ class TestClassifyReconstruct:
         assert run("classify", meas) == 2
 
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: [doc["g2"][0].__setitem__(1, float("nan")),
+                     doc["g2"][1].__setitem__(0, float("nan"))],
+        lambda doc: doc["g2"][1].__setitem__(1, float("inf")),
+        lambda doc: [doc["g1_abs"][0].__setitem__(1, float("nan")),
+                     doc["g1_abs"][1].__setitem__(0, float("nan"))],
+    ], ids=["cross-g2-nan", "g2-inf", "g1-abs-nan"])
+    def test_classify_rejects_non_finite_multimode_data(self, tmp_path, corrupt):
+        params = GaussianParams(np.zeros(2), 0.3 * np.eye(2, dtype=complex),
+                                np.zeros((2, 2)), np.array([0.1, 0.2]))
+        meas = tmp_path / "meas.json"
+        assert run("simulate", write_params(tmp_path, params), "--out", meas) == 0
+        assert run("classify", meas) == 0
+        doc = load(meas)
+        corrupt(doc)
+        dump(doc, meas)
+        assert run("classify", meas) == 2
+
+
 class TestScanCli:
     def test_scan_csv(self, tmp_path):
         from gausstat.states import derive_moments, single_mode_g2_g3
@@ -177,8 +196,21 @@ class TestVerifyCurvesBucket:
         assert run("verify", spath, "--out", out) == 0
         doc = load(out)
         assert doc["worst_abs_error"] < 1e-6
+        assert doc["cutoff"] == 50
         names = {row["observable"] for row in doc["rows"]}
         assert {"nbar_0", "g2_00", "g3_000", "p0", "g2_bucket"} <= names
+
+    def test_verify_deepens_cutoff_when_budget_missed(self, tmp_path):
+        # misses its budget at the default cutoff 50: g3 error 1.6e-5
+        params = GaussianParams.single_mode(alpha=0.868 * np.exp(-1.815j), r=0.492,
+                                            theta=2.482, occupation=0.492)
+        spath = write_params(tmp_path, params)
+        out = tmp_path / "verify.json"
+        assert run("verify", spath, "--cutoff", "50") == 4
+        assert run("verify", spath, "--out", out) == 0
+        doc = load(out)
+        assert doc["cutoff"] > 50
+        assert doc["worst_abs_error"] <= doc["oracle_budget"]
 
     def test_curves_eq20_point(self, tmp_path, capsys):
         assert run("curves", "--relation", "eq20", "--g2-min", "3",

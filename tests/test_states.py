@@ -5,7 +5,7 @@ import pytest
 from conftest import random_hermitian, random_params, random_symmetric
 
 from gausstat.errors import UndefinedCorrelationError, ValidationError
-from gausstat.fock import build_density, oracle_moments, vacuum_overlap
+from gausstat.fock import _sparse_annihilators, build_density, vacuum_overlap
 from gausstat.states import (
     GaussianParams,
     MomentSummary,
@@ -26,6 +26,20 @@ from gausstat.states import (
     _elementary_bogoliubov,
 )
 from gausstat.words import LadderWord, gaussian_moment
+
+
+def oracle_moments(rho):
+    """(alpha, <a_i a_j>, <a_i† a_j>) measured directly from a truncated density."""
+    m, d = rho.modes, rho.dim
+    ladders = [op.toarray() for op in _sparse_annihilators(m, d)]
+    alpha = np.array([complex((rho.matrix * ladders[i].T).sum()) for i in range(m)])
+    aa = np.zeros((m, m), dtype=complex)
+    adag_a = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            aa[i, j] = (rho.matrix * (ladders[i] @ ladders[j]).T).sum()
+            adag_a[i, j] = (rho.matrix * (ladders[i].conj().T @ ladders[j]).T).sum()
+    return alpha, aa, adag_a
 
 
 class TestBogoliubov:
