@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InsufficientDataError, ValidationError
 from .phases import (
@@ -34,6 +33,8 @@ COHERENT_LIKE = "CoherentLike"
 THERMAL_LIKE = "ThermalLike"
 INCONSISTENT = "Inconsistent"
 
+SIGMA_NAMES = ("nbar", "g1_abs", "g1_phase", "g2", "g3", "p0")
+
 EVIDENCE_CAVEAT = ("relation satisfied - evidence only; correlation data can never "
                    "certify a Gaussian state (non-Gaussian counterexamples exist)")
 
@@ -43,8 +44,7 @@ class MeasurementSet:
     """Observed correlation data with optional loss-sensitive observables.
 
     ``g3`` maps sorted mode triples (i, j, k) to values.  ``sigma`` holds
-    per-observable standard uncertainties keyed by "nbar", "g1_abs",
-    "g1_phase", "g2", "g3", "p0".
+    per-observable standard uncertainties keyed by the names in SIGMA_NAMES.
     """
 
     modes: int
@@ -94,12 +94,6 @@ class MeasurementSet:
             raise InsufficientDataError("g1 magnitudes missing")
         phase = self.g1_phase if self.g1_phase is not None else np.zeros_like(self.g1_abs)
         return self.g1_abs * np.exp(1j * phase)
-
-    def g3_entry(self, i, j, k):
-        key = tuple(sorted((i, j, k)))
-        if key not in self.g3:
-            raise InsufficientDataError(f"g3 entry {key} required but not measured")
-        return self.g3[key]
 
     def sigma_for(self, name: str) -> float:
         return float(self.sigma.get(name, 0.0))
@@ -171,34 +165,74 @@ def _tolerance(m: MeasurementSet, flat_tol: float, dg2: float = 0.0, dg3: float 
     return max(flat_tol, 3.0 * propagated)
 
 
-def _feasibility_grid(u: float, g3: float, nbar: float | None,
-                      avals: np.ndarray, xvals: np.ndarray) -> np.ndarray:
-    """|g3(a, c, x) - g3| at the better admissible root c, on the (a, x) grid.
+# Slack at component ends: near s = 0 a rounding error in a root grows by
+# about 2a/s in y.
+_ROUNDING = 1e-9
 
-    Rows follow ``avals`` and columns ``xvals``.  An entry is 1e6 where
-    neither root of c^2 - 2 a x c - (a^2 + u) = 0 lies in [0, c_max(a)].
+
+def _cut_points(coeffs) -> list:
+    """Real parts of a polynomial's roots inside (0, 1).
+
+    A complex pair's real part is kept too: an extra cut point only splits an
+    interval, and a near-double root comes out of ``np.roots`` as such a pair.
     """
-    a = avals[:, None]
-    x = xvals[None, :]
-    ax = a * x
-    disc = ax**2 + a**2 + u
-    root = np.sqrt(np.maximum(disc, 0.0))
-    if nbar is None:
-        cap = np.inf
-    else:
-        cap = np.sqrt(np.maximum((1.0 - a) * (1.0 - a + 1.0 / nbar), 0.0)) + 1e-12
-    res = np.full(disc.shape, 1e6)
-    for c in (ax + root, ax - root):
-        val = 6.0 + 9.0 * (c**2 - 2 * a * c * x - a**2) + 4 * a**3 + 12 * a**2 * c * x
-        ok = (disc >= 0.0) & (c >= 0.0) & (c <= cap)
-        # fmin skips a NaN residual, as the scalar comparison did
-        res = np.where(ok, np.fmin(res, np.abs(val - g3)), res)
-    return res
+    return [r for r in np.roots(coeffs).real.tolist() if 0.0 < r < 1.0]
+
+
+def _feasible_intervals(u: float, v: float, k: float | None) -> list:
+    """Maximal a-intervals in (0, 1] where p(a) >= 0 and, with k, q(a) >= 0."""
+    polys = [[32.0, 0.0, 144.0 * u, 32.0 * v, 0.0, 0.0, -v * v]]
+    if k is not None:
+        polys.append([4.0, -(12.0 + 6.0 * k), 6.0 + 6.0 * k - 6.0 * u, -v])
+    cuts = np.unique([0.0, 1.0] + [r for c in polys for r in _cut_points(c)])
+    keep = np.all([np.polyval(c, 0.5 * (cuts[:-1] + cuts[1:])) >= 0.0 for c in polys], axis=0)
+    intervals = []
+    for lo, hi in zip(cuts[:-1][keep].tolist(), cuts[1:][keep].tolist()):
+        if intervals and intervals[-1][1] == lo:
+            intervals[-1][1] = hi
+        else:
+            intervals.append([lo, hi])
+    return intervals
+
+
+def _nearest_candidate(u: float, v: float, k: float | None):
+    """(distance, a, y): the least distance from v to [v_lo(a), v_hi(a)].
+
+    v_lo/hi = 4a^3 + 12a^2 y_lo/hi, with y in [a - s, a + s], s^2 = 2a^2 + u,
+    and y capped with k.  Without a feasible interval, v lies on one side of
+    every range, so the distance is least where v_lo is least or v_hi is
+    greatest.  v_lo falls with a (dv_lo/da = -24a(a - s)^2/s), the uncapped
+    v_hi rises, and the capped v_hi is stationary only where q'(a) = 0,
+    which lies outside the branches whenever k > 0.  So the candidates are
+    a = 1 and, with k, the points where the cap meets a branch.
+    """
+    cands = [1.0]
+    if k is not None:
+        # the cap meets a branch where (K - u - 3a^2)^2 = 4a^2 s^2, K = (1-a)(1-a+k)
+        lhs = np.array([-2.0, -(2.0 + k), 1.0 + k - u])
+        cands += _cut_points(np.polysub(np.polymul(lhs, lhs), [8.0, 0.0, 4.0 * u, 0.0, 0.0]))
+    best = (math.inf, None, None)
+    for a in cands:
+        s2 = 2.0 * a * a + u
+        if not 0.0 < a <= 1.0 or s2 < -_ROUNDING:
+            continue
+        s = math.sqrt(max(s2, 0.0))
+        lo, hi = a - s, a + s
+        if k is not None:
+            hi = min(hi, ((1.0 - a) * (1.0 - a + k) - u - a * a) / (2.0 * a))
+        if hi < lo - _ROUNDING:
+            continue
+        # where the cap meets the lower branch, the cap is kept exact
+        y = min(max((v - 4.0 * a**3) / (12.0 * a * a), min(lo, hi)), hi)
+        dist = abs(4.0 * a**3 + 12.0 * a * a * y - v)
+        if dist < best[0]:
+            best = (dist, a, y)
+    return best
 
 
 def displaced_squeezed_feasibility(g2: float, g3: float, tol: float = 1e-6,
-                                   nbar: float | None = None, grid: int = 201):
-    """Search the physical (a, c, x) region for a witness of the (g2, g3) pair.
+                                   nbar: float | None = None):
+    """Exact test of the (g2, g3) pair for a physical witness (a, c, x).
 
     a = |alpha|^2/nbar, c = |cov|/nbar, x = cos(2 phi_d - theta) with theta the
     squeeze phase, so that
@@ -209,50 +243,35 @@ def displaced_squeezed_feasibility(g2: float, g3: float, tol: float = 1e-6,
     With nbar known the covariance ratio obeys the physicality bound
     c^2 <= (1-a)(1-a+1/nbar), with equality exactly at N = 0.  Without nbar no
     finite bound exists (the nbar -> 0 limit allows any c; every squeezed
-    vacuum already has c > 1), so only c >= 0 is enforced.  Returns
-    (feasible, witness dict, residual).
+    vacuum already has c > 1), so only c >= 0 is enforced.
+
+    With u = g2 - 2, v = g3 - 6 - 9u and y = c x, each a in (0, 1] fixes
+    y = (v - 4a^3)/(12a^2) and c^2 = u + a^2 + 2ay.  Then |x| <= 1 is
+    p(a) = 32a^6 + 144u a^4 + 32v a^3 - v^2 >= 0, and the cap with k = 1/nbar
+    is q(a) = 4a^3 - (12+6k)a^2 + (6+6k-6u)a - v >= 0.  The feasible a-set
+    lies between real roots of p and q; it goes into the witness as
+    ``a_intervals`` (two equations fix three unknowns), and (a, c, x) is the
+    middle of the widest interval.  Without one, the residual is the least
+    |g3 - g3(a, c, x)| over witnesses that reproduce g2, from
+    ``_nearest_candidate``.  a = 0 is the non-displaced relation, tested
+    before this one.  Returns (residual <= tol, witness, residual); the
+    witness is None when no a admits a physical c.
     """
     u = g2 - 2.0
-
-    def c_max(a):
-        if nbar is None:
-            return math.inf
-        return math.sqrt(max((1.0 - a) * (1.0 - a + 1.0 / nbar), 0.0))
-
-    def candidates(a, x):
-        # c^2 - 2 a x c - (a^2 + u) = 0 for fixed (a, x)
-        disc = (a * x) ** 2 + a**2 + u
-        if disc < 0:
-            return ()
-        root = math.sqrt(disc)
-        return tuple(c for c in (a * x + root, a * x - root) if 0.0 <= c <= c_max(a) + 1e-12)
-
-    def best_root(a, x):
-        """(|g3(a, c, x) - g3|, c) at the root c that reproduces g3 best."""
-        best = (1e6, None)  # finite penalty keeps the local optimizer differentiable
-        for c in candidates(a, x):
-            val = 6.0 + 9.0 * (c**2 - 2 * a * c * x - a**2) + 4 * a**3 + 12 * a**2 * c * x
-            if abs(val - g3) < best[0]:
-                best = (abs(val - g3), c)
-        return best
-
-    avals = np.linspace(0.0, 1.0, grid)
-    xvals = np.linspace(-1.0, 1.0, grid)
-    coarse = _feasibility_grid(u, g3, nbar, avals, xvals)
-    best = (np.inf, None)
-    # a stable sort keeps ties in a-major, x-minor order
-    for flat in np.argsort(coarse, axis=None, kind="stable")[:5]:
-        i, k = divmod(int(flat), grid)
-        if coarse[i, k] >= 1e6:
-            continue
-        opt = minimize(lambda v: best_root(float(v[0]), float(v[1]))[0],
-                       x0=[avals[i], xvals[k]],
-                       bounds=[(0.0, 1.0), (-1.0, 1.0)], method="L-BFGS-B")
-        if opt.fun < best[0]:
-            cbest = best_root(*opt.x)[1]
-            best = (opt.fun, {"a": float(opt.x[0]), "c": float(cbest) if cbest is not None else None,
-                              "x": float(opt.x[1])})
-    return bool(best[0] <= tol), best[1], float(best[0])
+    v = g3 - 6.0 - 9.0 * u
+    k = None if nbar is None else 1.0 / nbar
+    intervals = _feasible_intervals(u, v, k)
+    if intervals:
+        lo, hi = max(intervals, key=lambda t: t[1] - t[0])
+        a = 0.5 * (lo + hi)
+        res, y = 0.0, (v - 4.0 * a**3) / (12.0 * a * a)
+    else:
+        res, a, y = _nearest_candidate(u, v, k)
+    if a is None:
+        return False, None, math.inf
+    c = math.sqrt(max(u + a * a + 2.0 * a * y, 0.0))
+    x = min(max(y / c, -1.0), 1.0) if c > 0.0 else 0.0
+    return res <= tol, {"a": a, "c": c, "x": x, "a_intervals": intervals}, res
 
 
 def classify_single_mode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
@@ -429,6 +448,31 @@ def _nd_predicted_g3(m: MeasurementSet, theta, i, j, k):
     return val
 
 
+def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
+    """The exact single-mode test on each mode's (g2_ii, g3_iii, nbar_i).
+
+    Every single-mode marginal of a Gaussian state is Gaussian, so a mode
+    without a witness excludes every Gaussian state.  Modes without g3_iii
+    are skipped; an nbar_i that is missing or not positive drops the cap.
+    """
+    feas_tol = _tolerance(m, max(tol, 1e-6), dg2=9.0, dg3=1.0)
+    residuals = []
+    for i in range(m.modes):
+        if (i, i, i) not in m.g3:
+            continue
+        nbar = None if m.nbar is None else float(m.nbar[i])
+        if nbar is not None and not (math.isfinite(nbar) and nbar > 0.0):
+            nbar = None
+        feasible, _, res = displaced_squeezed_feasibility(float(m.g2[i, i]), m.g3[(i, i, i)],
+                                                          feas_tol, nbar=nbar)
+        residuals.append(RelationResidual(f"mode {i} displaced-squeezed feasibility witness",
+                                          res, feas_tol))
+        if not feasible:
+            notes.append(f"mode {i} has no physical (a, c, x) witness for (g2, g3): "
+                         "no Gaussian state has this marginal")
+    return residuals
+
+
 def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
     """Test multimode data against the non-squeezed and non-displaced sectors."""
     if m.modes < 2:
@@ -573,6 +617,7 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
         notes.append("zero-displacement and zero-squeezing hypotheses both fail; "
                      "a displaced squeezed Gaussian state is not excluded "
                      "(reconstructing that sector needs two-port beam-splitter data)")
+        residuals += _marginal_feasibility(m, tol, notes)
     witness = None
     if sector == NON_SQUEEZED and ns_solutions:
         witness = {"displacement_phases": ns_solutions[0].phases.tolist(),

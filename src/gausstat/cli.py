@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bucket as bucket_mod
 from . import fock, serialize
-from .classify import classify, synthesize_measurements
+from .classify import SIGMA_NAMES, classify, synthesize_measurements
 from .errors import (
     GausstatError,
     InfeasibleError,
@@ -72,10 +73,17 @@ def _parse_noise(spec: str | None) -> dict:
             continue
         try:
             key, value = chunk.split("=")
-            out[key.strip()] = float(value)
+            key, value = key.strip(), float(value)
         except ValueError as err:
             raise ValidationError(f"bad --noise entry {chunk!r} "
                                   "(expected name=sigma[,name=sigma...])") from err
+        if key not in SIGMA_NAMES:
+            raise ValidationError(f"unknown --noise name {key!r} "
+                                  f"(expected one of {', '.join(SIGMA_NAMES)})")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(f"--noise sigma for {key} must be finite and "
+                                  f"nonnegative, got {value}")
+        out[key] = value
     return out
 
 

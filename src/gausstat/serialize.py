@@ -229,7 +229,10 @@ def dump(doc: dict, path) -> None:
 
 
 def load(path) -> dict:
+    def reject(token):
+        raise ValidationError(f"{path}: non-finite JSON number {token}")
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path}: invalid JSON ({err})") from err

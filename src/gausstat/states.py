@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.linalg import logm
 
-from .errors import UndefinedCorrelationError, ValidationError
+from .errors import NumericalError, UndefinedCorrelationError, ValidationError
 from .words import MomentTable
 
 _HERM_TOL = 1e-10
@@ -60,6 +60,10 @@ class GaussianParams:
         thermal = np.atleast_1d(np.asarray(self.thermal, dtype=float))
         if thermal.shape != (m,):
             raise ValidationError(f"thermal must have length {m}")
+        for name, value in (("alpha", alpha), ("squeeze", squeeze), ("rotation", rotation),
+                            ("thermal", thermal)):
+            if not np.isfinite(value).all():
+                raise ValidationError(f"{name} must be finite")
         scale = 1.0 + np.abs(squeeze).max()
         if np.abs(squeeze - squeeze.T).max() > _HERM_TOL * scale:
             raise ValidationError("squeeze matrix z must be symmetric")
@@ -145,8 +149,14 @@ class BogoliubovMap:
 
 
 def bogoliubov_map(params: GaussianParams) -> BogoliubovMap:
-    """Bogoliubov blocks of the unitary D(alpha) S(z) R(phi)."""
-    cosh_r, sinh_r_expith = _squeeze_blocks(params.squeeze)
+    """Bogoliubov blocks of the unitary D(alpha) S(z) R(phi).
+
+    Raises NumericalError when cosh(r) overflows (r beyond about 710).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cosh_r, sinh_r_expith = _squeeze_blocks(params.squeeze)
+    if not (np.isfinite(cosh_r).all() and np.isfinite(sinh_r_expith).all()):
+        raise NumericalError("squeezing too large: cosh(r) overflows a float")
     expiphi = _unitary_from_hermitian(params.rotation)
     E = cosh_r @ expiphi
     F = -sinh_r_expith @ expiphi.conj()  # e^{-i phi^T} = conj(e^{i phi})
@@ -217,10 +227,15 @@ def derive_moments(params: GaussianParams) -> MomentSummary:
     """Mean photon numbers, g1, covariances and displacements of the state."""
     m = params.modes
     bog = bogoliubov_map(params)
-    second = bog.L @ _thermal_second_moments(params.thermal) @ bog.L.T
-    cov = second[:m, :m]
-    centered_g = second[m:, :m]  # <δa_i† δa_j> at row i, column j
-    coherence = centered_g + np.outer(params.alpha.conj(), params.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = bog.L @ _thermal_second_moments(params.thermal) @ bog.L.T
+        cov = second[:m, :m]
+        centered_g = second[m:, :m]  # <δa_i† δa_j> at row i, column j
+        coherence = centered_g + np.outer(params.alpha.conj(), params.alpha)
+        # g1 is normalized by nbar_i nbar_j, which must not overflow either
+        finite = np.isfinite(np.abs(np.diag(coherence)).max() ** 2)
+    if not finite:
+        raise NumericalError("mean photon numbers too large: nbar^2 overflows a float")
     return MomentSummary.from_unnormalized(coherence, 0.5 * (cov + cov.T), params.alpha)
 
 
@@ -388,94 +403,6 @@ def apply_uniform_loss(moments: MomentSummary, eta: float) -> MomentSummary:
         raise ValidationError("loss transmission eta must lie in (0, 1]")
     return MomentSummary(eta * moments.nbar, moments.g1, eta * moments.cov,
                          np.sqrt(eta) * moments.alpha)
-
-
-# --- reordering identities for the fundamental unitaries -----------------
-
-def rotate_displacement(phi: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """R†(phi) D(alpha) R(phi) = D(e^{-i phi} alpha)."""
-    u = _unitary_from_hermitian(np.asarray(phi, dtype=complex))
-    return u.conj().T @ np.asarray(alpha, dtype=complex)
-
-
-def squeeze_displacement(z: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """S†(z) D(alpha) S(z) = D(cosh(r) alpha + sinh(r) e^{i theta} alpha*)."""
-    cosh_r, sinh_r_expith = _squeeze_blocks(z)
-    alpha = np.asarray(alpha, dtype=complex)
-    return cosh_r @ alpha + sinh_r_expith @ alpha.conj()
-
-
-def _elementary_bogoliubov(kind: str, value, modes: int) -> BogoliubovMap:
-    eye = np.eye(modes, dtype=complex)
-    zero = np.zeros((modes, modes), dtype=complex)
-    if kind == "D":
-        alpha = np.atleast_1d(np.asarray(value, dtype=complex))
-        return BogoliubovMap(eye, zero, np.concatenate([alpha, alpha.conj()]))
-    if kind == "R":
-        u = _unitary_from_hermitian(np.asarray(value, dtype=complex))
-        return BogoliubovMap(u, zero, np.zeros(2 * modes, dtype=complex))
-    if kind == "S":
-        cosh_r, sinh_r_expith = _squeeze_blocks(value)
-        return BogoliubovMap(cosh_r, -sinh_r_expith, np.zeros(2 * modes, dtype=complex))
-    raise ValidationError(f"unknown unitary kind {kind!r}")
-
-
-def compose_bogoliubov(maps) -> BogoliubovMap:
-    """Bogoliubov data of a product U_1 U_2 ... (applied right to left to states)."""
-    maps = list(maps)
-    m = maps[0].modes
-    L = np.eye(2 * m, dtype=complex)
-    A = np.zeros(2 * m, dtype=complex)
-    for bm in maps:
-        A = L @ bm.disp + A
-        L = L @ bm.L
-    return BogoliubovMap(L[:m, :m], L[:m, m:], A)
-
-
-def canonical_order(ops: list[tuple[str, np.ndarray]], modes: int,
-                    thermal=None) -> GaussianParams:
-    """Rewrite a product of D/S/R factors (each at most once) in canonical D·S·R order.
-
-    ``ops`` lists (kind, value) pairs left to right as the operators multiply.
-    Uses the three commutation identities: rotations pass through displacements
-    and squeezings by phase conjugation, and squeezings map displacements to
-    cosh(r) alpha - sinh(r) e^{i theta} alpha* when moved to the right.
-    """
-    kinds = [k for k, _ in ops]
-    if len(set(kinds)) != len(kinds):
-        raise ValidationError("canonical_order expects each of D, S, R at most once")
-    alpha = np.zeros(modes, dtype=complex)
-    z = np.zeros((modes, modes), dtype=complex)
-    phi = np.zeros((modes, modes), dtype=complex)
-    seen: list[tuple[str, np.ndarray]] = []
-    for kind, value in ops:
-        value = np.asarray(value, dtype=complex)
-        if kind == "D":
-            beta = np.atleast_1d(value)
-            # push the new displacement left through what has been placed
-            for prev_kind, prev_val in reversed(seen):
-                if prev_kind == "R":
-                    u = _unitary_from_hermitian(prev_val)
-                    beta = u @ beta
-                elif prev_kind == "S":
-                    cosh_r, sinh_r_expith = _squeeze_blocks(prev_val)
-                    beta = cosh_r @ beta - sinh_r_expith @ beta.conj()
-            alpha = alpha + beta
-        elif kind == "S":
-            znew = value
-            for prev_kind, prev_val in reversed(seen):
-                if prev_kind == "R":
-                    u = _unitary_from_hermitian(prev_val)
-                    znew = u @ znew @ u.T
-            z = znew
-        elif kind == "R":
-            phi = value
-        else:
-            raise ValidationError(f"unknown unitary kind {kind!r}")
-        seen.append((kind, value))
-    if thermal is None:
-        thermal = np.zeros(modes)
-    return GaussianParams(alpha, z, phi, thermal)
 
 
 def rotation_from_unitary(u: np.ndarray) -> np.ndarray:

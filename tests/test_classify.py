@@ -19,7 +19,6 @@ from gausstat.classify import (
     classify,
     classify_multimode,
     classify_single_mode,
-    _feasibility_grid,
     displaced_squeezed_feasibility,
     synthesize_measurements,
 )
@@ -113,6 +112,15 @@ class TestSingleMode:
         with pytest.raises(InsufficientDataError):
             classify_single_mode(MeasurementSet(1, g2=np.array([[2.0]])))
 
+    # the CLI stops such files at the JSON parser, so the library checks
+    # are tested here
+    @pytest.mark.parametrize("g2, g3, nbar", [(np.nan, 5.0, None), (2.5, np.nan, None),
+                                              (2.5, np.inf, None), (2.5, 5.0, np.nan),
+                                              (2.5, 5.0, np.inf), (2.5, 5.0, 0.0)])
+    def test_non_finite_data_rejected(self, g2, g3, nbar):
+        with pytest.raises(ValidationError):
+            classify_single_mode(single_mode_set(g2, g3, nbar=nbar))
+
     def test_noise_scaled_tolerances(self, rng):
         params = GaussianParams.single_mode(r=0.4, occupation=0.2)
         mom = derive_moments(params)
@@ -125,7 +133,7 @@ class TestFeasibilitySearch:
     def test_squeezed_vacuum_pair_feasible_alpha_zero(self):
         g2, g3 = single_mode_g2_g3(GaussianParams.single_mode(r=0.4))
         ok, witness, res = displaced_squeezed_feasibility(g2, g3, tol=1e-6)
-        assert ok and abs(witness["a"]) < 1e-3
+        assert ok and witness["a_intervals"][0][0] <= 1e-3
 
     def test_coherent_pair_feasible(self):
         ok, witness, _ = displaced_squeezed_feasibility(1.0, 1.0, tol=1e-6)
@@ -138,19 +146,12 @@ class TestFeasibilitySearch:
         assert not ok and res > 1.0
 
     def test_witness_reproduces_data_whenever_feasible(self):
-        self.check_witness_sweep(grid=51)
-
-    def test_witness_reproduces_data_at_production_grid(self):
-        self.check_witness_sweep(grid=201)
-
-    @staticmethod
-    def check_witness_sweep(grid):
         # fixed-seed sweep of displaced squeezed thermal states; at draw 36 the
         # two roots for c give different g3, and only one matches
         rng = np.random.default_rng(0)
         for _ in range(40):
             g2, g3, nbar = random_displaced_squeezed(rng)
-            ok, w, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar, grid=grid)
+            ok, w, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar)
             if ok:
                 a, c, x = w["a"], w["c"], w["x"]
                 assert 2.0 + c**2 - 2 * a * c * x - a**2 == pytest.approx(g2, abs=1e-6)
@@ -164,19 +165,20 @@ class TestFeasibilitySearch:
             assert type(ok) is bool and type(res) is float
             json.dumps(result)
 
-    @pytest.mark.xfail(strict=True, reason="L-BFGS-B stops in a local minimum short of "
-                                           "the witness (FOUND in CHANGES.md)")
     def test_local_minimum_reproducer_is_feasible(self):
-        # a Gaussian state, so a witness exists: true (a, c, x) = (0.79, 0.46, 0.97)
+        # a Gaussian state, so a witness exists: true (a, c, x) = (0.58, 0.50, 0.93)
         g2, g3, nbar = LOCAL_MINIMUM_STATE
-        ok, _, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar)
+        ok, w, _ = displaced_squeezed_feasibility(g2, g3, tol=1e-6, nbar=nbar)
         assert ok
+        true_a = 1.76**2 / nbar
+        assert any(lo <= true_a <= hi for lo, hi in w["a_intervals"])
 
 
 def _reference_feasibility(g2, g3, tol=1e-6, nbar=None, grid=201):
-    """The per-point scalar search that the vectorized grid replaced.
+    """The grid and L-BFGS-B search that the exact root-interval test replaced.
 
-    Returns the search's result tuple and its coarse residual grid.
+    Evaluates the coarse (a, x) grid point by point, then refines its five
+    best points; the refinement can stop in a local minimum.
     """
     u = g2 - 2.0
 
@@ -202,9 +204,8 @@ def _reference_feasibility(g2, g3, tol=1e-6, nbar=None, grid=201):
 
     avals = np.linspace(0.0, 1.0, grid)
     xvals = np.linspace(-1.0, 1.0, grid)
-    coarse = [(best_root(a, x)[0], a, x) for a in avals for x in xvals]
-    residuals = np.array([t[0] for t in coarse]).reshape(grid, grid)
-    coarse.sort(key=lambda t: t[0])
+    coarse = sorted(((best_root(a, x)[0], a, x) for a in avals for x in xvals),
+                    key=lambda t: t[0])
     best = (np.inf, None)
     for res0, a0, x0 in coarse[:5]:
         if res0 >= 1e6:
@@ -215,30 +216,58 @@ def _reference_feasibility(g2, g3, tol=1e-6, nbar=None, grid=201):
             cbest = best_root(*opt.x)[1]
             best = (opt.fun, {"a": float(opt.x[0]), "c": float(cbest) if cbest is not None else None,
                               "x": float(opt.x[1])})
-    feasible = best[0] <= tol
-    return (feasible, best[1], float(best[0])), residuals
+    return best[0] <= tol, best[1], float(best[0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestFeasibilityGridVsScalar:
-    """The vectorized coarse grid against the per-point scalar search it replaced."""
+class TestExactFeasibilityVsSearch:
+    """The exact root-interval test against the grid and L-BFGS-B search."""
 
     @staticmethod
-    def assert_same(g2, g3, nbar, grid):
-        ref, ref_grid = _reference_feasibility(g2, g3, 1e-6, nbar=nbar, grid=grid)
-        vec_grid = _feasibility_grid(g2 - 2.0, g3, nbar, np.linspace(0.0, 1.0, grid),
-                                     np.linspace(-1.0, 1.0, grid))
-        np.testing.assert_allclose(vec_grid, ref_grid, rtol=0.0, atol=1e-12)
-        assert displaced_squeezed_feasibility(g2, g3, 1e-6, nbar=nbar, grid=grid) == ref
+    def assert_no_worse(g2, g3, nbar, grid):
+        ref_ok, _, ref_res = _reference_feasibility(g2, g3, 1e-6, nbar=nbar, grid=grid)
+        ok, w, res = displaced_squeezed_feasibility(g2, g3, 1e-6, nbar=nbar)
+        assert ok or not ref_ok
+        assert res <= ref_res + 1e-12
+        if w is None:
+            return
+        a, c, x = w["a"], w["c"], w["x"]
+        assert 0.0 <= a <= 1.0 and c >= 0.0 and -1.0 <= x <= 1.0
+        if nbar is not None:
+            assert c**2 <= (1.0 - a) * (1.0 - a + 1.0 / nbar) + 1e-12
+        base = c**2 - 2 * a * c * x - a**2
+        assert abs(2.0 + base - g2) <= 1e-10
+        # with no interval the witness misses g3 by exactly the residual
+        g3_w = 6.0 + 9.0 * base + 4 * a**3 + 12 * a**2 * c * x
+        assert abs(abs(g3_w - g3) - res) <= 1e-10
+        assert (res == 0.0) == bool(w["a_intervals"])
+        ends = [t for pair in w["a_intervals"] for t in pair]
+        assert ends == sorted(ends) and all(0.0 <= t <= 1.0 for t in ends)
 
     def test_seeded_states(self):
-        # 150 draws, each with nbar known and unknown; the scalar reference
-        # costs too much at the production grid for a sweep of this size
+        # 150 draws, each with nbar known and unknown; the reference costs too
+        # much at its production grid for a sweep of this size
         rng = np.random.default_rng(2024)
         for _ in range(150):
             g2, g3, nbar = random_displaced_squeezed(rng)
             for known in (nbar, None):
-                self.assert_same(g2, g3, known, grid=51)
+                self.assert_no_worse(g2, g3, known, grid=51)
+
+    def test_off_boundary_points(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            g2, g3, nbar = rng.uniform(0.3, 5.0), rng.uniform(0.0, 60.0), rng.uniform(0.05, 3.0)
+            for known in (nbar, None):
+                self.assert_no_worse(g2, g3, known, grid=51)
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-3, 1e-2])
+    def test_jittered_states(self, sigma):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            g2, g3, nbar = random_displaced_squeezed(rng)
+            g2, g3 = g2 + rng.normal(0.0, sigma), g3 + rng.normal(0.0, sigma)
+            for known in (nbar, None):
+                self.assert_no_worse(g2, g3, known, grid=51)
 
     @pytest.mark.parametrize("point", [
         (1.0, 1.0, None),  # coherent point
@@ -247,8 +276,24 @@ class TestFeasibilityGridVsScalar:
         LOCAL_MINIMUM_STATE,
         LOCAL_MINIMUM_STATE[:2] + (None,),
     ])
-    def test_named_points_at_production_grid(self, point):
-        self.assert_same(*point, grid=201)
+    def test_named_points(self, point):
+        self.assert_no_worse(*point, grid=201)
+
+    def test_every_interval_holds_witnesses(self):
+        # the midpoint of each reported interval is a physical witness too
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            g2, g3, nbar = random_displaced_squeezed(rng)
+            for known in (nbar, None):
+                _, w, _ = displaced_squeezed_feasibility(g2, g3, 1e-6, nbar=known)
+                for lo, hi in w["a_intervals"]:
+                    a = 0.5 * (lo + hi)
+                    u = g2 - 2.0
+                    y = (g3 - 6.0 - 9.0 * u - 4.0 * a**3) / (12.0 * a**2)
+                    c2 = u + a**2 + 2.0 * a * y
+                    assert y**2 <= c2 * (1 + 1e-12) + 1e-15
+                    if known is not None:
+                        assert c2 <= (1.0 - a) * (1.0 - a + 1.0 / known) + 1e-12
 
 
 class TestMultimode:
@@ -272,6 +317,25 @@ class TestMultimode:
         bumped = MeasurementSet(3, nbar=m.nbar, g1_abs=m.g1_abs, g1_phase=m.g1_phase,
                                 g2=m.g2, g3=g3)
         assert classify_multimode(bumped, tol=1e-6).sector == INCONSISTENT
+
+    def test_inconsistent_verdict_tests_each_marginal(self, rng):
+        params = squeezed_thermal_params(rng, 3)
+        m = synthesize_measurements(derive_moments(params))
+        for bump, failing in ((0.0, set()), (50.0, {0})):
+            g3 = dict(m.g3)
+            g3[(0, 1, 2)] += 0.5
+            g3[(0, 0, 0)] += bump
+            bumped = MeasurementSet(3, nbar=m.nbar, g1_abs=m.g1_abs, g1_phase=m.g1_phase,
+                                    g2=m.g2, g3=g3)
+            cls = classify_multimode(bumped, tol=1e-6)
+            assert cls.sector == INCONSISTENT
+            marginal = {i: r for i in range(3) for r in cls.residuals
+                        if r.relation == f"mode {i} displaced-squeezed feasibility witness"}
+            assert sorted(marginal) == [0, 1, 2]
+            assert {i for i, r in marginal.items() if not r.passed} == failing
+            named = {i for i in range(3) for note in cls.notes
+                     if note.startswith(f"mode {i} has no physical")}
+            assert named == failing
 
     def test_sector_invariant_under_loss(self, rng):
         for maker, sector in ((displaced_thermal_params, NON_SQUEEZED),
@@ -311,6 +375,17 @@ class TestMultimode:
                                   g2=m.g2, g3=g3)
         with pytest.raises(InsufficientDataError):
             classify_multimode(stripped, tol=1e-6)
+
+    @pytest.mark.parametrize("entry", [("g2", (0, 1)), ("g2", (1, 1)), ("g1_abs", (0, 1))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, rng, entry, bad):
+        m = synthesize_measurements(derive_moments(squeezed_thermal_params(rng, 2)))
+        name, (i, j) = entry
+        values = {"g2": m.g2.copy(), "g1_abs": m.g1_abs.copy()}
+        values[name][i, j] = values[name][j, i] = bad
+        with pytest.raises(ValidationError):
+            classify_multimode(MeasurementSet(2, nbar=m.nbar, g1_phase=m.g1_phase, g3=m.g3,
+                                              **values))
 
     def test_needs_two_modes(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,14 @@
 """End-to-end CLI pipelines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gausstat
 from gausstat.cli import main
 from gausstat.serialize import dump, load, params_to_json
 from gausstat.states import GaussianParams, balanced_beamsplitter_duplicate
@@ -48,6 +54,41 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
         assert run("simulate", bad) == 2
+
+
+class TestRejectBadInput:
+    @pytest.mark.parametrize("spec", ["g4=1e-3", "g2=1e-3,sigma_g3=1e-3", "g2=-1e-3", "g3=nan"])
+    def test_bad_noise_spec(self, tmp_path, spec):
+        path = write_params(tmp_path, GaussianParams.single_mode(r=0.3, occupation=0.1))
+        assert run("simulate", path, "--noise", spec) == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_json_token(self, tmp_path, capsys, value):
+        doc = params_to_json(GaussianParams.single_mode(r=0.3, occupation=0.1))
+        doc["thermal"][0] = value
+        path = tmp_path / "state.json"
+        dump(doc, path)
+        assert run("simulate", path) == 2
+        assert "non-finite JSON number" in capsys.readouterr().err
+
+    def test_non_finite_parameter(self, tmp_path, capsys):
+        # 1e400 is valid JSON and parses to inf
+        path = write_params(tmp_path, GaussianParams.single_mode(r=0.3, occupation=0.1))
+        path.write_text(path.read_text().replace("0.1", "1e400", 1))
+        assert run("simulate", path) == 2
+        assert "thermal must be finite" in capsys.readouterr().err
+
+    def test_overflowing_squeeze_is_numerical_failure(self, tmp_path):
+        path = write_params(tmp_path, GaussianParams.single_mode(r=400.0))
+        assert run("simulate", path) == 4
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(gausstat.__file__).parents[1]))
+    code = "import sys, gausstat.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestClassifyReconstruct:

@@ -4,26 +4,24 @@ import numpy as np
 import pytest
 from conftest import random_hermitian, random_params, random_symmetric
 
-from gausstat.errors import UndefinedCorrelationError, ValidationError
+from gausstat.errors import NumericalError, UndefinedCorrelationError, ValidationError
 from gausstat.fock import _sparse_annihilators, build_density, vacuum_overlap
 from gausstat.states import (
+    BogoliubovMap,
     GaussianParams,
     MomentSummary,
     apply_uniform_loss,
     balanced_beamsplitter_duplicate,
     bogoliubov_map,
-    canonical_order,
-    compose_bogoliubov,
     derive_moments,
     g2_tensor,
     g3_tensor,
     g3_value,
     mode_vacuum_probability,
     no_click_probability_single,
-    rotate_displacement,
     single_mode_g2_g3,
-    squeeze_displacement,
-    _elementary_bogoliubov,
+    _squeeze_blocks,
+    _unitary_from_hermitian,
 )
 from gausstat.words import LadderWord, gaussian_moment
 
@@ -67,6 +65,21 @@ class TestBogoliubov:
             GaussianParams(np.zeros(2), np.zeros((2, 2)), np.array([[0, 1j], [1j, 0]]), np.zeros(2))
         with pytest.raises(ValidationError):
             GaussianParams(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.array([-0.5]))
+
+    @pytest.mark.parametrize("field", ["alpha", "squeeze", "rotation", "thermal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        parts = {"alpha": np.zeros(1), "squeeze": np.zeros((1, 1)),
+                 "rotation": np.zeros((1, 1)), "thermal": np.zeros(1)}
+        parts[field] = np.full_like(parts[field], bad)
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            GaussianParams(**parts)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [200.0, 400.0, 800.0])
+    def test_overflowing_squeeze_raises(self, r):
+        with pytest.raises(NumericalError):
+            derive_moments(GaussianParams.single_mode(r=r))
 
 
 class TestDeriveMoments:
@@ -232,6 +245,95 @@ class TestBeamSplitter:
         assert momp.nbar[0] == pytest.approx(mom0.nbar[0] + abs(params.alpha[0]) ** 2)
         assert momp.cov[0, 0] == pytest.approx(mom0.cov[0, 0])
         assert momm.nbar[0] == pytest.approx(mom0.nbar[0] - abs(params.alpha[0]) ** 2)
+
+
+# Reordering identities for the fundamental unitaries.  No library path uses
+# them; they check that the canonical D S R order loses no generality.
+
+def rotate_displacement(phi: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """R†(phi) D(alpha) R(phi) = D(e^{-i phi} alpha)."""
+    u = _unitary_from_hermitian(np.asarray(phi, dtype=complex))
+    return u.conj().T @ np.asarray(alpha, dtype=complex)
+
+
+def squeeze_displacement(z: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """S†(z) D(alpha) S(z) = D(cosh(r) alpha + sinh(r) e^{i theta} alpha*)."""
+    cosh_r, sinh_r_expith = _squeeze_blocks(z)
+    alpha = np.asarray(alpha, dtype=complex)
+    return cosh_r @ alpha + sinh_r_expith @ alpha.conj()
+
+
+def _elementary_bogoliubov(kind: str, value, modes: int) -> BogoliubovMap:
+    eye = np.eye(modes, dtype=complex)
+    zero = np.zeros((modes, modes), dtype=complex)
+    if kind == "D":
+        alpha = np.atleast_1d(np.asarray(value, dtype=complex))
+        return BogoliubovMap(eye, zero, np.concatenate([alpha, alpha.conj()]))
+    if kind == "R":
+        u = _unitary_from_hermitian(np.asarray(value, dtype=complex))
+        return BogoliubovMap(u, zero, np.zeros(2 * modes, dtype=complex))
+    if kind == "S":
+        cosh_r, sinh_r_expith = _squeeze_blocks(value)
+        return BogoliubovMap(cosh_r, -sinh_r_expith, np.zeros(2 * modes, dtype=complex))
+    raise ValidationError(f"unknown unitary kind {kind!r}")
+
+
+def compose_bogoliubov(maps) -> BogoliubovMap:
+    """Bogoliubov data of a product U_1 U_2 ... (applied right to left to states)."""
+    maps = list(maps)
+    m = maps[0].modes
+    L = np.eye(2 * m, dtype=complex)
+    A = np.zeros(2 * m, dtype=complex)
+    for bm in maps:
+        A = L @ bm.disp + A
+        L = L @ bm.L
+    return BogoliubovMap(L[:m, :m], L[:m, m:], A)
+
+
+def canonical_order(ops: list[tuple[str, np.ndarray]], modes: int,
+                    thermal=None) -> GaussianParams:
+    """Rewrite a product of D/S/R factors (each at most once) in canonical D·S·R order.
+
+    ``ops`` lists (kind, value) pairs left to right as the operators multiply.
+    Uses the three commutation identities: rotations pass through displacements
+    and squeezings by phase conjugation, and squeezings map displacements to
+    cosh(r) alpha - sinh(r) e^{i theta} alpha* when moved to the right.
+    """
+    kinds = [k for k, _ in ops]
+    if len(set(kinds)) != len(kinds):
+        raise ValidationError("canonical_order expects each of D, S, R at most once")
+    alpha = np.zeros(modes, dtype=complex)
+    z = np.zeros((modes, modes), dtype=complex)
+    phi = np.zeros((modes, modes), dtype=complex)
+    seen: list[tuple[str, np.ndarray]] = []
+    for kind, value in ops:
+        value = np.asarray(value, dtype=complex)
+        if kind == "D":
+            beta = np.atleast_1d(value)
+            # push the new displacement left through what has been placed
+            for prev_kind, prev_val in reversed(seen):
+                if prev_kind == "R":
+                    u = _unitary_from_hermitian(prev_val)
+                    beta = u @ beta
+                elif prev_kind == "S":
+                    cosh_r, sinh_r_expith = _squeeze_blocks(prev_val)
+                    beta = cosh_r @ beta - sinh_r_expith @ beta.conj()
+            alpha = alpha + beta
+        elif kind == "S":
+            znew = value
+            for prev_kind, prev_val in reversed(seen):
+                if prev_kind == "R":
+                    u = _unitary_from_hermitian(prev_val)
+                    znew = u @ znew @ u.T
+            z = znew
+        elif kind == "R":
+            phi = value
+        else:
+            raise ValidationError(f"unknown unitary kind {kind!r}")
+        seen.append((kind, value))
+    if thermal is None:
+        thermal = np.zeros(modes)
+    return GaussianParams(alpha, z, phi, thermal)
 
 
 class TestReorderIdentities:
