@@ -12,7 +12,7 @@ falls back to a flat tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .phases import (
     COVARIANCE,
     DISPLACEMENT,
     PhaseSystem,
+    SearchStats,
+    degeneracy_report,
     solve_covariance_phases,
     solve_displacement_phases,
 )
@@ -473,6 +475,13 @@ def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
     return residuals
 
 
+def _phase_report(system: PhaseSystem, solutions: list, stats: SearchStats) -> dict:
+    """How many phase solutions survive, why several do, and the search's branch counts."""
+    return {"n_phase_solutions": len(solutions),
+            "degeneracy_notes": degeneracy_report(system, solutions),
+            "phase_search": asdict(stats)}
+
+
 def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
     """Test multimode data against the non-squeezed and non-displaced sectors."""
     if m.modes < 2:
@@ -505,6 +514,7 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
                                       ns_res, tol_rel))
     ns_solutions = []
     ns_blocked = None
+    ns_system, ns_stats = None, SearchStats()
     if ns_ok:
         try:
             c = _extract_ns_cosines(m)
@@ -515,9 +525,9 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
                 residuals.append(RelationResidual("non-squeezed cosine range",
                                                   excess, tol_rel))
             else:
-                system = PhaseSystem(DISPLACEMENT, m.g1_phase, np.clip(c, -1, 1))
-                ns_solutions = solve_displacement_phases(system,
-                                                         tol=max(10 * tol_rel, 1e-8))
+                ns_system = PhaseSystem(DISPLACEMENT, m.g1_phase, np.clip(c, -1, 1))
+                ns_solutions = solve_displacement_phases(ns_system, tol=max(10 * tol_rel, 1e-8),
+                                                         stats=ns_stats)
         except InsufficientDataError as err:
             ns_blocked = err
             ns_ok = False
@@ -561,6 +571,7 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
                                       tol_rel))
     nd_solutions = []
     nd_blocked = None
+    nd_system, nd_stats = None, SearchStats()
     if nd_ok:
         try:
             c = _extract_nd_cosines(m)
@@ -571,9 +582,9 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
                 residuals.append(RelationResidual("non-displaced cosine range",
                                                   excess, tol_rel))
             else:
-                system = PhaseSystem(COVARIANCE, m.g1_phase, np.clip(c, -1, 1))
-                nd_solutions = solve_covariance_phases(system,
-                                                       tol=max(10 * tol_rel, 1e-8))
+                nd_system = PhaseSystem(COVARIANCE, m.g1_phase, np.clip(c, -1, 1))
+                nd_solutions = solve_covariance_phases(nd_system, tol=max(10 * tol_rel, 1e-8),
+                                                       stats=nd_stats)
         except InsufficientDataError as err:
             nd_blocked = err
             nd_ok = False
@@ -621,10 +632,10 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
     witness = None
     if sector == NON_SQUEEZED and ns_solutions:
         witness = {"displacement_phases": ns_solutions[0].phases.tolist(),
-                   "n_phase_solutions": len(ns_solutions)}
+                   **_phase_report(ns_system, ns_solutions, ns_stats)}
     if sector == NON_DISPLACED and nd_solutions:
         witness = {"covariance_phases": nd_solutions[0].theta.tolist(),
-                   "n_phase_solutions": len(nd_solutions)}
+                   **_phase_report(nd_system, nd_solutions, nd_stats)}
     return Classification(sector, tuple(residuals), tuple(notes), witness)
 
 

@@ -6,22 +6,26 @@ c_ij = cos(Phi_ij + Theta_ii - Theta_ij) and c_ji = cos(-Phi_ij + Theta_jj
 - Theta_ij) whose combination eliminates the off-diagonal unknown at the cost
 of a binary branch per edge.
 
-Solving fixes the gauge (phi_1 = 0, respectively Theta_11 = 0), enumerates the
-arccos sign signature on the star spanning tree rooted at mode 1, and keeps a
-signature only if every off-tree equation is satisfied within tolerance.  The
-enumeration is exhaustive (2^(M-1) signatures, doubled per tree edge for the
-covariance kind), so cost grows exponentially with the mode count; fine for
-the intended M of order ten or less.
+Solving fixes the gauge (phi_1 = 0, respectively Theta_11 = 0) and searches
+the arccos sign signature on the star spanning tree rooted at mode 1 depth
+first.  Each non-root mode has a few options: the sign sigma_i of its tree
+edge, and for the covariance kind also the branch eps_i, which together fix
+phi_i or Theta_ii.  The modes are placed in order; placing mode i tests every
+pair (k, i) with k already placed, which needs only the two placed values, and
+cuts the branch at the first pair that fails.  The solution set is the one
+exhaustive enumeration (2^(M-1) signatures, 4^(M-1) for the covariance kind)
+returns, but generic data costs O(M^2) pair tests; degenerate data costs that
+times the number of branches that survive.  ``SearchStats`` counts the
+branches explored, pruned and kept.
 
 NaN entries of c mark unconstrained edges (e.g. a correlation whose phase
-sensitivity vanishes); they are skipped in checks and, on tree edges, leave
-the corresponding phase free only through the remaining constraints.
+sensitivity vanishes); they are skipped in checks, and a mode whose tree edge
+is NaN takes the gauge value 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -95,57 +99,106 @@ def _clamped(c: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _signature_choices(ctilde: np.ndarray, tol: float):
-    """Per-edge sign alternatives; degenerate arccos values collapse the branch."""
-    choices = []
-    for ct in ctilde:
-        if not np.isfinite(ct):
-            choices.append((1,))
-        elif min(abs(ct), abs(np.pi - ct)) <= tol:
-            choices.append((1,))
-        else:
-            choices.append((1, -1))
-    return choices
+def _sign_choices(ctilde: float, tol: float) -> tuple[int, ...]:
+    """Sign alternatives of one tree edge; degenerate arccos values collapse the branch."""
+    if not np.isfinite(ctilde) or min(abs(ctilde), abs(np.pi - ctilde)) <= tol:
+        return (1,)
+    return (1, -1)
 
 
-def solve_displacement_phases(system: PhaseSystem, tol: float = 1e-8) -> list[PhaseSolution]:
+@dataclass
+class SearchStats:
+    """Branch counts of depth-first phase searches, summed over calls.
+
+    A branch is one option placed at one node: ``explored`` counts every
+    placement tried, ``pruned`` those cut by a failing pair test, and ``kept``
+    the complete assignments that passed every pair.
+    """
+
+    explored: int = 0
+    pruned: int = 0
+    kept: int = 0
+
+
+def _depth_first(counts, compatible: np.ndarray,
+                 stats: SearchStats | None = None) -> list[tuple[int, ...]]:
+    """Every choice of one option per node whose pairs all pass.
+
+    Node i has ``counts[i]`` options, and ``compatible[k, a, i, b]`` (k < i)
+    says whether option a of node k and option b of node i can stand together.
+    Nodes are placed in order along the star tree; placing node i tests it
+    against every node already placed and cuts the branch when a pair fails.
+    Choices come out in the order of ``itertools.product`` over the options.
+    """
+    stats = SearchStats() if stats is None else stats
+    m = len(counts)
+    choice = [0] * m
+    kept: list[tuple[int, ...]] = []
+
+    def place(i):
+        if i == m:
+            kept.append(tuple(choice))
+            return
+        placed = np.arange(i)
+        for b in range(counts[i]):
+            stats.explored += 1
+            if not compatible[placed, choice[:i], i, b].all():
+                stats.pruned += 1
+                continue
+            choice[i] = b
+            place(i + 1)
+
+    place(0)
+    stats.kept += len(kept)
+    return kept
+
+
+def _padded(values: list[list[float]]) -> np.ndarray:
+    """Per-node option values as an (M, K) array, NaN past each node's count."""
+    out = np.full((len(values), max(map(len, values))), np.nan)
+    for i, row in enumerate(values):
+        out[i, :len(row)] = row
+    return out
+
+
+def solve_displacement_phases(system: PhaseSystem, tol: float = 1e-8,
+                              stats: SearchStats | None = None) -> list[PhaseSolution]:
     """All phase vectors consistent with a displacement-kind system.
 
-    Gauge phi_1 = 0.  An empty list means the data is inconsistent with the
-    sector hypothesis; several entries list genuinely distinct solutions.
+    Gauge phi_1 = 0.  Mode i's options are the signs sigma_i of its tree edge,
+    and a pair (k, i) of non-root modes passes when the cosine of edge (k, i)
+    matches within tol.  An empty list means the data is inconsistent with
+    the sector hypothesis; several entries list genuinely distinct solutions.
     """
     if system.kind != DISPLACEMENT:
         raise ValidationError("system kind must be displacement")
     m = system.modes
-    if m == 1:
-        return [PhaseSolution(np.zeros(1), ())]
     c = _clamped(system.c, tol)
     phi = system.big_phi
-    ctilde = np.array([np.arccos(c[0, i]) if np.isfinite(c[0, i]) else np.nan
-                       for i in range(1, m)])
+    signs = [(0,)]
+    values = [[0.0]]
+    for i in range(1, m):
+        ctilde = np.arccos(c[0, i]) if np.isfinite(c[0, i]) else np.nan
+        signs.append(_sign_choices(ctilde, tol))
+        # an unconstrained tree edge takes the gauge value
+        values.append([phi[0, i] + s * ctilde if np.isfinite(ctilde) else 0.0
+                       for s in signs[-1]])
+    ph = _padded(values)
+    res = np.abs(np.cos(phi[:, None, :, None] + ph[:, :, None, None]
+                        - ph[None, None, :, :]) - c[:, None, :, None])
+    # tree edges hold by construction, and NaN cosines constrain nothing
+    checked = np.isfinite(c)
+    checked[0] = False
+    compatible = (res <= tol) | ~checked[:, None, :, None]
+    nodes = np.arange(m)
     solutions: list[PhaseSolution] = []
-    for sig in product(*_signature_choices(ctilde, tol)):
-        ph = np.zeros(m)
-        ok = True
-        for idx, i in enumerate(range(1, m)):
-            if np.isfinite(ctilde[idx]):
-                ph[i] = phi[0, i] + sig[idx] * ctilde[idx]
-            else:
-                ph[i] = 0.0  # unconstrained tree edge: pick the gauge value
-        worst = 0.0
-        for i in range(1, m):
-            for j in range(i + 1, m):
-                if not np.isfinite(c[i, j]):
-                    continue
-                res = abs(np.cos(phi[i, j] + ph[i] - ph[j]) - c[i, j])
-                worst = max(worst, res)
-                if res > tol:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            solutions.append(PhaseSolution(wrap_angle(ph), tuple(sig), residual=worst))
+    for choice in _depth_first([len(s) for s in signs], compatible, stats):
+        pick = np.array(choice)
+        pair = res[nodes[:, None], pick[:, None], nodes, pick]
+        worst = float(pair[np.triu(checked, 1)].max(initial=0.0))
+        solutions.append(PhaseSolution(wrap_angle(ph[nodes, pick]),
+                                       tuple(signs[i][b] for i, b in enumerate(choice))[1:],
+                                       residual=worst))
     return _dedupe(solutions, 10 * tol)
 
 
@@ -165,52 +218,66 @@ def _dedupe(solutions: list[PhaseSolution], tol: float) -> list[PhaseSolution]:
     return kept
 
 
-def solve_covariance_phases(system: PhaseSystem, tol: float = 1e-8) -> list[PhaseSolution]:
+def solve_covariance_phases(system: PhaseSystem, tol: float = 1e-8,
+                            stats: SearchStats | None = None) -> list[PhaseSolution]:
     """All covariance-phase matrices Theta consistent with the system.
 
-    Gauge Theta_11 = 0.  Returns solutions carrying the full symmetric Theta.
-    The two-mode case generically yields four discrete solutions (one sigma and
-    one epsilon branch with nothing to constrain them).
+    Gauge Theta_11 = 0.  Mode i's options are its (eps_i, sigma_i) choices,
+    which fix Theta_ii; a pair (k, i) passes when some Theta_ki satisfies both
+    of its edge equations, which needs only Theta_kk and Theta_ii.  Returns
+    solutions carrying the full symmetric Theta.  The two-mode case
+    generically yields four discrete solutions (one sigma and one epsilon
+    branch with nothing to constrain them).
     """
     if system.kind != COVARIANCE:
         raise ValidationError("system kind must be covariance")
     m = system.modes
-    if m == 1:
-        return [PhaseSolution(np.zeros(1), (), epsilon=(), theta=np.zeros((1, 1)))]
     c = _clamped(system.c, tol)
     phi = system.big_phi
-
-    # tree-edge combinations C_{1i}(eps) = cos(2 Phi_{1i} - Theta_ii)
-    def comb(i, j, eps):
-        if not (np.isfinite(c[i, j]) and np.isfinite(c[j, i])):
-            return np.nan
-        s = (1.0 - c[i, j] ** 2) * (1.0 - c[j, i] ** 2)
-        return c[i, j] * c[j, i] + eps * np.sqrt(max(s, 0.0))
-
-    eps_choices = []
+    options = [[(1, 1)]]  # (eps_i, sigma_i) per mode
+    values = [[0.0]]
     for i in range(1, m):
+        options.append([])
+        values.append([])
         if not (np.isfinite(c[0, i]) and np.isfinite(c[i, 0])):
-            eps_choices.append((1,))
-        elif min(1.0 - abs(c[0, i]), 1.0 - abs(c[i, 0])) <= tol:
-            eps_choices.append((1,))  # sqrt factor vanishes: eps collapsed
-        else:
-            eps_choices.append((1, -1))
+            options[i].append((1, 1))
+            values[i].append(0.0)
+            continue
+        # tree-edge combination C_1i(eps) = cos(2 Phi_1i - Theta_ii); the sqrt
+        # factor vanishes at a unit cosine, which collapses eps
+        s = (1.0 - c[0, i] ** 2) * (1.0 - c[i, 0] ** 2)
+        collapsed = min(1.0 - abs(c[0, i]), 1.0 - abs(c[i, 0])) <= tol
+        for eps in (1,) if collapsed else (1, -1):
+            ctilde = np.arccos(np.clip(c[0, i] * c[i, 0] + eps * np.sqrt(max(s, 0.0)), -1, 1))
+            for sig in _sign_choices(ctilde, tol):
+                options[i].append((eps, sig))
+                values[i].append(2 * phi[0, i] + sig * ctilde)
+    diag = _padded(values)
+    # pair (k, i): does one of the two arccos branches of the (k, i) equation
+    # also satisfy the (i, k) equation?
+    base = phi[:, None, :, None] + diag[:, :, None, None]
+    tilde = np.arccos(c)[:, None, :, None]
+    compatible = ~(np.isfinite(c) & np.isfinite(c.T))[:, None, :, None]
+    for s in (1, -1):
+        theta = base - s * tilde
+        res = np.abs(np.cos(-phi[:, None, :, None] + diag[None, None, :, :] - theta)
+                     - c.T[:, None, :, None])
+        compatible = compatible | (res <= tol)
+    chosen = _depth_first([len(o) for o in options], compatible, stats)
+    # the eps-major order of exhaustive enumeration (+1 before -1), so that
+    # _dedupe keeps the same copies
+    chosen.sort(key=lambda t: ([-options[i][b][0] for i, b in enumerate(t)],
+                               [-options[i][b][1] for i, b in enumerate(t)]))
+    nodes = np.arange(m)
     solutions: list[PhaseSolution] = []
-    for eps in product(*eps_choices):
-        cvals = np.array([comb(0, i, eps[i - 1]) for i in range(1, m)])
-        cvals = np.where(np.isfinite(cvals), np.clip(cvals, -1.0, 1.0), np.nan)
-        ctilde = np.arccos(cvals)
-        for sig in product(*_signature_choices(ctilde, tol)):
-            diag = np.zeros(m)
-            for idx, i in enumerate(range(1, m)):
-                diag[i] = (2 * phi[0, i] + sig[idx] * ctilde[idx]) if np.isfinite(ctilde[idx]) else 0.0
-            branches = _offdiag_candidates(c, phi, diag, tol)
-            if branches is None:
-                continue
-            for theta, worst in branches:
-                solutions.append(PhaseSolution(
-                    wrap_angle(diag.copy()), tuple(sig), epsilon=tuple(eps),
-                    theta=wrap_angle(theta), residual=worst))
+    for choice in chosen:
+        picked = [options[i][b] for i, b in enumerate(choice)][1:]
+        theta_diag = diag[nodes, list(choice)]
+        for theta, worst in _offdiag_candidates(c, phi, theta_diag, tol) or []:
+            solutions.append(PhaseSolution(
+                wrap_angle(theta_diag), tuple(o[1] for o in picked),
+                epsilon=tuple(o[0] for o in picked), theta=wrap_angle(theta),
+                residual=worst))
     return _dedupe(solutions, 10 * tol)
 
 
@@ -222,27 +289,28 @@ def _offdiag_candidates(c, phi, diag, tol):
     leave both branches alive, in which case all combinations are returned.
     """
     m = diag.shape[0]
-    per_pair: list[list[tuple[int, int, float, float]]] = []
+    combos: list[list[tuple[int, int, float, float]]] = [[]]
     for i in range(m):
         for j in range(i + 1, m):
             cij, cji = c[i, j], c[j, i]
             if not (np.isfinite(cij) and np.isfinite(cji)):
-                per_pair.append([(i, j, 0.0, 0.0)])  # unconstrained phase, value arbitrary
-                continue
-            candidates = []
-            tilde = np.arccos(cij)
-            for s in (1, -1):
-                theta_ij = phi[i, j] + diag[i] - s * tilde
-                res = abs(np.cos(-phi[i, j] + diag[j] - theta_ij) - cji)
-                if res <= tol:
-                    candidates.append((i, j, theta_ij, res))
-            if not candidates:
-                return None
-            if len(candidates) == 2 and _angles_close(candidates[0][2], candidates[1][2], 10 * tol):
-                candidates = candidates[:1]
-            per_pair.append(candidates)
+                candidates = [(i, j, 0.0, 0.0)]  # unconstrained phase, value arbitrary
+            else:
+                candidates = []
+                tilde = np.arccos(cij)
+                for s in (1, -1):
+                    theta_ij = phi[i, j] + diag[i] - s * tilde
+                    res = abs(np.cos(-phi[i, j] + diag[j] - theta_ij) - cji)
+                    if res <= tol:
+                        candidates.append((i, j, theta_ij, res))
+                if not candidates:
+                    return None
+                if len(candidates) == 2 and _angles_close(candidates[0][2], candidates[1][2],
+                                                          10 * tol):
+                    candidates = candidates[:1]
+            combos = [combo + [cand] for combo in combos for cand in candidates]
     results = []
-    for combo in product(*per_pair):
+    for combo in combos:
         theta = np.diag(diag).astype(float).copy()
         worst = 0.0
         for i, j, val, res in combo:
@@ -275,7 +343,9 @@ def degeneracy_report(system: PhaseSystem, solutions: list[PhaseSolution]) -> li
 
     A +-sigma pair requires, on every off-tree edge, Gamma_ij = 0 mod pi or
     Delta_ij(sigma) = 0 mod pi; other coincidences need, per locally flipped
-    pair, either c_1i = +-1 or (c_1j = c_ij and c_1i = cos Gamma_ij).
+    pair, either c_1i = +-1 or (c_1j = c_ij and c_1i = cos Gamma_ij).  Each
+    further solution is compared with the first, the one a report gives, so
+    the cost grows linearly with the number of solutions.
     """
     if len(solutions) <= 1:
         return []
@@ -288,42 +358,42 @@ def degeneracy_report(system: PhaseSystem, solutions: list[PhaseSolution]) -> li
     ctilde = {i: np.arccos(c[0, i]) for i in range(1, m) if np.isfinite(c[0, i])}
     notes = []
     tagged = set()
-    for a in range(len(solutions)):
-        for b in range(a + 1, len(solutions)):
-            sa, sb = solutions[a].signature, solutions[b].signature
-            if len(sa) != len(sb) or not sa:
-                continue
-            if all(x == -y for x, y in zip(sa, sb)):
-                conds = []
-                for i in range(1, m):
-                    for j in range(i + 1, m):
+    sa = solutions[0].signature
+    for other in solutions[1:]:
+        sb = other.signature
+        if len(sa) != len(sb) or not sa:
+            continue
+        if all(x == -y for x, y in zip(sa, sb)):
+            conds = []
+            for i in range(1, m):
+                for j in range(i + 1, m):
+                    gamma = phi[i, j] + phi[0, i] - phi[0, j]
+                    delta = sa[i - 1] * ctilde.get(i, 0.0) - sa[j - 1] * ctilde.get(j, 0.0)
+                    if min(abs(wrap_angle(gamma)), abs(wrap_angle(gamma - np.pi))) < 1e-6:
+                        conds.append(f"Gamma_{i + 1}{j + 1} = 0 mod pi")
+                    elif min(abs(wrap_angle(delta)), abs(wrap_angle(delta - np.pi))) < 1e-6:
+                        conds.append(f"Delta_{i + 1}{j + 1} = 0 mod pi")
+            key = ("pm-sigma", tuple(conds))
+            if key not in tagged:
+                tagged.add(key)
+                notes.append("+-sigma degeneracy: " + ("; ".join(conds) if conds
+                                                       else "no off-tree edges"))
+        else:
+            conds = []
+            for i in range(1, m):
+                for j in range(1, m):
+                    if i == j:
+                        continue
+                    if sa[i - 1] == sb[i - 1] and sa[j - 1] == -sb[j - 1]:
                         gamma = phi[i, j] + phi[0, i] - phi[0, j]
-                        delta = sa[i - 1] * ctilde.get(i, 0.0) - sa[j - 1] * ctilde.get(j, 0.0)
-                        if min(abs(wrap_angle(gamma)), abs(wrap_angle(gamma - np.pi))) < 1e-6:
-                            conds.append(f"Gamma_{i + 1}{j + 1} = 0 mod pi")
-                        elif min(abs(wrap_angle(delta)), abs(wrap_angle(delta - np.pi))) < 1e-6:
-                            conds.append(f"Delta_{i + 1}{j + 1} = 0 mod pi")
-                key = ("pm-sigma", tuple(conds))
-                if key not in tagged:
-                    tagged.add(key)
-                    notes.append("+-sigma degeneracy: " + ("; ".join(conds) if conds
-                                                           else "no off-tree edges"))
-            else:
-                conds = []
-                for i in range(1, m):
-                    for j in range(1, m):
-                        if i == j:
-                            continue
-                        if sa[i - 1] == sb[i - 1] and sa[j - 1] == -sb[j - 1]:
-                            gamma = phi[i, j] + phi[0, i] - phi[0, j]
-                            if 1.0 - abs(c[0, i]) < 1e-6:
-                                conds.append(f"c_1{i + 1} = +-1")
-                            elif (abs(c[0, j] - c[i, j]) < 1e-6
-                                  and abs(c[0, i] - np.cos(gamma)) < 1e-6):
-                                conds.append(f"G-condition on pair ({i + 1},{j + 1})")
-                key = ("general", tuple(sorted(set(conds))))
-                if key not in tagged:
-                    tagged.add(key)
-                    notes.append("general signature degeneracy: "
-                                 + ("; ".join(sorted(set(conds))) if conds else "unclassified"))
+                        if 1.0 - abs(c[0, i]) < 1e-6:
+                            conds.append(f"c_1{i + 1} = +-1")
+                        elif (abs(c[0, j] - c[i, j]) < 1e-6
+                              and abs(c[0, i] - np.cos(gamma)) < 1e-6):
+                            conds.append(f"G-condition on pair ({i + 1},{j + 1})")
+            key = ("general", tuple(sorted(set(conds))))
+            if key not in tagged:
+                tagged.add(key)
+                notes.append("general signature degeneracy: "
+                             + ("; ".join(sorted(set(conds))) if conds else "unclassified"))
     return notes

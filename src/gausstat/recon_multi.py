@@ -37,6 +37,9 @@ from .phases import (
     COVARIANCE,
     DISPLACEMENT,
     PhaseSystem,
+    SearchStats,
+    _depth_first,
+    _padded,
     solve_covariance_phases,
     solve_displacement_phases,
     wrap_angle,
@@ -415,6 +418,7 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
     alpha_abs = np.sqrt(alpha2)
     mm = m_minus.modes
     results = []
+    stats = SearchStats()
     for params_cov in cov_solutions:
         mom_cov = derive_moments(params_cov)
         candidates_per_mode = []
@@ -443,35 +447,93 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
             candidates_per_mode.append(sorted(set(np.round(cands, 12))))
         if len(candidates_per_mode) != mm:
             continue
-        results.extend(_assemble_displaced(m_ref, params_cov, alpha_abs,
-                                           candidates_per_mode, scale, tol))
+        results.extend(_assemble_displaced(m_ref, params_cov, mom_cov, alpha_abs,
+                                           candidates_per_mode, scale, tol, stats))
     if not results:
         raise InconsistentDataError("no displacement-phase assignment reproduces both ports")
     results.sort(key=lambda t: t[0])
     keep = [rp for rp in results if rp[0] <= max(100 * tol, 10 * results[0][0])]
     notes = ["displacement phases carry residual cosine ambiguities where "
-             "off-diagonal data cannot prune them"]
+             "off-diagonal data cannot prune them",
+             f"displacement-phase search: {stats.explored} branches explored, "
+             f"{stats.pruned} pruned, {stats.kept} kept"]
     ambiguity = Ambiguity(z2_reflection=len(keep) > 1,
                           discrete_solutions=tuple(p for _, p in keep[1:]),
                           notes=tuple(notes))
     return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
 
 
-def _assemble_displaced(m_ref, params_cov, alpha_abs, candidates_per_mode, scale, tol):
-    """Try all per-mode phase candidates against the reference-port data."""
-    from itertools import product as iproduct
+def _reference_pair_table(m_ref: MeasurementSet, mom_cov: MomentSummary,
+                          amp: np.ndarray, limit: float) -> np.ndarray:
+    """compatible[k, a, i, b]: can alpha_k = amp[k, a] and alpha_i = amp[i, b] stand together?
 
-    mm = params_cov.modes
-    expanded = []
-    for cands in candidates_per_mode:
-        expanded.append([0.0] if cands == [None] else cands)
+    With the covariance fixed, the reference port's g2_ki, |g1_ki| and g1
+    phase depend only on alpha_k and alpha_i.  A pair fails when one of these
+    entries misses the data by more than the limit plus a rounding margin, so
+    only choices that the full residual rejects are cut.  A data block with a
+    non-finite entry drops out of the full residual's maximum, and a mode with
+    nbar = 0 makes the full residual raise, so neither prunes anything.
+    """
+    mm, k = amp.shape
+    compatible = np.ones((mm, k, mm, k), dtype=bool)
+    coherence = mom_cov.coherence_matrix()  # centered: params_cov has alpha = 0
+    nbar = coherence.diagonal().real + np.abs(amp[:, 0]) ** 2
+    if not nbar.min() > 0:
+        return compatible
+    root = np.sqrt(np.outer(nbar, nbar))[:, None, :, None]
+    ak, ai = amp[:, :, None, None], amp[None, None, :, :]
+    g1 = (coherence[:, None, :, None] + ak.conj() * ai) / root
+    g2 = (1.0 + np.abs(g1) ** 2 + np.abs((mom_cov.cov[:, None, :, None] + ak * ai) / root) ** 2
+          - 2.0 * (np.abs(ak) * np.abs(ai) / root) ** 2)
+    bound = limit * (1.0 + 1e-6) + 1e-9
+    # (model of entry (k, i), model of entry (i, k), data, entries checked)
+    blocks = []
+    if m_ref.g2 is not None:
+        blocks.append((g2, g2, m_ref.g2, None))
+    if m_ref.g1_abs is not None:
+        blocks.append((np.abs(g1), np.abs(g1), m_ref.g1_abs, None))
+    if m_ref.g1_phase is not None:
+        mask = m_ref.g1_abs > 1e-9 if m_ref.g1_abs is not None else np.ones((mm, mm), bool)
+        np.fill_diagonal(mask, False)
+        blocks.append((np.angle(g1), -np.angle(g1), m_ref.g1_phase, mask))
+    for model_ki, model_ik, data, mask in blocks:
+        checked = np.ones((mm, mm), bool) if mask is None else mask
+        if not np.isfinite(data[checked]).all():
+            continue
+        for model, target, where in ((model_ki, data, checked), (model_ik, data.T, checked.T)):
+            diff = model - target[:, None, :, None]
+            if mask is not None:
+                diff = wrap_angle(diff)
+            compatible &= ~((np.abs(diff) > bound) & where[:, None, :, None])
+    return compatible
+
+
+def _assemble_displaced(m_ref, params_cov, mom_cov, alpha_abs, candidates_per_mode, scale,
+                        tol, stats: SearchStats | None = None):
+    """Displacement-phase choices that reproduce the reference-port data.
+
+    Mode i's options are its phase candidates; a candidate of None (no phase
+    information in g2_ii) stands for phase 0.  The search places the modes
+    depth first and cuts a branch as soon as a pair of modes misses the
+    reference port's g2, |g1| or g1 phase (``_reference_pair_table``, built
+    once from the alpha-independent moments ``mom_cov``).  Each complete
+    choice that survives is scored with ``measurement_residual`` and kept
+    below max(1000 tol, 1e-5); that limit caps every entry of the residual,
+    so the kept set is the one that trying every combination would keep, in
+    the same order.
+    """
+    limit = max(1000 * tol, 1e-5)
+    phases = [[0.0] if cands == [None] else cands for cands in candidates_per_mode]
+    padded = _padded(phases)
+    amp = np.sqrt(scale) * alpha_abs[:, None] * np.exp(1j * padded)
+    compatible = _reference_pair_table(m_ref, mom_cov, amp, limit)
     results = []
-    for combo in iproduct(*expanded):
-        alpha = alpha_abs * np.exp(1j * np.asarray(combo, dtype=float))
+    for choice in _depth_first([len(p) for p in phases], compatible, stats):
+        alpha = alpha_abs * np.exp(1j * padded[np.arange(len(choice)), list(choice)])
         params = GaussianParams(np.sqrt(scale) * alpha, params_cov.squeeze,
                                 params_cov.rotation, params_cov.thermal)
         res = measurement_residual(params, m_ref)
-        if res <= max(1000 * tol, 1e-5):
+        if res <= limit:
             stored = GaussianParams(alpha, params_cov.squeeze, params_cov.rotation,
                                     params_cov.thermal)
             results.append((res, stored))

@@ -127,12 +127,15 @@ def measurement_from_json(doc: dict) -> MeasurementSet:
 
 
 def classification_to_json(cls: Classification, meta: dict | None = None) -> dict:
+    """A classification report; a residual with no finite value (no witness
+    reproduces the data at all) is written as null, so the report stays JSON."""
     doc = {
         "schema": SCHEMA,
         "type": "classification",
         "sector": cls.sector,
         "residuals": [
-            {"relation": r.relation, "residual": r.residual,
+            {"relation": r.relation,
+             "residual": r.residual if np.isfinite(r.residual) else None,
              "tolerance": r.tolerance, "passed": r.passed}
             for r in cls.residuals
         ],

@@ -390,3 +390,40 @@ class TestMultimode:
     def test_needs_two_modes(self):
         with pytest.raises(ValidationError):
             classify_multimode(MeasurementSet(1, g2=np.array([[2.0]])))
+
+    def test_witness_reports_phase_search(self, rng):
+        for maker, key in ((displaced_thermal_params, "displacement_phases"),
+                           (squeezed_thermal_params, "covariance_phases")):
+            witness = classify_multimode(
+                synthesize_measurements(derive_moments(maker(rng, 3))), tol=1e-6).witness
+            assert key in witness
+            search = witness["phase_search"]
+            assert search["explored"] > search["pruned"] >= 0
+            assert search["kept"] >= witness["n_phase_solutions"] >= 1
+            assert witness["degeneracy_notes"] == []
+            json.dumps(witness)
+
+    def test_witness_explains_two_mode_degeneracy(self, rng):
+        witness = classify_multimode(
+            synthesize_measurements(derive_moments(squeezed_thermal_params(rng, 2))),
+            tol=1e-6).witness
+        assert witness["n_phase_solutions"] == 4
+        assert witness["degeneracy_notes"]
+
+    def test_ten_modes_explore_few_branches(self):
+        params = squeezed_thermal_params(np.random.default_rng(3), 10)
+        cls = classify_multimode(synthesize_measurements(derive_moments(params)), tol=1e-9)
+        assert cls.sector == NON_DISPLACED
+        # exhaustive enumeration explores 4^9 = 262144 branches here
+        assert cls.witness["phase_search"]["explored"] <= 4 * 10 * 10
+
+
+@pytest.mark.xfail(strict=True, reason="a barely displaced mode (a_i = sqrt(2 - g2_ii) near 0) "
+                                       "leaves the displacement-phase system without a solution")
+def test_barely_displaced_mode_classifies_nonsqueezed():
+    alpha = np.array([0.01 * np.exp(0.3j), 0.7 * np.exp(-1.0j), 0.5 * np.exp(2.0j)])
+    phi = np.array([[0.0, 0.4, 0.2], [0.4, 0.0, 0.3], [0.2, 0.3, 0.0]])
+    params = GaussianParams(alpha, np.zeros((3, 3)), phi, np.array([0.3, 0.2, 0.1]))
+    # at the CLI's default tolerance; 1e-6 and 1e-7 pass
+    cls = classify(synthesize_measurements(derive_moments(params)), tol=1e-8)
+    assert cls.sector == NON_SQUEEZED

@@ -10,7 +10,8 @@ import pytest
 
 import gausstat
 from gausstat.cli import main
-from gausstat.serialize import dump, load, params_to_json
+from gausstat.classify import MeasurementSet
+from gausstat.serialize import dump, load, measurement_to_json, params_to_json
 from gausstat.states import GaussianParams, balanced_beamsplitter_duplicate
 
 
@@ -142,6 +143,20 @@ class TestClassifyReconstruct:
         assert run("simulate", spath, "--out", meas) == 0
         assert run("classify", meas, "--out", report) == 0
         assert load(report)["sector"] == sector
+
+    def test_classify_report_without_witness_reads_back(self, tmp_path):
+        # no a in (0, 1] admits a physical c: the witness residual has no finite value
+        data = MeasurementSet(1, nbar=[0.8291283895033408], g2=[[6.859234212700555]],
+                              g3={(0, 0, 0): 3.3585575305464355})
+        meas, report = tmp_path / "meas.json", tmp_path / "report.json"
+        dump(measurement_to_json(data), meas)
+        assert run("classify", meas, "--out", report) == 0
+        doc = load(report)
+        assert doc["sector"] == "Inconsistent"
+        (row,) = [r for r in doc["residuals"]
+                  if r["relation"] == "displaced-squeezed feasibility witness"]
+        assert row["residual"] is None and row["passed"] is False
+        assert doc["witness"] is None
 
     def test_dst_two_files(self, tmp_path):
         params = GaussianParams.single_mode(alpha=0.3 * np.exp(0.6j), r=0.4,

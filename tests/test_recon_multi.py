@@ -1,11 +1,15 @@
 """Multimode reconstruction: covariance conversions, Williamson, sector pipelines."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_params, random_symmetric
 
+from gausstat import recon_multi
 from gausstat.classify import synthesize_measurements
-from gausstat.errors import ValidationError
+from gausstat.errors import InconsistentDataError, SectorMismatchError, ValidationError
+from gausstat.phases import SearchStats
 from gausstat.recon_multi import (
     ComplexCovariance,
     check_physicality,
@@ -198,6 +202,58 @@ class TestSqueezedThermalMulti:
             assert measurement_residual(alt, m) < 1e-6
 
 
+def exhaustive_assemble_displaced(m_ref, params_cov, alpha_abs, candidates_per_mode, scale,
+                                  tol):
+    """Reference: score every combination of per-mode phase candidates."""
+    expanded = [[0.0] if cands == [None] else cands for cands in candidates_per_mode]
+    results = []
+    for combo in product(*expanded):
+        alpha = alpha_abs * np.exp(1j * np.asarray(combo, dtype=float))
+        params = GaussianParams(np.sqrt(scale) * alpha, params_cov.squeeze,
+                                params_cov.rotation, params_cov.thermal)
+        res = measurement_residual(params, m_ref)
+        if res <= max(1000 * tol, 1e-5):
+            results.append((res, GaussianParams(alpha, params_cov.squeeze,
+                                                params_cov.rotation, params_cov.thermal)))
+    return results
+
+
+@pytest.fixture
+def side_by_side(monkeypatch):
+    """Run the exhaustive reference beside every _assemble_displaced call.
+
+    Requires the same kept set: equal displacements and residuals to 1e-12,
+    compared as sets.  Returns the list of (kept count, search stats) per call.
+    """
+    calls = []
+    pruned = recon_multi._assemble_displaced
+
+    def checked(m_ref, params_cov, mom_cov, alpha_abs, cands, scale, tol, stats=None):
+        own = SearchStats()
+        got = pruned(m_ref, params_cov, mom_cov, alpha_abs, cands, scale, tol, own)
+        want = exhaustive_assemble_displaced(m_ref, params_cov, alpha_abs, cands, scale, tol)
+        assert len(got) == len(want)
+        unmatched = list(want)
+        for res, params in got:
+            for ref in unmatched:
+                if (abs(res - ref[0]) <= 1e-12
+                        and np.abs(params.alpha - ref[1].alpha).max() <= 1e-12):
+                    unmatched.remove(ref)
+                    break
+            else:
+                raise AssertionError(f"kept alpha {params.alpha} missing from the reference")
+        calls.append((len(got), own))
+        if stats is not None:
+            stats.explored += own.explored
+            stats.pruned += own.pruned
+            stats.kept += own.kept
+        return got
+
+    monkeypatch.setattr(recon_multi, "_assemble_displaced", checked)
+    return calls
+
+
+@pytest.mark.usefixtures("side_by_side")
 class TestDisplacedSqueezedMulti:
     def make(self, rng, modes):
         amp = rng.uniform(0.25, 0.6, modes)
@@ -241,6 +297,54 @@ class TestDisplacedSqueezedMulti:
         assert total >= 2  # discrete leftovers listed
         assert measurement_residual(rec.params, m_orig) < 1e-6
 
+    @pytest.mark.parametrize("ref_port", ["orig", "plus"])
+    @pytest.mark.parametrize("modes", [2, 3, 4, 5])
+    def test_seeded_draws_match_exhaustive(self, side_by_side, modes, ref_port):
+        for seed in range(2):
+            params = self.make(np.random.default_rng(100 * modes + seed), modes)
+            plus, minus = balanced_beamsplitter_duplicate(params)
+            m_minus = synthesize_measurements(derive_moments(minus))
+            ref_state = params if ref_port == "orig" else plus
+            m_ref = synthesize_measurements(derive_moments(ref_state))
+            rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=ref_port, tol=1e-8)
+            assert measurement_residual(rec.params, synthesize_measurements(
+                derive_moments(params))) < 1e-6
+            assert any("branches explored" in n for n in rec.ambiguity.notes)
+        assert sum(kept for kept, _ in side_by_side) >= 2
+
+    @pytest.mark.parametrize("ref_port", ["orig", "plus"])
+    def test_jittered_reference_port_matches_exhaustive(self, side_by_side, ref_port):
+        # jitter of the order of the limit: choices are kept and rejected near it
+        kept = []
+        for seed in range(6):
+            params = self.make(np.random.default_rng(500 + seed), 3)
+            plus, minus = balanced_beamsplitter_duplicate(params)
+            ref_state = params if ref_port == "orig" else plus
+            m_ref = synthesize_measurements(
+                derive_moments(ref_state), rng=np.random.default_rng(seed),
+                sigma={"g2": 1e-6, "g1_abs": 1e-6, "g1_phase": 1e-6})
+            try:
+                recon_displaced_squeezed_multi(
+                    synthesize_measurements(derive_moments(minus)), m_ref,
+                    ref_port=ref_port, tol=1e-8)
+            except InconsistentDataError:
+                pass
+            kept.append(sum(k for k, _ in side_by_side))
+            side_by_side.clear()
+        assert 0 in kept and max(kept) > 0
+
+    def test_generic_search_is_polynomial(self, side_by_side):
+        params = self.make(np.random.default_rng(5), 5)
+        plus, minus = balanced_beamsplitter_duplicate(params)
+        recon_displaced_squeezed_multi(synthesize_measurements(derive_moments(minus)),
+                                       synthesize_measurements(derive_moments(params)),
+                                       tol=1e-8)
+        # every combination would be 4^5 = 1024 forward models per covariance solution
+        assert side_by_side
+        for kept, stats in side_by_side:
+            assert stats.kept == kept <= 4
+            assert stats.explored <= 4 * 5 * 5
+
 
 def test_williamson_degenerate_occupations(rng):
     # equal thermal occupations leave a free rotation; invariants still hold
@@ -254,3 +358,16 @@ def test_williamson_degenerate_occupations(rng):
     dd = np.diag(np.concatenate([res.D, res.D]))
     assert np.abs(res.S @ dd @ res.S.T - v).max() < 1e-8
     assert res.degenerate
+
+
+@pytest.mark.xfail(raises=SectorMismatchError, strict=True,
+                   reason="a covariance-phase cosine within about 1e-6 of +-1 loses the "
+                          "solution at an absolute tolerance")
+def test_near_unit_cosine_squeezed_thermal_reconstructs():
+    z = np.array([[0.3, 0.1, 0.05], [0.1, 0.25, 0.08], [0.05, 0.08, 0.2]], dtype=complex)
+    phi = np.zeros((3, 3))
+    phi[0, 2] = phi[2, 0] = 3e-4
+    params = GaussianParams(np.zeros(3), z, phi, np.array([0.1, 0.2, 0.3]))
+    m = synthesize_measurements(derive_moments(params))
+    rec = recon_squeezed_thermal_multi(m, tol=1e-8)
+    assert measurement_residual(rec.params, m) < 1e-6
