@@ -24,6 +24,10 @@ truncation error; the builder therefore also records the occupancy of the top
 Fock levels of every mode, which is what actually controls convergence.
 
 Dense matrices only; this is an oracle, not a production path.
+
+scipy.sparse, used only for the ladder operators, is imported inside the
+cached ``_sparse_annihilators``: the CLI imports this module for every
+command, and only ``verify`` builds an oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .errors import TruncationError, ValidationError
 from .states import GaussianParams
@@ -46,6 +49,8 @@ _TAIL_LEVELS = 2
 
 @lru_cache(maxsize=8)
 def _sparse_annihilators(modes: int, cutoff: int):
+    from scipy import sparse
+
     a = sparse.diags(np.sqrt(np.arange(1, cutoff)), 1, dtype=complex, format="csr")
     eye = sparse.identity(cutoff, dtype=complex, format="csr")
     out = []
@@ -72,9 +77,18 @@ class TruncatedDensity:
         h = np.abs(self.matrix - self.matrix.conj().T).max()
         if h > tol:
             raise ValidationError(f"density not hermitian: asymmetry {h:.2e}")
-        evals = np.linalg.eigvalsh(self.matrix)
-        if evals.min() < -1e-10:
-            raise ValidationError(f"density not positive semidefinite: min eig {evals.min():.2e}")
+        # rho + 1e-10 I has a Cholesky factor when min eig > -1e-10, up to
+        # rounding, at a fraction of eigvalsh's cost; eigvalsh then decides
+        # and reports only when the factorization fails.
+        shifted = self.matrix.copy()
+        shifted.flat[:: shifted.shape[0] + 1] += 1e-10
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            evals = np.linalg.eigvalsh(self.matrix)
+            if evals.min() < -1e-10:
+                raise ValidationError(
+                    f"density not positive semidefinite: min eig {evals.min():.2e}") from None
 
 
 @lru_cache(maxsize=8)

@@ -203,18 +203,22 @@ def solve_displacement_phases(system: PhaseSystem, tol: float = 1e-8,
 
 
 def _dedupe(solutions: list[PhaseSolution], tol: float) -> list[PhaseSolution]:
+    """The solutions in order, less each one within tol of one kept before it.
+
+    Two solutions are within tol when every wrapped angle difference of their
+    phases, and of their theta when both carry one, is at most tol.  One solve
+    returns one kind, so all solutions carry theta or none do, and each is
+    compared with the stack of kept ones in one broadcast.
+    """
+    rows = [sol.phases if sol.theta is None else np.concatenate([sol.phases, sol.theta.ravel()])
+            for sol in solutions]
+    stack = np.empty((len(rows), rows[0].size if rows else 0))
     kept: list[PhaseSolution] = []
-    for sol in solutions:
-        duplicate = False
-        for other in kept:
-            diff = np.abs(wrap_angle(sol.phases - other.phases)).max()
-            if sol.theta is not None and other.theta is not None:
-                diff = max(diff, np.abs(wrap_angle(sol.theta - other.theta)).max())
-            if diff <= tol:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(sol)
+    for sol, row in zip(solutions, rows):
+        if kept and (np.abs(wrap_angle(stack[:len(kept)] - row)).max(axis=1) <= tol).any():
+            continue
+        stack[len(kept)] = row
+        kept.append(sol)
     return kept
 
 

@@ -11,6 +11,9 @@ phases inside degenerate thermal eigenspaces (Q rotations), and discrete
 leftovers in two-mode systems.  The universal acceptance check is therefore
 to push reconstructed parameters through the forward model and compare
 observables, not raw parameters.
+
+scipy.linalg is imported inside the functions that call it: the CLI imports
+this module for every command, and only multimode reconstruction needs it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, schur, sqrtm
 
 from .classify import (
     NON_DISPLACED,
@@ -51,7 +53,6 @@ from .states import (
     derive_moments,
     g2_tensor,
     g3_tensor,
-    rotation_from_unitary,
 )
 
 
@@ -135,6 +136,8 @@ def williamson(v: np.ndarray, tol: float = 1e-8) -> WilliamsonResult:
     antisymmetric 2x2 blocks carry 1/D_i; the assembled congruence is
     symplectic by construction up to rounding, which is verified.
     """
+    from scipy.linalg import block_diag, schur, sqrtm
+
     v = np.asarray(v, dtype=float)
     v = 0.5 * (v + v.T)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
@@ -202,6 +205,8 @@ def check_physicality(v: np.ndarray, tol: float = 1e-9) -> float:
 
 def takagi(sym: np.ndarray, tol: float = 1e-12):
     """Autonne-Takagi factorization sym = U diag(s) U^T of a complex symmetric matrix."""
+    from scipy.linalg import block_diag, sqrtm
+
     sym = np.asarray(sym, dtype=complex)
     if np.abs(sym - sym.T).max() > 1e-8 * (1 + np.abs(sym).max()):
         raise ValidationError("takagi needs a symmetric matrix")
@@ -224,6 +229,14 @@ def takagi(sym: np.ndarray, tol: float = 1e-12):
     qb = block_diag(*blocks)
     uu = u @ qb.conj()
     return s.copy(), uu
+
+
+def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
+    """Hermitian phi with e^{i phi} = u (principal branch)."""
+    from scipy.linalg import logm
+
+    h = -1j * logm(np.asarray(u, dtype=complex))
+    return 0.5 * (h + h.conj().T)
 
 
 def squeeze_from_blocks(e_block: np.ndarray, f_block: np.ndarray):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import logm
 
 from .errors import NumericalError, UndefinedCorrelationError, ValidationError
 from .words import MomentTable
@@ -403,9 +402,3 @@ def apply_uniform_loss(moments: MomentSummary, eta: float) -> MomentSummary:
         raise ValidationError("loss transmission eta must lie in (0, 1]")
     return MomentSummary(eta * moments.nbar, moments.g1, eta * moments.cov,
                          np.sqrt(eta) * moments.alpha)
-
-
-def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Hermitian phi with e^{i phi} = u (principal branch)."""
-    h = -1j * logm(np.asarray(u, dtype=complex))
-    return 0.5 * (h + h.conj().T)

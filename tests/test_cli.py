@@ -1,5 +1,6 @@
 """End-to-end CLI pipelines."""
 
+import json
 import os
 import subprocess
 import sys
@@ -90,6 +91,62 @@ def test_cli_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Run in a fresh interpreter; after each step it records the scipy modules loaded so far.
+_SCIPY_FREE_COMMANDS = """
+import json, sys
+from pathlib import Path
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = []
+import gausstat
+report.append(["import gausstat", 0, loaded()])
+import gausstat.cli
+report.append(["import gausstat.cli", 0, loaded()])
+
+import numpy as np
+from gausstat.cli import main
+from gausstat.serialize import dump, params_to_json
+from gausstat.states import GaussianParams
+
+tmp = Path(sys.argv[1])
+states = {
+    "squeezed": GaussianParams.single_mode(r=0.5, occupation=0.2),
+    "displaced": GaussianParams.single_mode(alpha=0.7, occupation=0.2),
+    "dst": GaussianParams.single_mode(alpha=0.7 * np.exp(0.4j), r=0.5, theta=0.3,
+                                      occupation=0.1),
+    "pair": GaussianParams(np.zeros(2), 0.3 * np.eye(2, dtype=complex),
+                           np.zeros((2, 2)), np.zeros(2)),
+}
+for name, params in states.items():
+    dump(params_to_json(params), tmp / f"{name}.json")
+for argv in (["simulate", "squeezed.json", "--out", "squeezed-m.json"],
+             ["simulate", "displaced.json", "--out", "displaced-m.json"],
+             ["simulate", "dst.json", "--out", "dst-m.json"],
+             ["bucket", "pair.json", "--estimate-modes", "--out", "bucket.json"],
+             ["classify", "dst-m.json", "--out", "classify.json"],
+             ["reconstruct", "squeezed-m.json", "--out", "rec-nd.json"],
+             ["reconstruct", "displaced-m.json", "--out", "rec-ns.json"],
+             ["curves", "--relation", "eq20", "--num", "3", "--out", "curves.csv"]):
+    code = main([str(tmp / a) if a.endswith((".json", ".csv")) else a for a in argv])
+    report.append([" ".join(argv), code, loaded()])
+print(json.dumps(report))
+"""
+
+
+def test_commands_without_scipy_leave_it_unloaded(tmp_path):
+    """Importing the package and running every command that needs no scipy
+    (all but multimode reconstruct and verify) loads no scipy module."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gausstat.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_COMMANDS, str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert len(report) == 10
+    for step, code, loaded in report:
+        assert (step, code, loaded) == (step, 0, [])
 
 
 class TestClassifyReconstruct:

@@ -1,5 +1,7 @@
 """Truncated Fock-space oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import random_params
@@ -252,3 +254,48 @@ class TestFactorizedBuildVsExpm:
             build_density(params, cutoff=cutoff)
         assert isinstance(assert_matches_reference(params, cutoff, tail_tol=1e-3),
                           TruncationError)
+
+
+def _passes_validate(density):
+    try:
+        density.validate()
+    except ValidationError:
+        return False
+    return True
+
+
+def _hermitian_with_spectrum(rng, evals):
+    q, _ = np.linalg.qr(rng.standard_normal((len(evals),) * 2)
+                        + 1j * rng.standard_normal((len(evals),) * 2))
+    h = (q * np.asarray(evals, dtype=float)) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+class TestPositivityCheck:
+    """``validate``'s Cholesky test against the eigvalsh verdict it replaced:
+    a density passes exactly when its smallest eigenvalue is at least -1e-10."""
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_seeded_densities_match_eigvalsh(self, modes):
+        rng = np.random.default_rng(500 + modes)
+        for _ in range(3):
+            rho = build_density(random_params(rng, modes), cutoff=VERIFY_CUTOFFS[modes],
+                                tail_tol=1.0, check=False)
+            for shift in (0.0, 1e-12, 1e-8):
+                shifted = replace(rho, matrix=rho.matrix - shift * np.eye(rho.matrix.shape[0]))
+                reference = np.linalg.eigvalsh(shifted.matrix).min() >= -1e-10
+                assert _passes_validate(shifted) == reference == (shift < 1e-10)
+
+    @pytest.mark.parametrize("min_eig,passes", [(0.0, True), (-1e-12, True), (-1e-8, False)])
+    def test_hand_built_spectra(self, min_eig, passes):
+        matrix = _hermitian_with_spectrum(np.random.default_rng(3), [0.5, 0.3, 0.2, 0.0, min_eig])
+        density = TruncatedDensity(matrix, 5, 1, 0.0, 0.0)
+        if passes:
+            density.validate()
+        else:
+            with pytest.raises(ValidationError, match="min eig"):
+                density.validate()
+
+    def test_rank_one(self):
+        v = np.random.default_rng(4).standard_normal(12) + 1j
+        TruncatedDensity(np.outer(v, v.conj()) / np.vdot(v, v).real, 12, 1, 0.0, 0.0).validate()

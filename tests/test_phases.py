@@ -2,7 +2,9 @@
 
 The exhaustive solvers below enumerate every sign signature, as the library
 did before its depth-first search; every solver call in this module runs both
-and requires the same solution set.
+and requires the same solution set.  The references drop duplicates with the
+pairwise loop that ``phases._dedupe`` replaced, and require the broadcast
+version to keep the same solutions in the same order.
 """
 
 from itertools import product
@@ -22,11 +24,34 @@ from gausstat.phases import (
     SearchStats,
     _angles_close,
     _clamped,
-    _dedupe,
     degeneracy_report,
     solution_residual,
     wrap_angle,
 )
+
+
+def reference_dedupe(solutions, tol):
+    """The former ``phases._dedupe``: one ``wrap_angle`` call per pair of solutions."""
+    kept = []
+    for sol in solutions:
+        duplicate = False
+        for other in kept:
+            diff = np.abs(wrap_angle(sol.phases - other.phases)).max()
+            if sol.theta is not None and other.theta is not None:
+                diff = max(diff, np.abs(wrap_angle(sol.theta - other.theta)).max())
+            if diff <= tol:
+                duplicate = True
+                break
+        if not duplicate:
+            kept.append(sol)
+    return kept
+
+
+def checked_dedupe(solutions, tol):
+    """The reference's kept list, after requiring the library's to be the same."""
+    kept = reference_dedupe(solutions, tol)
+    assert [id(s) for s in phases._dedupe(solutions, tol)] == [id(s) for s in kept]
+    return kept
 
 
 def _signature_choices(ctilde, tol):
@@ -63,7 +88,7 @@ def exhaustive_displacement_phases(system, tol=1e-8):
                 ok = ok and res <= tol
         if ok:
             solutions.append(PhaseSolution(wrap_angle(ph), tuple(sig), residual=worst))
-    return _dedupe(solutions, 10 * tol)
+    return checked_dedupe(solutions, 10 * tol)
 
 
 def _exhaustive_offdiag(c, phi, diag, tol):
@@ -133,7 +158,7 @@ def exhaustive_covariance_phases(system, tol=1e-8):
                 solutions.append(PhaseSolution(
                     wrap_angle(diag.copy()), tuple(sig), epsilon=tuple(eps),
                     theta=wrap_angle(theta), residual=worst))
-    return _dedupe(solutions, 10 * tol)
+    return checked_dedupe(solutions, 10 * tol)
 
 
 def assert_same_solutions(got, want):
@@ -227,7 +252,7 @@ class TestDisplacement:
             assert np.allclose(wrap_angle(sa.phases - sb.phases), 0, atol=1e-8)
 
     def test_maximal_degeneracy_count(self):
-        for m in (3, 4, 5):
+        for m in (3, 4, 5, 10):
             big_phi = np.triu(np.full((m, m), np.pi / 2), 1)
             big_phi = big_phi - big_phi.T
             c = np.zeros((m, m))
@@ -276,6 +301,13 @@ class TestDisplacement:
         c = np.array([[np.nan, 1.0 + 1e-9], [1.0 + 1e-9, np.nan]])
         sols = solve_displacement_phases(PhaseSystem(DISPLACEMENT, np.zeros((2, 2)), c), tol=1e-8)
         assert len(sols) == 1
+
+    def test_near_unit_cosine_signs_merge(self):
+        # both signs survive the search, 6e-3 apart, within 10 tol of each other
+        c = np.full((2, 2), np.cos(3e-3))
+        np.fill_diagonal(c, np.nan)
+        sols = solve_displacement_phases(PhaseSystem(DISPLACEMENT, np.zeros((2, 2)), c), tol=1e-3)
+        assert [s.signature for s in sols] == [(1,)]
 
     def test_trivial_single_mode(self):
         system = PhaseSystem(DISPLACEMENT, np.zeros((1, 1)), np.full((1, 1), np.nan))
@@ -444,6 +476,22 @@ class TestDepthFirstVsExhaustive:
                             (COVARIANCE, solve_covariance_phases)):
             sols = solve(engineered_system(kind, 5, "pm_sigma", 3))
             assert len(sols) >= 2
+
+
+@pytest.mark.parametrize("with_theta", [False, True])
+def test_dedupe_matches_pairwise_reference_on_clusters(with_theta):
+    """Clusters of near-equal solutions, some straddling +-pi, so that many are dropped."""
+    rng = np.random.default_rng(41 + with_theta)
+    for _ in range(20):
+        m = int(rng.integers(1, 6))
+        centers = rng.uniform(-np.pi, np.pi, (int(rng.integers(1, 6)), m + m * m * with_theta))
+        centers[0, 0] = np.pi - 5e-4
+        jitter = rng.uniform(-1, 1, (40, centers.shape[1])) * rng.choice([3e-4, 1e-3], (40, 1))
+        rows = centers[rng.integers(0, len(centers), 40)] + jitter
+        solutions = [PhaseSolution(wrap_angle(r[:m]), (),
+                                   theta=wrap_angle(r[m:].reshape(m, m)) if with_theta else None)
+                     for r in rows]
+        assert len(checked_dedupe(solutions, 1e-3)) < len(solutions)
 
 
 class TestBranchCounts:
