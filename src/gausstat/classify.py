@@ -71,7 +71,25 @@ class MeasurementSet:
                 if v.shape != (m, m):
                     raise ValidationError(f"{name} must be {m}x{m}")
                 object.__setattr__(self, name, v)
-        # comparisons skip NaN entries without the all-NaN warning of nanmin
+        # a JSON null inside an array arrives here as NaN
+        for name in ("nbar", "p0", "g1_abs", "g1_phase", "g2"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v).all():
+                raise ValidationError(f"{name} entries must be finite")
+        if not isinstance(self.sigma, dict):
+            raise ValidationError("sigma must map observable names to numbers")
+        sigma = {}
+        for key, val in self.sigma.items():
+            if key not in SIGMA_NAMES:
+                raise ValidationError(f"unknown sigma name {key!r} "
+                                      f"(expected one of {', '.join(SIGMA_NAMES)})")
+            try:
+                sigma[key] = float(val)
+            except (TypeError, ValueError):
+                raise ValidationError(f"sigma {key} must be a number, got {val!r}") from None
+            if not (math.isfinite(sigma[key]) and sigma[key] >= 0.0):
+                raise ValidationError(f"sigma {key} must be finite and nonnegative, got {val}")
+        object.__setattr__(self, "sigma", sigma)
         if self.g1_abs is not None:
             if ((self.g1_abs < -1e-12) | (self.g1_abs > 1 + 1e-6)).any():
                 raise ValidationError("|g1| entries must lie in [0, 1]")
@@ -284,11 +302,9 @@ def classify_single_mode(m: MeasurementSet, tol: float = 1e-6) -> Classification
         raise InsufficientDataError("single-mode classification needs g2 and g3")
     g2 = float(m.g2[0, 0])
     g3 = m.g3[(0, 0, 0)]
-    if not math.isfinite(g2):
-        raise ValidationError(f"g2 must be finite, got {g2}")
     nbar = float(m.nbar[0]) if m.nbar is not None else None
-    if nbar is not None and not (math.isfinite(nbar) and nbar > 0.0):
-        raise ValidationError(f"nbar must be finite and positive, got {nbar}")
+    if nbar is not None and not nbar > 0.0:
+        raise ValidationError(f"nbar must be positive, got {nbar}")
     notes = [EVIDENCE_CAVEAT]
     residuals = []
 
@@ -463,7 +479,7 @@ def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
         if (i, i, i) not in m.g3:
             continue
         nbar = None if m.nbar is None else float(m.nbar[i])
-        if nbar is not None and not (math.isfinite(nbar) and nbar > 0.0):
+        if nbar is not None and not nbar > 0.0:
             nbar = None
         feasible, _, res = displaced_squeezed_feasibility(float(m.g2[i, i]), m.g3[(i, i, i)],
                                                           feas_tol, nbar=nbar)
@@ -490,9 +506,6 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
         raise InsufficientDataError("multimode classification needs g2 and |g1|")
     mm = m.modes
     g2, g1a = m.g2, m.g1_abs
-    # a NaN residual fails every '>' test, so it would pass a hypothesis
-    if not (np.isfinite(g2).all() and np.isfinite(g1a).all()):
-        raise ValidationError("multimode classification needs finite g2 and |g1| entries")
     residuals = []
     notes = [EVIDENCE_CAVEAT]
     tol_rel = _tolerance(m, tol, dg2=3.0, dg3=1.0)

@@ -23,11 +23,17 @@ remain exactly unitary and the trace deficit alone cannot detect their
 truncation error; the builder therefore also records the occupancy of the top
 Fock levels of every mode, which is what actually controls convergence.
 
-Dense matrices only; this is an oracle, not a production path.
+Ladder operators are never formed as matrices.  A word of them acts by
+index arithmetic on the Fock digits of the basis states (``_word_action``):
+it maps each basis state it does not annihilate to one other, with a weight.
+The generators are scattered from these maps into dense arrays, and a moment
+is a weighted sum of density-matrix entries.
 
-scipy.sparse, used only for the ladder operators, is imported inside the
-cached ``_sparse_annihilators``: the CLI imports this module for every
-command, and only ``verify`` builds an oracle.
+Dense matrices only; this is an oracle, not a production path.  One build
+holds at most five dense dim x dim complex arrays at once: a generator and W
+while R and S act, then W, rho and the temporaries of rho's symmetrization or
+of ``validate``'s hermiticity and Cholesky checks.  MAX_DIMENSION = 4096
+keeps the five within 1.3 GB, under 2 GiB; at 8192 they would take 5.4 GB.
 """
 
 from __future__ import annotations
@@ -39,28 +45,12 @@ import numpy as np
 
 from .errors import TruncationError, ValidationError
 from .states import GaussianParams
-from .words import LadderWord
+from .words import LadderOp, LadderWord
 
 DEFAULT_CUTOFFS = {1: 25, 2: 12, 3: 8}
 MAX_MODES = 3
-MAX_DIMENSION = 16384
+MAX_DIMENSION = 4096
 _TAIL_LEVELS = 2
-
-
-@lru_cache(maxsize=8)
-def _sparse_annihilators(modes: int, cutoff: int):
-    from scipy import sparse
-
-    a = sparse.diags(np.sqrt(np.arange(1, cutoff)), 1, dtype=complex, format="csr")
-    eye = sparse.identity(cutoff, dtype=complex, format="csr")
-    out = []
-    for k in range(modes):
-        op = None
-        for m in range(modes):
-            factor = a if m == k else eye
-            op = factor if op is None else sparse.kron(op, factor, format="csr")
-        out.append(op.tocsr())
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -92,12 +82,67 @@ class TruncatedDensity:
 
 
 @lru_cache(maxsize=8)
+def _fock_digits(modes: int, cutoff: int) -> np.ndarray:
+    """digits[k, s]: photons in mode k of basis state s (mode 0 most significant)."""
+    digits = np.indices((cutoff,) * modes).reshape(modes, -1)
+    digits.flags.writeable = False
+    return digits
+
+
+@lru_cache(maxsize=8)
 def _number_blocks(modes: int, cutoff: int):
     """Fock-basis indices grouped by total photon number, and by its parity."""
-    total = np.indices((cutoff,) * modes).reshape(modes, -1).sum(axis=0)
+    total = _fock_digits(modes, cutoff).sum(axis=0)
     by_number = tuple(np.flatnonzero(total == n) for n in range(total.max() + 1))
     by_parity = tuple(np.flatnonzero(total % 2 == p) for p in (0, 1))
     return by_number, by_parity
+
+
+@lru_cache(maxsize=8)
+def _ladder_steps(modes: int, cutoff: int):
+    """steps[k][creation] = (next, factor): a (or a†) on mode k maps basis state
+    s to factor[s] |next[s]>.  Index dim is a sink, with factor 0, for the
+    states the truncated operator annihilates (a† on the top level among them)."""
+    dim = cutoff**modes
+    index = np.arange(dim)
+
+    def step(moves, shift, factor):
+        return (np.append(np.where(moves, index + shift, dim), dim),
+                np.append(np.where(moves, factor, 0.0), 0.0))
+
+    steps = []
+    for k, n in enumerate(_fock_digits(modes, cutoff)):
+        stride = cutoff ** (modes - 1 - k)
+        steps.append((step(n > 0, -stride, np.sqrt(n)),
+                      step(n < cutoff - 1, stride, np.sqrt(n + 1.0))))
+    return tuple(steps)
+
+
+def _word_action(ops, modes: int, cutoff: int):
+    """(src, dst, weight) with O|src> = weight |dst> for the truncated product
+    O of the ladder operators ``ops`` (leftmost first); basis states that O
+    annihilates are left out.  Each operator, rightmost first, moves one Fock
+    digit by one and multiplies by sqrt(n) (a) or sqrt(n + 1) (a†)."""
+    steps = _ladder_steps(modes, cutoff)
+    dim = cutoff**modes
+    dst = np.arange(dim)
+    weight = np.ones(dim)
+    for op in reversed(ops):
+        nxt, factor = steps[op.mode][op.creation]
+        weight = weight * factor[dst]
+        dst = nxt[dst]
+    src = np.flatnonzero(dst < dim)
+    return src, dst[src], weight[src]
+
+
+def _generator(terms, modes: int, cutoff: int) -> np.ndarray:
+    """Dense sum of coef * (ladder word) over ``terms`` of (coef, ops)."""
+    dim = cutoff**modes
+    gen = np.zeros((dim, dim), dtype=complex)
+    for coef, ops in terms:
+        src, dst, weight = _word_action(ops, modes, cutoff)
+        np.add.at(gen, (dst, src), coef * weight)
+    return gen
 
 
 def _thermal_columns(occupations: np.ndarray, cutoff: int) -> np.ndarray:
@@ -118,10 +163,9 @@ def _exp_anti_hermitian(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs, np.exp(-1j * evals)
 
 
-def _apply_blocked(w: np.ndarray, gen, blocks) -> None:
-    """w <- exp(gen) w in place, for a sparse anti-hermitian ``gen`` that maps
-    the span of each index block to itself."""
-    gen = gen.toarray()
+def _apply_blocked(w: np.ndarray, gen: np.ndarray, blocks) -> None:
+    """w <- exp(gen) w in place, for an anti-hermitian ``gen`` that maps the
+    span of each index block to itself."""
     for idx in blocks:
         rows = w[idx]
         if not rows.any():
@@ -157,22 +201,22 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
     if d**m > MAX_DIMENSION:
         raise ValidationError(f"requested dimension {d**m} exceeds limit {MAX_DIMENSION}")
 
-    ladders = _sparse_annihilators(m, d)
     by_number, by_parity = _number_blocks(m, d)
     dim = d**m
     w = _thermal_columns(params.thermal, d)
     phi, z = params.rotation, params.squeeze
+    pairs = [(i, j) for i in range(m) for j in range(m)]
     # a diagonal rotation generator (always, for one mode) only multiplies
     # each thermal column |n> by a phase, which W W^H cancels
     if np.any(phi - np.diag(np.diag(phi))):
-        gen_r = sum(1j * phi[i, j] * (ladders[i].conj().T @ ladders[j])
-                    for i in range(m) for j in range(m) if phi[i, j] != 0)
-        _apply_blocked(w, gen_r, by_number)
+        terms = [(1j * phi[i, j], (LadderOp(i, True), LadderOp(j, False)))
+                 for i, j in pairs if phi[i, j] != 0]
+        _apply_blocked(w, _generator(terms, m, d), by_number)
     if np.any(z):
-        gen_s = sum(0.5 * np.conj(z[i, j]) * (ladders[i] @ ladders[j])
-                    - 0.5 * z[i, j] * (ladders[i].conj().T @ ladders[j].conj().T)
-                    for i in range(m) for j in range(m) if z[i, j] != 0)
-        _apply_blocked(w, gen_s, by_parity)
+        terms = [term for i, j in pairs if z[i, j] != 0
+                 for term in ((0.5 * np.conj(z[i, j]), (LadderOp(i, False), LadderOp(j, False))),
+                              (-0.5 * z[i, j], (LadderOp(i, True), LadderOp(j, True))))]
+        _apply_blocked(w, _generator(terms, m, d), by_parity)
     t = w.reshape((d,) * m + (-1,))
     for i, alpha in enumerate(params.alpha):
         if alpha != 0:
@@ -199,18 +243,11 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
 
 
 def moment_bruteforce(rho: TruncatedDensity, word: LadderWord) -> complex:
-    """Tr[rho · (operator product)] with truncated matrix ladder operators."""
+    """Tr[rho · (operator product)] with truncated ladder operators."""
     if word.max_mode() >= rho.modes:
         raise ValidationError("word references a mode outside the density")
-    ladders = _sparse_annihilators(rho.modes, rho.dim)
-    op = None
-    for lop in word.ops:
-        mat = ladders[lop.mode]
-        mat = mat.conj().T.tocsr() if lop.creation else mat
-        op = mat if op is None else op @ mat
-    if op is None:
-        return complex(np.trace(rho.matrix))
-    return complex(op.multiply(rho.matrix.T).sum())
+    src, dst, weight = _word_action(word.ops, rho.modes, rho.dim)
+    return complex((weight * rho.matrix[src, dst]).sum())
 
 
 def vacuum_overlap(rho: TruncatedDensity) -> float:
@@ -244,8 +281,7 @@ def total_number_factorial_moment(rho: TruncatedDensity, order: int) -> float:
     Equals the fully mode-summed normally ordered moment entering bucket
     correlations; cheap because n_tot is diagonal in the Fock basis.
     """
-    d, m = rho.dim, rho.modes
-    digits = np.indices((d,) * m).reshape(m, -1).sum(axis=0).astype(float)
+    digits = _fock_digits(rho.modes, rho.dim).sum(axis=0).astype(float)
     weight = np.ones_like(digits)
     for k in range(order):
         weight *= digits - k

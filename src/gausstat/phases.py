@@ -324,24 +324,6 @@ def _offdiag_candidates(c, phi, diag, tol):
     return results
 
 
-def solution_residual(system: PhaseSystem, solution: PhaseSolution) -> float:
-    """Largest |c_ij - cos(...)| over all constrained ordered pairs."""
-    m = system.modes
-    c, phi = system.c, system.big_phi
-    worst = 0.0
-    for i in range(m):
-        for j in range(m):
-            if i == j or not np.isfinite(c[i, j]):
-                continue
-            if system.kind == DISPLACEMENT:
-                model = np.cos(phi[i, j] + solution.phases[i] - solution.phases[j])
-            else:
-                theta = solution.theta
-                model = np.cos(phi[i, j] + theta[i, i] - theta[i, j])
-            worst = max(worst, abs(model - c[i, j]))
-    return worst
-
-
 def degeneracy_report(system: PhaseSystem, solutions: list[PhaseSolution]) -> list[str]:
     """Explain solution multiplicity in terms of the edge-case conditions.
 

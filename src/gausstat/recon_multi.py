@@ -12,8 +12,10 @@ leftovers in two-mode systems.  The universal acceptance check is therefore
 to push reconstructed parameters through the forward model and compare
 observables, not raw parameters.
 
-scipy.linalg is imported inside the functions that call it: the CLI imports
-this module for every command, and only multimode reconstruction needs it.
+Every matrix function is built from numpy's hermitian eigensolver: V^(-1/2)
+and the real Schur basis of Williamson's kernel from ``eigh``, and the log and
+square root of a unitary from ``eigh`` of its Cayley transform
+(``_unitary_eig``).
 """
 
 from __future__ import annotations
@@ -132,49 +134,29 @@ class WilliamsonResult:
 def williamson(v: np.ndarray, tol: float = 1e-8) -> WilliamsonResult:
     """Williamson normal form of a positive-definite real symmetric matrix.
 
-    Built from the real Schur form of V^(-1/2) Omega V^(-1/2), whose
-    antisymmetric 2x2 blocks carry 1/D_i; the assembled congruence is
-    symplectic by construction up to rounding, which is verified.
+    The kernel K = V^(-1/2) Omega V^(-1/2) is real antisymmetric, so 1j*K is
+    hermitian with eigenvalues +-mu_i, mu_i = 1/D_i.  An eigenvector w of +mu
+    gives the orthonormal column pair (sqrt2 Im w, sqrt2 Re w), on which K acts
+    as [[0, mu], [-mu, 0]]; these columns, scaled by 1/sqrt(D), assemble
+    S = V^(1/2) Q diag(D, D)^(-1/2), symplectic up to rounding, which is verified.
     """
-    from scipy.linalg import block_diag, schur, sqrtm
-
     v = np.asarray(v, dtype=float)
     v = 0.5 * (v + v.T)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
         raise ValidationError("V must be square with even dimension")
     m = v.shape[0] // 2
-    evals = np.linalg.eigvalsh(v)
+    evals, evecs = np.linalg.eigh(v)
     if evals.min() <= 0:
         raise ValidationError(f"V not positive definite: min eigenvalue {evals.min():.3e}")
     omega = symplectic_form(m)
-    v_mhalf = np.real(sqrtm(np.linalg.inv(v)))
+    v_mhalf = (evecs / np.sqrt(evals)) @ evecs.T
     kernel = v_mhalf @ omega @ v_mhalf
-    kernel = 0.5 * (kernel - kernel.T)
-    t, q = schur(kernel, output="real")
-    # normalize every 2x2 block to have a positive upper-right entry
-    flip = []
-    mu = []
-    for k in range(m):
-        val = t[2 * k, 2 * k + 1]
-        flip.append(np.array([[0.0, 1.0], [1.0, 0.0]]) if val < 0 else np.eye(2))
-        mu.append(abs(val))
-    q = q @ block_diag(*flip)
-    d = 1.0 / np.array(mu)
-    # interleaved (x1, p1, ...) -> grouped (x.., p..) permutation
-    perm = np.zeros((2 * m, 2 * m))
-    for k in range(m):
-        perm[k, 2 * k] = 1.0
-        perm[m + k, 2 * k + 1] = 1.0
-    dhalf = block_diag(*[np.eye(2) * np.sqrt(dk) for dk in d])
-    r_inv = perm @ dhalf @ q.T @ v_mhalf
-    s = np.linalg.inv(r_inv)
-    order = np.argsort(d)[::-1]
-    reorder = np.zeros((2 * m, 2 * m))
-    for new, old in enumerate(order):
-        reorder[old, new] = 1.0
-        reorder[m + old, m + new] = 1.0
-    s = s @ reorder
-    d = d[order]
+    mu, w = np.linalg.eigh(0.5j * (kernel - kernel.T))
+    # the m positive eigenvalues, ascending in mu and so descending in D
+    mu, w = mu[m:], w[:, m:]
+    d = 1.0 / mu
+    q = np.sqrt(2.0) * np.concatenate([w.imag, w.real], axis=1)
+    s = ((evecs * np.sqrt(evals)) @ evecs.T @ q) / np.sqrt(np.concatenate([d, d]))
     resid_sym = np.abs(s @ omega @ s.T - omega).max()
     resid_rec = np.abs(s @ np.diag(np.concatenate([d, d])) @ s.T - v).max()
     if resid_sym > tol or resid_rec > max(tol, 1e-8 * np.abs(v).max()):
@@ -203,10 +185,30 @@ def check_physicality(v: np.ndarray, tol: float = 1e-9) -> float:
     return dmin
 
 
+def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal angles theta in (-pi, pi] and orthonormal eigenvectors V of a
+    (near-)unitary u = V diag(e^{i theta}) V^H.
+
+    u is turned by e^{-i beta}, beta = pi past the midpoint of the widest gap
+    between the angles of its eigenvalues, so -1 lies outside the turned
+    spectrum; the hermitian Cayley transform i (1 + u')^-1 (1 - u') then has
+    eigenvalues tan(theta'/2), and eigh gives an orthonormal V even where
+    eigenvalues cluster.
+    """
+    u = np.asarray(u, dtype=complex)
+    eye = np.eye(u.shape[0])
+    angles = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    widest = np.argmax(gaps)
+    beta = angles[widest] + 0.5 * gaps[widest] + np.pi
+    turned = np.exp(-1j * beta) * u
+    cayley = 1j * np.linalg.solve(eye + turned, eye - turned)
+    t, vecs = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
+    return wrap_angle(2.0 * np.arctan(t) + beta), vecs
+
+
 def takagi(sym: np.ndarray, tol: float = 1e-12):
     """Autonne-Takagi factorization sym = U diag(s) U^T of a complex symmetric matrix."""
-    from scipy.linalg import block_diag, sqrtm
-
     sym = np.asarray(sym, dtype=complex)
     if np.abs(sym - sym.T).max() > 1e-8 * (1 + np.abs(sym).max()):
         raise ValidationError("takagi needs a symmetric matrix")
@@ -215,28 +217,23 @@ def takagi(sym: np.ndarray, tol: float = 1e-12):
         return np.zeros(n), np.eye(n, dtype=complex)
     u, s, vh = np.linalg.svd(sym)
     w = vh.conj().T
-    # group (nearly) degenerate singular values and fix phases per block
-    groups = []
+    # group (nearly) degenerate singular values; within a group the columns of
+    # u are fixed by the unitary u_g^T w_g, whose principal square root they absorb
+    uu = u.copy()
     start = 0
     for k in range(1, n + 1):
         if k == n or abs(s[k] - s[start]) > 1e-8 * (1 + s[0]):
-            groups.append(list(range(start, k)))
+            theta, vecs = _unitary_eig(u[:, start:k].T @ w[:, start:k])
+            root = (vecs * np.exp(0.5j * theta)) @ vecs.conj().T
+            uu[:, start:k] = u[:, start:k] @ root.conj()
             start = k
-    blocks = []
-    for grp in groups:
-        sub = u[:, grp].T @ w[:, grp]
-        blocks.append(sqrtm(sub.astype(complex)))
-    qb = block_diag(*blocks)
-    uu = u @ qb.conj()
     return s.copy(), uu
 
 
 def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian phi with e^{i phi} = u (principal branch)."""
-    from scipy.linalg import logm
-
-    h = -1j * logm(np.asarray(u, dtype=complex))
-    return 0.5 * (h + h.conj().T)
+    theta, vecs = _unitary_eig(u)
+    return (vecs * theta) @ vecs.conj().T
 
 
 def squeeze_from_blocks(e_block: np.ndarray, f_block: np.ndarray):
@@ -244,7 +241,6 @@ def squeeze_from_blocks(e_block: np.ndarray, f_block: np.ndarray):
     p2 = e_block @ e_block.conj().T
     vals, vecs = np.linalg.eigh(0.5 * (p2 + p2.conj().T))
     vals = np.clip(vals, 1.0, None)
-    cosh_r = (vecs * np.sqrt(vals)) @ vecs.conj().T
     cosh_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
     expiphi = cosh_inv @ e_block
     y = -f_block @ expiphi.T  # sinh(r) e^{i theta}, symmetric
@@ -483,9 +479,8 @@ def _reference_pair_table(m_ref: MeasurementSet, mom_cov: MomentSummary,
     With the covariance fixed, the reference port's g2_ki, |g1_ki| and g1
     phase depend only on alpha_k and alpha_i.  A pair fails when one of these
     entries misses the data by more than the limit plus a rounding margin, so
-    only choices that the full residual rejects are cut.  A data block with a
-    non-finite entry drops out of the full residual's maximum, and a mode with
-    nbar = 0 makes the full residual raise, so neither prunes anything.
+    only choices that the full residual rejects are cut.  A mode with nbar = 0
+    makes the full residual raise, so it prunes nothing.
     """
     mm, k = amp.shape
     compatible = np.ones((mm, k, mm, k), dtype=bool)
@@ -511,8 +506,6 @@ def _reference_pair_table(m_ref: MeasurementSet, mom_cov: MomentSummary,
         blocks.append((np.angle(g1), -np.angle(g1), m_ref.g1_phase, mask))
     for model_ki, model_ik, data, mask in blocks:
         checked = np.ones((mm, mm), bool) if mask is None else mask
-        if not np.isfinite(data[checked]).all():
-            continue
         for model, target, where in ((model_ki, data, checked), (model_ik, data.T, checked.T)):
             diff = model - target[:, None, :, None]
             if mask is not None:

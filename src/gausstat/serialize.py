@@ -13,7 +13,6 @@ import numpy as np
 
 from .classify import Classification, MeasurementSet
 from .errors import ValidationError
-from .phases import PhaseSolution, PhaseSystem
 from .recon_single import Ambiguity, ReconstructedState
 from .states import GaussianParams, MomentSummary
 
@@ -122,7 +121,7 @@ def measurement_from_json(doc: dict) -> MeasurementSet:
             val = doc.get(name)
             kwargs[name] = None if val is None else np.array(val, dtype=float)
         return MeasurementSet(int(doc["modes"]), g3=g3, sigma=doc.get("sigma", {}), **kwargs)
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"malformed measurement_set document: {err}") from err
 
 
@@ -181,49 +180,6 @@ def reconstruction_from_json(doc: dict) -> ReconstructedState:
     )
     return ReconstructedState(params_from_json(doc["params"]), ambiguity,
                               residual=float(doc.get("residual", 0.0)))
-
-
-def phase_system_to_json(system: PhaseSystem) -> dict:
-    def clean(mat):
-        return [[None if not np.isfinite(v) else float(v) for v in row] for row in mat]
-
-    return {
-        "schema": SCHEMA,
-        "type": "phase_system",
-        "kind": system.kind,
-        "modes": system.modes,
-        "big_phi": [[float(v) for v in row] for row in system.big_phi],
-        "c": clean(system.c),
-    }
-
-
-def phase_system_from_json(doc: dict) -> PhaseSystem:
-    _check_schema(doc, "phase_system")
-    c = np.array([[np.nan if v is None else float(v) for v in row]
-                  for row in doc["c"]])
-    return PhaseSystem(doc["kind"], np.array(doc["big_phi"], dtype=float), c)
-
-
-def phase_solutions_to_json(solutions: list[PhaseSolution],
-                            degeneracy_notes: list[str] | None = None) -> dict:
-    out = []
-    for sol in solutions:
-        entry = {
-            "phases": [float(v) for v in sol.phases],
-            "signature": list(sol.signature),
-            "residual": sol.residual,
-        }
-        if sol.epsilon is not None:
-            entry["epsilon"] = list(sol.epsilon)
-        if sol.theta is not None:
-            entry["theta"] = [[float(v) for v in row] for row in sol.theta]
-        out.append(entry)
-    return {
-        "schema": SCHEMA,
-        "type": "phase_solutions",
-        "solutions": out,
-        "degeneracy_notes": list(degeneracy_notes or []),
-    }
 
 
 def dump(doc: dict, path) -> None:

@@ -69,6 +69,39 @@ LOCAL_MINIMUM_STATE = g2_g3_nbar(GaussianParams.single_mode(1.76 * np.exp(-1.77j
                                                             1.14, 3.12, 0.05))
 
 
+class TestMeasurementSetRejectsBadData:
+    """Non-finite entries and unknown sigma names stop at construction."""
+
+    @staticmethod
+    def fields(rng):
+        m = synthesize_measurements(derive_moments(displaced_thermal_params(rng, 2)),
+                                    include_p0=True)
+        return {"nbar": m.nbar.copy(), "p0": m.p0.copy(), "g2": m.g2.copy(),
+                "g1_abs": m.g1_abs.copy(), "g1_phase": m.g1_phase.copy(), "g3": m.g3}
+
+    def test_clean_data_accepted(self, rng):
+        MeasurementSet(2, sigma={"g2": 1e-3, "p0": 0.0}, **self.fields(rng))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name,index", [("nbar", 1), ("p0", 1), ("g2", (0, 1)),
+                                            ("g1_abs", (1, 0)), ("g1_phase", (0, 1))])
+    def test_non_finite_entry(self, rng, name, index, bad):
+        fields = self.fields(rng)
+        fields[name][index] = bad
+        with pytest.raises(ValidationError, match=f"{name} entries must be finite"):
+            MeasurementSet(2, **fields)
+
+    @pytest.mark.parametrize("key", ["g4", "sigma_g2", "G2"])
+    def test_unknown_sigma_name(self, rng, key):
+        with pytest.raises(ValidationError, match="unknown sigma name"):
+            MeasurementSet(2, sigma={key: 1e-3}, **self.fields(rng))
+
+    @pytest.mark.parametrize("value", [-1e-3, np.nan, np.inf, "abc", None])
+    def test_bad_sigma_value(self, rng, value):
+        with pytest.raises(ValidationError, match="sigma g2"):
+            MeasurementSet(2, sigma={"g2": value}, **self.fields(rng))
+
+
 class TestSingleMode:
     def test_squeezed_thermal_example(self):
         cls = classify_single_mode(single_mode_set(4.0106213337, 24.0955920032), tol=1e-6)

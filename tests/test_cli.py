@@ -93,10 +93,22 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
-# Run in a fresh interpreter; after each step it records the scipy modules loaded so far.
+# Run in a fresh interpreter where importing scipy raises ImportError; after
+# each step it records the exit code and the scipy modules loaded so far.
 _SCIPY_FREE_COMMANDS = """
 import json, sys
 from pathlib import Path
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked here: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+
 
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -110,9 +122,13 @@ report.append(["import gausstat.cli", 0, loaded()])
 import numpy as np
 from gausstat.cli import main
 from gausstat.serialize import dump, params_to_json
-from gausstat.states import GaussianParams
+from gausstat.states import GaussianParams, balanced_beamsplitter_duplicate
 
 tmp = Path(sys.argv[1])
+z2 = np.array([[0.3, 0.1], [0.1, 0.2]], dtype=complex)
+phi2 = np.array([[0.0, 0.4], [0.4, 0.0]])
+two_port = GaussianParams(np.array([0.4, 0.3j]), z2, phi2, np.array([0.1, 0.3]))
+_, minus = balanced_beamsplitter_duplicate(two_port)
 states = {
     "squeezed": GaussianParams.single_mode(r=0.5, occupation=0.2),
     "displaced": GaussianParams.single_mode(alpha=0.7, occupation=0.2),
@@ -120,6 +136,13 @@ states = {
                                       occupation=0.1),
     "pair": GaussianParams(np.zeros(2), 0.3 * np.eye(2, dtype=complex),
                            np.zeros((2, 2)), np.zeros(2)),
+    "nd2": GaussianParams(np.zeros(2), z2, phi2, np.array([0.1, 0.3])),
+    "ns2": GaussianParams(np.array([0.5, 0.3j]), np.zeros((2, 2)), phi2,
+                          np.array([0.1, 0.3])),
+    "orig2": two_port,
+    "minus2": minus,
+    "m3": GaussianParams(np.array([0.3, 0.2j, 0.25]), 0.1 * np.eye(3, dtype=complex),
+                         0.2 * np.ones((3, 3)), np.array([0.05, 0.1, 0.08])),
 }
 for name, params in states.items():
     dump(params_to_json(params), tmp / f"{name}.json")
@@ -130,7 +153,18 @@ for argv in (["simulate", "squeezed.json", "--out", "squeezed-m.json"],
              ["classify", "dst-m.json", "--out", "classify.json"],
              ["reconstruct", "squeezed-m.json", "--out", "rec-nd.json"],
              ["reconstruct", "displaced-m.json", "--out", "rec-ns.json"],
-             ["curves", "--relation", "eq20", "--num", "3", "--out", "curves.csv"]):
+             ["curves", "--relation", "eq20", "--num", "3", "--out", "curves.csv"],
+             ["simulate", "nd2.json", "--out", "nd2-m.json"],
+             ["simulate", "ns2.json", "--out", "ns2-m.json"],
+             ["simulate", "orig2.json", "--out", "orig2-m.json"],
+             ["simulate", "minus2.json", "--out", "minus2-m.json"],
+             ["reconstruct", "nd2-m.json", "--sector", "nd", "--out", "rec-nd2.json"],
+             ["reconstruct", "ns2-m.json", "--sector", "ns", "--out", "rec-ns2.json"],
+             ["reconstruct", "minus2-m.json", "orig2-m.json", "--sector", "dst",
+              "--out", "rec-dst2.json"],
+             ["verify", "dst.json", "--out", "verify1.json"],
+             ["verify", "orig2.json", "--out", "verify2.json"],
+             ["verify", "m3.json", "--out", "verify3.json"]):
     code = main([str(tmp / a) if a.endswith((".json", ".csv")) else a for a in argv])
     report.append([" ".join(argv), code, loaded()])
 print(json.dumps(report))
@@ -138,15 +172,21 @@ print(json.dumps(report))
 
 
 def test_commands_without_scipy_leave_it_unloaded(tmp_path):
-    """Importing the package and running every command that needs no scipy
-    (all but multimode reconstruct and verify) loads no scipy module."""
+    """Every command, multimode reconstruct (nd, ns and dst) and verify at
+    M = 1, 2 and 3 included, runs to exit 0 with scipy blocked from import,
+    and none loads a scipy module."""
     env = dict(os.environ, PYTHONPATH=str(Path(gausstat.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_COMMANDS, str(tmp_path)],
                          capture_output=True, text=True, env=env, check=True)
     report = json.loads(out.stdout.splitlines()[-1])
-    assert len(report) == 10
+    assert len(report) == 20
     for step, code, loaded in report:
         assert (step, code, loaded) == (step, 0, [])
+    for name in ("rec-nd2.json", "rec-ns2.json", "rec-dst2.json"):
+        assert load(tmp_path / name)["residual"] < 1e-6
+    verify3 = load(tmp_path / "verify3.json")
+    assert "g3_012" in {row["observable"] for row in verify3["rows"]}
+    assert verify3["worst_abs_error"] <= verify3["oracle_budget"]
 
 
 class TestClassifyReconstruct:
@@ -275,6 +315,50 @@ class TestClassifyReconstruct:
         corrupt(doc)
         dump(doc, meas)
         assert run("classify", meas) == 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["nbar"].__setitem__(1, None),
+    lambda doc: doc["g1_phase"][0].__setitem__(1, None),
+    lambda doc: doc["p0"].__setitem__(1, None),
+], ids=["nbar", "g1_phase", "p0"])
+def test_json_null_in_measurement_array_is_rejected(tmp_path, capsys, corrupt):
+    """A null inside a measurement array would become NaN; both commands
+    that read measurements stop it with a validation error (exit 2)."""
+    params = GaussianParams(np.array([0.5, 0.3j]), np.zeros((2, 2)),
+                            np.array([[0.0, 0.4], [0.4, 0.0]]), np.array([0.1, 0.2]))
+    meas = tmp_path / "meas.json"
+    assert run("simulate", write_params(tmp_path, params), "--out", meas) == 0
+    assert run("classify", meas) == 0
+    doc = load(meas)
+    corrupt(doc)
+    dump(doc, meas)
+    capsys.readouterr()
+    assert run("classify", meas) == 2
+    assert run("reconstruct", meas) == 2
+    assert run("reconstruct", meas, "--sector", "ns") == 2
+    assert "entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["g2"].__setitem__(1, None),
+    lambda doc: doc["nbar"].append(0.5),
+    lambda doc: doc.update(sigma={"g2": -1.0}),
+    lambda doc: doc.update(sigma={"g2": "abc"}),
+    lambda doc: doc.update(sigma=[1e-3]),
+], ids=["null-row", "long-nbar", "negative-sigma", "string-sigma", "sigma-list"])
+def test_malformed_measurement_document_is_rejected(tmp_path, corrupt):
+    """Malformed arrays and sigma values end in a validation error (exit 2),
+    not a traceback or a verdict resting on a negative uncertainty."""
+    params = GaussianParams(np.array([0.5, 0.3j]), np.zeros((2, 2)),
+                            np.array([[0.0, 0.4], [0.4, 0.0]]), np.array([0.1, 0.2]))
+    meas = tmp_path / "meas.json"
+    assert run("simulate", write_params(tmp_path, params), "--out", meas) == 0
+    doc = load(meas)
+    corrupt(doc)
+    dump(doc, meas)
+    assert run("classify", meas) == 2
+    assert run("reconstruct", meas) == 2
 
 
 class TestScanCli:

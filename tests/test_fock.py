@@ -1,6 +1,8 @@
 """Truncated Fock-space oracle."""
 
+import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,13 +10,13 @@ from conftest import random_params
 from scipy import sparse
 from scipy.linalg import expm
 
-from gausstat.cli import VERIFY_CUTOFFS
+from gausstat.cli import VERIFY_CUTOFFS, VERIFY_LADDERS
 from gausstat.errors import TruncationError, ValidationError
 from gausstat.fock import (
     _TAIL_LEVELS,
     DEFAULT_CUTOFFS,
+    MAX_DIMENSION,
     TruncatedDensity,
-    _sparse_annihilators,
     build_density,
     mode_number_distribution_matrix,
     moment_bruteforce,
@@ -23,7 +25,7 @@ from gausstat.fock import (
     vacuum_overlap,
 )
 from gausstat.states import GaussianParams, derive_moments
-from gausstat.words import LadderWord, correlation_word, gaussian_moment
+from gausstat.words import LadderOp, LadderWord, correlation_word, gaussian_moment
 
 
 def test_vacuum_is_projector():
@@ -126,6 +128,76 @@ def test_g3_word_matches_kernel(rng):
     table = derive_moments(params).to_moment_table()
     word = correlation_word((0, 0, 1))
     assert abs(moment_bruteforce(rho, word) - gaussian_moment(word, table)) < 2e-6
+
+
+def test_dimension_limit_covers_verify_ladders():
+    assert max(c**m for m, ladder in VERIFY_LADDERS.items() for c in ladder) <= MAX_DIMENSION
+    assert max(c**m for m, c in DEFAULT_CUTOFFS.items()) <= MAX_DIMENSION
+
+
+@pytest.mark.parametrize("modes,cutoff", [(1, MAX_DIMENSION + 1), (2, 65), (3, 17)])
+def test_dimension_limit_rejects_before_allocating(modes, cutoff):
+    params = random_params(np.random.default_rng(modes), modes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="exceeds limit"):
+            build_density(params, cutoff=cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cutoff**modes > MAX_DIMENSION
+    assert peak < 1e6  # one dense matrix at this size would take over 256 MB
+
+
+@lru_cache(maxsize=8)
+def _sparse_annihilators(modes: int, cutoff: int):
+    """The truncated annihilators as sparse Kronecker products (mode 0 outermost)."""
+    a = sparse.diags(np.sqrt(np.arange(1, cutoff)), 1, dtype=complex, format="csr")
+    eye = sparse.identity(cutoff, dtype=complex, format="csr")
+    out = []
+    for k in range(modes):
+        op = None
+        for m in range(modes):
+            factor = a if m == k else eye
+            op = factor if op is None else sparse.kron(op, factor, format="csr")
+        out.append(op.tocsr())
+    return tuple(out)
+
+
+def _sparse_words(modes, cutoff, max_order):
+    """(word, O) for every word of order 1..max_order, with O the product of
+    the sparse truncated ladder matrices, each built from its prefix's O."""
+    ladders = _sparse_annihilators(modes, cutoff)
+    letters = [(LadderOp(k, c), ladders[k].conj().T.tocsr() if c else ladders[k])
+               for k in range(modes) for c in (False, True)]
+    stack = [((), None)]
+    while stack:
+        prefix, mat = stack.pop()
+        for op, letter in letters:
+            ops, prod = prefix + (op,), letter if mat is None else mat @ letter
+            yield LadderWord(ops), prod
+            if len(ops) < max_order:
+                stack.append((ops, prod))
+
+
+@pytest.mark.parametrize("modes,cutoff", sorted(set(DEFAULT_CUTOFFS.items())
+                                                | set(VERIFY_CUTOFFS.items())))
+def test_moment_matches_sparse_product_on_every_word(modes, cutoff):
+    """Index arithmetic equals Tr[rho O] with O the sparse matrix product, the
+    former ``moment_bruteforce``, on every word of order 1-6 at every cutoff
+    that the oracle uses by default or in verify."""
+    params = random_params(np.random.default_rng(10 * modes + cutoff), modes,
+                           alpha_max=0.5, r_max=0.3, n_max=0.3)
+    rho = build_density(params, cutoff=cutoff, tail_tol=1.0)
+    words = 0
+    worst = 0.0
+    for word, op in _sparse_words(modes, cutoff, 6):
+        op = op.tocoo()
+        ref = complex((op.data * rho.matrix[op.col, op.row]).sum())
+        worst = max(worst, abs(moment_bruteforce(rho, word) - ref) / max(1.0, abs(ref)))
+        words += 1
+    assert words == sum((2 * modes) ** k for k in range(1, 7))
+    assert worst <= 1e-12
 
 
 def expm_reference_build(params, cutoff, tail_tol=1e-3):

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_params, random_symmetric
+from scipy.linalg import block_diag, expm, logm, schur, sqrtm
 
 from gausstat import recon_multi
 from gausstat.classify import synthesize_measurements
@@ -20,6 +21,8 @@ from gausstat.recon_multi import (
     recon_displaced_squeezed_multi,
     recon_displaced_thermal_multi,
     recon_squeezed_thermal_multi,
+    rotation_from_unitary,
+    squeeze_from_blocks,
     symplectic_form,
     symplectic_spectrum,
     takagi,
@@ -371,3 +374,236 @@ def test_near_unit_cosine_squeezed_thermal_reconstructs():
     m = synthesize_measurements(derive_moments(params))
     rec = recon_squeezed_thermal_multi(m, tol=1e-8)
     assert measurement_residual(rec.params, m) < 1e-6
+
+
+# --- the former scipy matrix functions, as references -----------------------
+
+def williamson_reference(v, tol=1e-8):
+    """The former ``williamson``: real Schur form of V^(-1/2) Omega V^(-1/2)."""
+    v = 0.5 * (v + v.T)
+    m = v.shape[0] // 2
+    omega = symplectic_form(m)
+    v_mhalf = np.real(sqrtm(np.linalg.inv(v)))
+    kernel = v_mhalf @ omega @ v_mhalf
+    kernel = 0.5 * (kernel - kernel.T)
+    t, q = schur(kernel, output="real")
+    flip = []
+    mu = []
+    for k in range(m):
+        val = t[2 * k, 2 * k + 1]
+        flip.append(np.array([[0.0, 1.0], [1.0, 0.0]]) if val < 0 else np.eye(2))
+        mu.append(abs(val))
+    q = q @ block_diag(*flip)
+    d = 1.0 / np.array(mu)
+    perm = np.zeros((2 * m, 2 * m))
+    for k in range(m):
+        perm[k, 2 * k] = 1.0
+        perm[m + k, 2 * k + 1] = 1.0
+    dhalf = block_diag(*[np.eye(2) * np.sqrt(dk) for dk in d])
+    s = np.linalg.inv(perm @ dhalf @ q.T @ v_mhalf)
+    order = np.argsort(d)[::-1]
+    reorder = np.zeros((2 * m, 2 * m))
+    for new, old in enumerate(order):
+        reorder[old, new] = 1.0
+        reorder[m + old, m + new] = 1.0
+    return recon_multi.WilliamsonResult(d[order], s @ reorder,
+                                        bool(np.any(np.abs(np.diff(d[order])) < 1e-7)))
+
+
+def takagi_reference(sym, tol=1e-12):
+    """The former ``takagi``: per-group phases from scipy's sqrtm."""
+    sym = np.asarray(sym, dtype=complex)
+    n = sym.shape[0]
+    if np.abs(sym).max() < tol:
+        return np.zeros(n), np.eye(n, dtype=complex)
+    u, s, vh = np.linalg.svd(sym)
+    w = vh.conj().T
+    groups = []
+    start = 0
+    for k in range(1, n + 1):
+        if k == n or abs(s[k] - s[start]) > 1e-8 * (1 + s[0]):
+            groups.append(list(range(start, k)))
+            start = k
+    blocks = [sqrtm((u[:, grp].T @ w[:, grp]).astype(complex)) for grp in groups]
+    return s.copy(), u @ block_diag(*blocks).conj()
+
+
+def rotation_reference(u):
+    """The former ``rotation_from_unitary``: -i logm(u), made hermitian."""
+    h = -1j * logm(np.asarray(u, dtype=complex))
+    return 0.5 * (h + h.conj().T)
+
+
+@pytest.fixture
+def reference_path(monkeypatch):
+    """Switch recon_multi to the scipy references for the duration of a call."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(recon_multi, "williamson", williamson_reference)
+            patch.setattr(recon_multi, "takagi", takagi_reference)
+            patch.setattr(recon_multi, "rotation_from_unitary", rotation_reference)
+            return fn(*args, **kwargs)
+    return run
+
+
+def _unitary(rng, angles):
+    n = len(angles)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+
+
+def _observables(params):
+    mom = derive_moments(params)
+    return mom.nbar, mom.cov, mom.coherence_matrix()
+
+
+def _same_observables(a, b, atol=1e-10):
+    return all(np.abs(x - y).max() <= atol for x, y in zip(_observables(a), _observables(b)))
+
+
+def assert_same_observables(a, b, atol=1e-10):
+    assert _same_observables(a, b, atol)
+
+
+def assert_same_solution_sets(new, ref):
+    """The kept solutions, primary and listed, pair off by their observables,
+    and the primary residuals agree; near-ties may order the set differently."""
+    assert new.residual == pytest.approx(ref.residual, abs=1e-10)
+    unmatched = [ref.params, *ref.ambiguity.discrete_solutions]
+    for params in (new.params, *new.ambiguity.discrete_solutions):
+        match = next((k for k, r in enumerate(unmatched) if _same_observables(params, r)), None)
+        assert match is not None, "a kept solution is missing from the reference"
+        unmatched.pop(match)
+    assert not unmatched
+
+
+class TestRotationFromUnitaryVsLogm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_random_unitaries(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            u = _unitary(rng, rng.uniform(-np.pi, np.pi, n))
+            assert np.abs(rotation_from_unitary(u) - rotation_reference(u)).max() <= 1e-10
+
+    @pytest.mark.parametrize("angle", [np.pi - 1e-6, np.pi - 1e-9, -np.pi + 1e-9,
+                                       -np.pi + 1e-6])
+    def test_eigenvalue_near_minus_one(self, angle):
+        u = _unitary(np.random.default_rng(7), [angle, 0.5, -1.0])
+        phi = rotation_from_unitary(u)
+        assert np.abs(phi - rotation_reference(u)).max() <= 1e-10
+        assert np.linalg.eigvalsh(phi) == pytest.approx(sorted([angle, 0.5, -1.0]), abs=1e-10)
+
+    @pytest.mark.parametrize("u", [
+        np.diag(np.exp(1j * np.array([np.pi, 0.3, -2.0]))),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1, 0], [1, 0, 0], [0, 0, -1]], dtype=complex),
+    ], ids=["diagonal", "swap", "rotation-reflection"])
+    def test_eigenvalue_at_minus_one(self, u):
+        phi = rotation_from_unitary(u)
+        assert np.abs(phi - rotation_reference(u)).max() <= 1e-10
+        assert np.linalg.eigvalsh(phi).max() == pytest.approx(np.pi, abs=1e-12)
+
+    def test_minus_identity_takes_principal_branch(self):
+        # the principal branch gives +pi; scipy's logm of a complex -I returns -i pi I
+        phi = rotation_from_unitary(-np.eye(3, dtype=complex))
+        assert np.abs(phi - np.pi * np.eye(3)).max() <= 1e-12
+        assert np.abs(rotation_reference(-np.eye(3, dtype=complex)) + np.pi * np.eye(3)).max() \
+            <= 1e-12
+
+    @pytest.mark.parametrize("angles", [[1.0, 1.0, 1.0, -0.5], [1.0, 1.0 + 1e-9, -2.0],
+                                        [np.pi, np.pi - 1e-9, 0.0], [0.2] * 4])
+    def test_degenerate_clusters(self, angles):
+        u = _unitary(np.random.default_rng(len(angles)), angles)
+        phi = rotation_from_unitary(u)
+        assert np.abs(phi - rotation_reference(u)).max() <= 1e-10
+        assert np.abs(expm(1j * phi) - u).max() <= 1e-12
+
+    def test_near_unitary_expiphi(self, monkeypatch):
+        # the e^{i phi} that params_from_covariance builds, unitary only to rounding
+        seen = []
+        monkeypatch.setattr(recon_multi, "rotation_from_unitary",
+                            lambda u: seen.append(u) or rotation_from_unitary(u))
+        rng = np.random.default_rng(11)
+        for modes in (1, 2, 3, 4):
+            for _ in range(5):
+                params = random_params(rng, modes, alpha_max=0.0)
+                params_from_covariance(ComplexCovariance.from_moments(derive_moments(params)),
+                                       np.zeros(modes))
+        assert len(seen) == 20
+        for u in seen:
+            assert np.abs(rotation_from_unitary(u) - rotation_reference(u)).max() <= 1e-10
+
+
+class TestNumpyPathVsScipyReference:
+    def test_williamson_spectrum_and_symplectic(self):
+        rng = np.random.default_rng(12)
+        for modes in (1, 2, 3, 4):
+            for _ in range(10):
+                v = complex_to_real_cov(ComplexCovariance.from_moments(
+                    derive_moments(random_params(rng, modes))))
+                res, ref = williamson(v), williamson_reference(v)
+                assert np.abs(res.D - ref.D).max() <= 1e-10
+                omega = symplectic_form(modes)
+                assert np.abs(res.S @ omega @ res.S.T - omega).max() <= 1e-10
+                dd = np.diag(np.concatenate([res.D, res.D]))
+                assert np.abs(res.S @ dd @ res.S.T - v).max() <= 1e-10
+
+    def test_takagi_matches_reference(self):
+        rng = np.random.default_rng(13)
+        q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        for sym in [random_symmetric(rng, n, 0.8) for n in (1, 2, 3, 4)] + [
+                q @ np.diag([0.5, 0.5, 0.2]) @ q.T]:
+            (s, u), (s_ref, u_ref) = takagi(sym), takagi_reference(sym)
+            assert np.abs(s - s_ref).max() <= 1e-12
+            assert np.abs(u - u_ref).max() <= 1e-10
+
+    def test_squeeze_from_blocks(self, reference_path):
+        rng = np.random.default_rng(14)
+        for modes in (1, 2, 3):
+            params = random_params(rng, modes, alpha_max=0.0)
+            res = williamson(complex_to_real_cov(
+                ComplexCovariance.from_moments(derive_moments(params))))
+            lam = recon_multi._ladder_to_quadrature(modes)
+            blocks = lam.conj().T @ res.S @ lam
+            e_block, f_block = blocks[:modes, :modes], blocks[:modes, modes:]
+            z, phi = squeeze_from_blocks(e_block, f_block)
+            z_ref, phi_ref = reference_path(squeeze_from_blocks, e_block, f_block)
+            assert np.abs(z - z_ref).max() <= 1e-10
+            assert np.abs(phi - phi_ref).max() <= 1e-10
+
+    def test_params_from_covariance(self, reference_path):
+        rng = np.random.default_rng(15)
+        for modes in (1, 2, 3, 4):
+            for _ in range(5):
+                params = random_params(rng, modes, alpha_max=0.0)
+                cov = ComplexCovariance.from_moments(derive_moments(params))
+                alpha = np.zeros(modes)
+                new = params_from_covariance(cov, alpha)
+                ref = reference_path(params_from_covariance, cov, alpha)
+                assert_same_observables(new, ref)
+                assert_same_observables(new, params)
+
+    @pytest.mark.parametrize("modes", [2, 3, 4])
+    def test_squeezed_thermal_reconstruction(self, reference_path, modes):
+        params = TestSqueezedThermalMulti().make(np.random.default_rng(16 + modes), modes)
+        m = synthesize_measurements(derive_moments(params))
+        assert_same_solution_sets(recon_squeezed_thermal_multi(m),
+                                  reference_path(recon_squeezed_thermal_multi, m))
+
+    @pytest.mark.parametrize("modes", [2, 3, 4])
+    def test_displaced_thermal_reconstruction(self, reference_path, modes):
+        params = TestDisplacedThermalMulti().make(np.random.default_rng(20 + modes), modes)
+        m = synthesize_measurements(derive_moments(params))
+        assert_same_solution_sets(recon_displaced_thermal_multi(m),
+                                  reference_path(recon_displaced_thermal_multi, m))
+
+    @pytest.mark.parametrize("ref_port", ["orig", "plus"])
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_displaced_squeezed_reconstruction(self, reference_path, modes, ref_port):
+        params = TestDisplacedSqueezedMulti().make(np.random.default_rng(30 + modes), modes)
+        plus, minus = balanced_beamsplitter_duplicate(params)
+        m_minus = synthesize_measurements(derive_moments(minus))
+        m_ref = synthesize_measurements(derive_moments(params if ref_port == "orig" else plus))
+        assert_same_solution_sets(
+            recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=ref_port),
+            reference_path(recon_displaced_squeezed_multi, m_minus, m_ref, ref_port=ref_port))

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_hermitian, random_params, random_symmetric
 
 from gausstat.errors import NumericalError, UndefinedCorrelationError, ValidationError
-from gausstat.fock import _sparse_annihilators, build_density, vacuum_overlap
+from gausstat.fock import build_density, moment_bruteforce, vacuum_overlap
 from gausstat.states import (
     BogoliubovMap,
     GaussianParams,
@@ -28,15 +28,14 @@ from gausstat.words import LadderWord, gaussian_moment
 
 def oracle_moments(rho):
     """(alpha, <a_i a_j>, <a_i† a_j>) measured directly from a truncated density."""
-    m, d = rho.modes, rho.dim
-    ladders = [op.toarray() for op in _sparse_annihilators(m, d)]
-    alpha = np.array([complex((rho.matrix * ladders[i].T).sum()) for i in range(m)])
-    aa = np.zeros((m, m), dtype=complex)
-    adag_a = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            aa[i, j] = (rho.matrix * (ladders[i] @ ladders[j]).T).sum()
-            adag_a[i, j] = (rho.matrix * (ladders[i].conj().T @ ladders[j]).T).sum()
+    m = rho.modes
+
+    def moment(spec):
+        return moment_bruteforce(rho, LadderWord.from_spec(spec))
+
+    alpha = np.array([moment(f"{i}-") for i in range(m)])
+    aa = np.array([[moment(f"{i}- {j}-") for j in range(m)] for i in range(m)])
+    adag_a = np.array([[moment(f"{i}+ {j}-") for j in range(m)] for i in range(m)])
     return alpha, aa, adag_a
 
 
