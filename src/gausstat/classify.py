@@ -7,6 +7,14 @@ non-displaced line, so every verdict carries an explicit evidence-only caveat.
 Residuals are normalized by first-order propagated uncertainties when the
 measurement set carries sigmas (acceptance at 3 sigma); exact synthetic data
 falls back to a flat tolerance.
+
+The multimode hypotheses (zero squeezing, zero displacement) share one
+routine: extract phase cosines from g3_iij, solve the phase system, and score
+each solution against g3.  An all-distinct g3_ijk is predicted by the same
+kernel as ``g3_tensor`` (``states._g3_kernel``), fed with the measured g1 and
+g2 - 1 and the sector's blocks: c = 0 and b_i = sqrt(a_i) e^{i phi_i}, or
+b = 0 and c_ij = sqrt(q_ij) e^{i Theta_ij} with the moduli clipped at q = 0;
+g3_iii is scored against the single-mode relation of the sector.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .phases import (
     solve_covariance_phases,
     solve_displacement_phases,
 )
-from .states import MomentSummary, g2_tensor, g3_tensor, mode_vacuum_probability
+from .states import MomentSummary, g2_tensor, g3_tensor, mode_vacuum_probability, _g3_kernel
 
 NON_DISPLACED = "NonDisplaced"
 NON_SQUEEZED = "NonSqueezed"
@@ -185,6 +193,23 @@ def _tolerance(m: MeasurementSet, flat_tol: float, dg2: float = 0.0, dg3: float 
     return max(flat_tol, 3.0 * propagated)
 
 
+def _nd_line(g2):
+    """g3 on the non-displaced line, g3 = 9 g2 - 12."""
+    return 9.0 * g2 - 12.0
+
+
+def _ns_curve(g2):
+    """g3 on the non-squeezed curve, g3 = 9 g2 - 12 + 4 (2 - g2)^(3/2), 2 - g2 clipped at 0."""
+    return _nd_line(g2) + 4.0 * np.clip(2.0 - g2, 0.0, None) ** 1.5
+
+
+def _require(m: MeasurementSet, purpose: str, *names: str) -> None:
+    """Raise InsufficientDataError naming every listed field that m lacks."""
+    missing = [name for name in names if getattr(m, name) is None]
+    if missing:
+        raise InsufficientDataError(f"{purpose} needs {', '.join(missing)}")
+
+
 # Slack at component ends: near s = 0 a rounding error in a root grows by
 # about 2a/s in y.
 _ROUNDING = 1e-9
@@ -309,7 +334,7 @@ def classify_single_mode(m: MeasurementSet, tol: float = 1e-6) -> Classification
     residuals = []
 
     tol_r1 = _tolerance(m, tol, dg2=9.0, dg3=1.0)
-    r1 = abs(g3 - (9.0 * g2 - 12.0))
+    r1 = float(abs(g3 - _nd_line(g2)))
     residuals.append(RelationResidual("non-displaced: g3 = 9 g2 - 12", r1, tol_r1))
 
     r2 = np.inf
@@ -317,7 +342,7 @@ def classify_single_mode(m: MeasurementSet, tol: float = 1e-6) -> Classification
     if g2 <= 2.0 + tol:
         slope = 9.0 + 6.0 * np.sqrt(max(2.0 - g2, 0.0))
         tol_r2 = _tolerance(m, tol, dg2=slope, dg3=1.0)
-        r2 = abs(g3 - (9.0 * g2 - 12.0 + 4.0 * max(2.0 - g2, 0.0) ** 1.5))
+        r2 = float(abs(g3 - _ns_curve(g2)))
         residuals.append(RelationResidual("non-squeezed: g3 = 9 g2 - 12 + 4 (2 - g2)^(3/2)",
                                           r2, tol_r2))
 
@@ -357,6 +382,16 @@ def _sqrt_clip(x):
     return np.sqrt(np.clip(x, 0.0, None))
 
 
+def _covariance_q(m: MeasurementSet) -> np.ndarray:
+    """|cov_ij|^2 / (nbar_i nbar_j) of a non-displaced state.
+
+    g2_ij - |g1_ij|^2 - 1 off the diagonal and g2_ii - 2 on it.
+    """
+    q = m.g2 - m.g1_abs**2 - 1.0
+    np.fill_diagonal(q, np.diag(m.g2) - 2.0)
+    return q
+
+
 def _cosine_excess(c: np.ndarray) -> float:
     """How far extracted cosines leave [-1, 1]; > 0 falsifies the hypothesis."""
     finite = c[np.isfinite(c)]
@@ -365,105 +400,82 @@ def _cosine_excess(c: np.ndarray) -> float:
     return float(max(np.abs(finite).max() - 1.0, 0.0))
 
 
+def _phase_cosines(m: MeasurementSet, label: str, numerator, denom: np.ndarray) -> np.ndarray:
+    """numerator(g3_iij) / denom at [i, j], NaN where |denom| < 1e-12 or i = j.
+
+    g3_iij is gathered into one matrix; an entry that carries phase
+    information but is missing from m.g3 raises InsufficientDataError, which
+    names every such entry.
+    """
+    mm = m.modes
+    informative = np.abs(denom) >= 1e-12
+    np.fill_diagonal(informative, False)
+    g3 = np.array([[m.g3.get(tuple(sorted((i, i, j))), np.nan) for j in range(mm)]
+                   for i in range(mm)])
+    missing = np.argwhere(informative & np.isnan(g3)).tolist()
+    if missing:
+        raise InsufficientDataError(f"{label} phase extraction needs g3 entries: "
+                                    + ", ".join(str((i, i, j)) for i, j in missing))
+    return np.where(informative, numerator(g3) / np.where(informative, denom, 1.0), np.nan)
+
+
 def _extract_ns_cosines(m: MeasurementSet):
     """cos(Phi_ij + phi_i - phi_j) from g3_iij under the non-squeezed hypothesis.
 
     Uses g3_iij = 2 + 4|g1_ij|^2 - a_i^2 - 4 a_i a_j + 4 a_i^2 a_j
     - 4|g1_ij| a_i^(3/2) a_j^(1/2) cos(Phi_ij + phi_i - phi_j) with
     a_i = sqrt(2 - g2_ii), obtained by specialising the general
-    displaced-thermal g3 to two matching indices.
+    displaced-thermal g3 to two matching indices.  The (i, j) and (j, i)
+    estimates are averaged where both carry phase information.
     """
-    mm = m.modes
-    g2, g1a = m.g2, m.g1_abs
-    a = _sqrt_clip(2.0 - np.diag(g2))
-    c = np.full((mm, mm), np.nan)
-    missing = []
-    for i in range(mm):
-        for j in range(mm):
-            if i == j:
-                continue
-            denom = 4.0 * g1a[i, j] * a[i] ** 1.5 * a[j] ** 0.5
-            if abs(denom) < 1e-12:
-                continue  # no phase information in this entry
-            key = tuple(sorted((i, i, j)))
-            if key not in m.g3:
-                missing.append((i, i, j))
-                continue
-            base = (2.0 + 4.0 * g1a[i, j] ** 2 - a[i] ** 2 - 4.0 * a[i] * a[j]
-                    + 4.0 * a[i] ** 2 * a[j])
-            val = (base - m.g3[key]) / denom
-            cij = val if np.isnan(c[i, j]) else 0.5 * (c[i, j] + val)
-            c[i, j] = c[j, i] = cij
-    if missing:
-        raise InsufficientDataError(
-            "non-squeezed phase extraction needs g3 entries: "
-            + ", ".join(map(str, sorted(set(missing)))))
-    return c
+    g1a = m.g1_abs
+    a = _sqrt_clip(2.0 - np.diag(m.g2))
+    ai, aj = a[:, None], a[None, :]
+    base = 2.0 + 4.0 * g1a**2 - ai**2 - 4.0 * ai * aj + 4.0 * ai**2 * aj
+    val = _phase_cosines(m, "non-squeezed", lambda g3: base - g3,
+                         4.0 * g1a * ai**1.5 * aj**0.5)
+    return np.where(np.isnan(val), val.T, np.where(np.isnan(val.T), val, 0.5 * (val + val.T)))
 
 
 def _extract_nd_cosines(m: MeasurementSet):
     """cos(Phi_ij - Theta_ij + Theta_ii) from g3_iij under the non-displaced hypothesis."""
-    mm = m.modes
-    g2, g1a = m.g2, m.g1_abs
-    c = np.full((mm, mm), np.nan)
-    missing = []
-    for i in range(mm):
-        for j in range(mm):
-            if i == j:
-                continue
-            q_ij = g2[i, j] - g1a[i, j] ** 2 - 1.0
-            q_ii = g2[i, i] - 2.0
-            denom = 4.0 * g1a[i, j] * _sqrt_clip(q_ij * q_ii)
-            if abs(denom) < 1e-12:
-                continue
-            key = tuple(sorted((i, i, j)))
-            if key not in m.g3:
-                missing.append((i, i, j))
-                continue
-            c[i, j] = (m.g3[key] - g2[i, i] - 4.0 * g2[i, j] + 4.0) / denom
-    if missing:
-        raise InsufficientDataError(
-            "non-displaced phase extraction needs g3 entries: "
-            + ", ".join(map(str, sorted(set(missing)))))
-    return c
+    g2 = m.g2
+    q = _covariance_q(m)
+    return _phase_cosines(m, "non-displaced",
+                          lambda g3: g3 - np.diag(g2)[:, None] - 4.0 * g2 + 4.0,
+                          4.0 * m.g1_abs * _sqrt_clip(q * np.diag(q)[:, None]))
 
 
-def _ns_predicted_g3(m: MeasurementSet, phases, i, j, k):
-    """g3_ijk of a displaced thermal state from g2, g1 and displacement phases."""
-    g2, g1a = m.g2, m.g1_abs
-    phi = m.g1_phase
-    a = {t: _sqrt_clip(2.0 - g2[t, t]) for t in (i, j, k)}
-    val = (g2[i, j] + g2[j, k] + g2[i, k] - 2.0
-           + 2.0 * g1a[i, j] * g1a[j, k] * g1a[i, k]
-           * np.cos(phi[i, j] + phi[j, k] - phi[i, k])
-           + 4.0 * a[i] * a[j] * a[k]
-           - 2.0 * (g1a[i, j] * np.sqrt(a[i] * a[j]) * a[k]
-                    * np.cos(phi[i, j] + phases[i] - phases[j])
-                    + g1a[j, k] * np.sqrt(a[j] * a[k]) * a[i]
-                    * np.cos(phi[j, k] + phases[j] - phases[k])
-                    + g1a[i, k] * np.sqrt(a[i] * a[k]) * a[j]
-                    * np.cos(phi[i, k] + phases[i] - phases[k])))
-    return val
+def _mirrored(x: np.ndarray) -> np.ndarray:
+    """The entries of x above the diagonal, mirrored (conjugated) below it, 0 on it.
+
+    An all-distinct triple i < j < k reads only pairs off the diagonal, and
+    measured data need not be exactly symmetric, so every pair is read at
+    i < j, where the per-triple formulas read it.
+    """
+    upper = np.triu(x, 1)
+    return upper + upper.conj().T
 
 
-def _nd_predicted_g3(m: MeasurementSet, theta, i, j, k):
-    """g3_ijk of a squeezed thermal state from g2, g1 and covariance phases."""
-    g2, g1a = m.g2, m.g1_abs
-    phi = m.g1_phase
+def _g3_misfits(m: MeasurementSet, diag_g3: np.ndarray, blocks) -> list:
+    """Worst |g3 - prediction| over the entries of m.g3, once per (c, b) in blocks.
 
-    def q(x, y):
-        return g2[x, y] - g1a[x, y] ** 2 - 1.0
-
-    val = (g2[i, j] + g2[j, k] + g2[i, k] - 2.0
-           + 2.0 * g1a[i, j] * g1a[j, k] * g1a[i, k]
-           * np.cos(phi[i, j] + phi[j, k] - phi[i, k])
-           + 2.0 * g1a[i, j] * _sqrt_clip(q(j, k) * q(i, k))
-           * np.cos(phi[i, j] - theta[j, k] + theta[i, k])
-           + 2.0 * g1a[j, k] * _sqrt_clip(q(i, k) * q(i, j))
-           * np.cos(phi[j, k] - theta[i, k] + theta[i, j])
-           + 2.0 * g1a[i, k] * _sqrt_clip(q(i, j) * q(j, k))
-           * np.cos(-phi[i, k] - theta[i, j] + theta[j, k]))
-    return val
+    g3_iii is predicted by ``diag_g3[i]``, a single-mode relation, and an
+    all-distinct g3_ijk by ``states._g3_kernel`` on the measured g1 (unit
+    diagonal), P = g2 - 1 and the blocks, the same kernel as ``g3_tensor``.
+    Entries with exactly two equal indices carry the cosine data and are not
+    scored.
+    """
+    g = _mirrored(m.g1_complex()) + np.eye(m.modes)
+    pair = _mirrored(m.g2 - 1.0)
+    distinct = [key for key in m.g3 if len(set(key)) == 3]
+    index = tuple(np.array(distinct, dtype=int).reshape(-1, 3).T)
+    values = np.array([m.g3[key] for key in distinct])
+    worst_diag = max((abs(v - diag_g3[key[0]]) for key, v in m.g3.items() if key[0] == key[2]),
+                     default=0.0)
+    return [max(float(worst_diag),
+                float(np.abs(values - _g3_kernel(g, c, b, pair)[index]).max(initial=0.0)))
+            for c, b in blocks]
 
 
 def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
@@ -491,137 +503,93 @@ def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
     return residuals
 
 
-def _phase_report(system: PhaseSystem, solutions: list, stats: SearchStats) -> dict:
-    """How many phase solutions survive, why several do, and the search's branch counts."""
-    return {"n_phase_solutions": len(solutions),
-            "degeneracy_notes": degeneracy_report(system, solutions),
-            "phase_search": asdict(stats)}
+_SOLVERS = {DISPLACEMENT: solve_displacement_phases, COVARIANCE: solve_covariance_phases}
+
+
+def _sector_hypothesis(m: MeasurementSet, label: str, kind: str, extract, blocks,
+                       diag_g3: np.ndarray, tol_rel: float, residuals: list, notes: list):
+    """The steps both sector hypotheses share, after their pre-gate passed.
+
+    Extracts the cosines (``extract``), checks their range, solves the phase
+    system of ``kind`` and scores every solution against g3
+    (``_g3_misfits``); ``blocks(solution)`` gives the solution's phases and
+    the pair (c, b) of its blocks.  Residuals and notes are appended in
+    place.  Returns (passed, the InsufficientDataError that blocked the test
+    or None, the witness or None); the best-scoring solution heads the
+    witness.
+    """
+    try:
+        c = extract(m)
+    except InsufficientDataError as err:
+        notes.append(f"{label} test blocked: {err}")
+        return False, err, None
+    excess = _cosine_excess(c)
+    if excess > tol_rel:
+        notes.append(f"extracted {kind} cosine exceeds 1 by {excess:.3e}")
+        residuals.append(RelationResidual(f"{label} cosine range", excess, tol_rel))
+        return False, None, None
+    system, stats = PhaseSystem(kind, m.g1_phase, np.clip(c, -1, 1)), SearchStats()
+    solutions = _SOLVERS[kind](system, tol=max(10 * tol_rel, 1e-8), stats=stats)
+    if not solutions:
+        notes.append(f"{kind}-phase system has no solution")
+        return False, None, None
+    phases, pairs = zip(*(blocks(s) for s in solutions))
+    worsts = _g3_misfits(m, diag_g3, pairs)
+    best = int(np.argmin(worsts))
+    solutions.insert(0, solutions.pop(best))
+    residuals.append(RelationResidual(f"{label} g3 consistency", worsts[best], tol_rel))
+    witness = {f"{kind}_phases": phases[best].tolist(),
+               "n_phase_solutions": len(solutions),
+               "degeneracy_notes": degeneracy_report(system, solutions),
+               "phase_search": asdict(stats)}
+    return worsts[best] <= tol_rel, None, witness
 
 
 def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
     """Test multimode data against the non-squeezed and non-displaced sectors."""
     if m.modes < 2:
         raise ValidationError("classify_multimode needs at least two modes")
-    if m.g2 is None or m.g1_abs is None:
-        raise InsufficientDataError("multimode classification needs g2 and |g1|")
+    _require(m, "multimode classification", "g2", "g1_abs", "g1_phase")
     mm = m.modes
-    g2, g1a = m.g2, m.g1_abs
+    g2, diag = m.g2, np.diag(m.g2)
     residuals = []
     notes = [EVIDENCE_CAVEAT]
     tol_rel = _tolerance(m, tol, dg2=3.0, dg3=1.0)
 
-    # --- non-squeezed hypothesis
-    ns_ok = True
-    ns_res = 0.0
-    if np.nanmax(np.diag(g2)) > 2.0 + tol_rel:
-        ns_ok = False
-        ns_res = float(np.nanmax(np.diag(g2)) - 2.0)
+    # --- non-squeezed hypothesis: c = 0, b_i = sqrt(a_i) e^{i phi_i}
+    if diag.max() > 2.0 + tol_rel:
+        ns_res = float(diag.max() - 2.0)
         notes.append("a diagonal g2 exceeds 2: incompatible with zero squeezing")
     else:
-        for i in range(mm):
-            for j in range(i + 1, mm):
-                pred = 1.0 + g1a[i, j] ** 2 - _sqrt_clip((2 - g2[i, i]) * (2 - g2[j, j]))
-                ns_res = max(ns_res, abs(g2[i, j] - pred))
-        ns_ok = ns_res <= tol_rel
+        d = 2.0 - diag
+        pred = 1.0 + m.g1_abs**2 - _sqrt_clip(np.outer(d, d))
+        ns_res = float(np.abs(g2 - pred)[np.triu_indices(mm, 1)].max())
     residuals.append(RelationResidual("non-squeezed g2/g1 relation (all pairs)",
                                       ns_res, tol_rel))
-    ns_solutions = []
-    ns_blocked = None
-    ns_system, ns_stats = None, SearchStats()
-    if ns_ok:
-        try:
-            c = _extract_ns_cosines(m)
-            excess = _cosine_excess(c)
-            if excess > tol_rel:
-                ns_ok = False
-                notes.append(f"extracted displacement cosine exceeds 1 by {excess:.3e}")
-                residuals.append(RelationResidual("non-squeezed cosine range",
-                                                  excess, tol_rel))
-            else:
-                ns_system = PhaseSystem(DISPLACEMENT, m.g1_phase, np.clip(c, -1, 1))
-                ns_solutions = solve_displacement_phases(ns_system, tol=max(10 * tol_rel, 1e-8),
-                                                         stats=ns_stats)
-        except InsufficientDataError as err:
-            ns_blocked = err
-            ns_ok = False
-            notes.append(f"non-squeezed test blocked: {err}")
-        if ns_ok and not ns_solutions:
-            ns_ok = False
-            notes.append("displacement-phase system has no solution")
-        elif ns_ok:
-            def ns_worst(sol):
-                worst = 0.0
-                for (i, j, k), val in m.g3.items():
-                    if i == j == k:
-                        d = 2.0 - g2[i, i]
-                        pred = 9.0 * g2[i, i] - 12.0 + 4.0 * np.clip(d, 0, None) ** 1.5
-                        worst = max(worst, abs(val - pred))
-                    elif len({i, j, k}) == 3:
-                        worst = max(worst, abs(val - _ns_predicted_g3(m, sol.phases, i, j, k)))
-                return worst
+    ns_ok, ns_blocked, ns_witness = False, None, None
+    if ns_res <= tol_rel:
+        root_a = np.sqrt(_sqrt_clip(2.0 - diag))
+        no_cov = np.zeros((mm, mm), dtype=complex)
+        ns_ok, ns_blocked, ns_witness = _sector_hypothesis(
+            m, "non-squeezed", DISPLACEMENT, _extract_ns_cosines,
+            lambda s: (s.phases, (no_cov, root_a * np.exp(1j * s.phases))),
+            _ns_curve(diag), tol_rel, residuals, notes)
 
-            worsts = [ns_worst(s) for s in ns_solutions]
-            order = int(np.argmin(worsts))
-            ns_solutions = [ns_solutions[order]] + [s for t, s in enumerate(ns_solutions)
-                                                    if t != order]
-            residuals.append(RelationResidual("non-squeezed g3 consistency",
-                                              worsts[order], tol_rel))
-            ns_ok = worsts[order] <= tol_rel
-
-    # --- non-displaced hypothesis
-    nd_ok = True
-    nd_res = 0.0
-    qmin = np.inf
-    for i in range(mm):
-        for j in range(i, mm):
-            q = g2[i, j] - (1.0 if i != j else 0.0) * g1a[i, j] ** 2 - (1.0 if i != j else 2.0)
-            qmin = min(qmin, q)
-    if qmin < -tol_rel:
-        nd_ok = False
-        nd_res = -qmin
+    # --- non-displaced hypothesis: b = 0, c_ij = sqrt(q_ij) e^{i Theta_ij}
+    q = _covariance_q(m)
+    qmin = float(q[np.triu_indices(mm)].min())
+    nd_gate = qmin >= -tol_rel
+    nd_res = 0.0 if nd_gate else -qmin
+    if not nd_gate:
         notes.append("covariance moduli would be imaginary: incompatible with zero displacement")
-    residuals.append(RelationResidual("non-displaced modulus positivity", max(nd_res, 0.0),
-                                      tol_rel))
-    nd_solutions = []
-    nd_blocked = None
-    nd_system, nd_stats = None, SearchStats()
-    if nd_ok:
-        try:
-            c = _extract_nd_cosines(m)
-            excess = _cosine_excess(c)
-            if excess > tol_rel:
-                nd_ok = False
-                notes.append(f"extracted covariance cosine exceeds 1 by {excess:.3e}")
-                residuals.append(RelationResidual("non-displaced cosine range",
-                                                  excess, tol_rel))
-            else:
-                nd_system = PhaseSystem(COVARIANCE, m.g1_phase, np.clip(c, -1, 1))
-                nd_solutions = solve_covariance_phases(nd_system, tol=max(10 * tol_rel, 1e-8),
-                                                       stats=nd_stats)
-        except InsufficientDataError as err:
-            nd_blocked = err
-            nd_ok = False
-            notes.append(f"non-displaced test blocked: {err}")
-        if nd_ok and not nd_solutions:
-            nd_ok = False
-            notes.append("covariance-phase system has no solution")
-        elif nd_ok:
-            def nd_worst(sol):
-                worst = 0.0
-                for (i, j, k), val in m.g3.items():
-                    if i == j == k:
-                        worst = max(worst, abs(val - (9.0 * g2[i, i] - 12.0)))
-                    elif len({i, j, k}) == 3:
-                        worst = max(worst, abs(val - _nd_predicted_g3(m, sol.theta, i, j, k)))
-                return worst
-
-            worsts = [nd_worst(s) for s in nd_solutions]
-            order = int(np.argmin(worsts))
-            nd_solutions = [nd_solutions[order]] + [s for t, s in enumerate(nd_solutions)
-                                                    if t != order]
-            residuals.append(RelationResidual("non-displaced g3 consistency",
-                                              worsts[order], tol_rel))
-            nd_ok = worsts[order] <= tol_rel
+    residuals.append(RelationResidual("non-displaced modulus positivity", nd_res, tol_rel))
+    nd_ok, nd_blocked, nd_witness = False, None, None
+    if nd_gate:
+        moduli, no_disp = _mirrored(_sqrt_clip(q)), np.zeros(mm, dtype=complex)
+        nd_ok, nd_blocked, nd_witness = _sector_hypothesis(
+            m, "non-displaced", COVARIANCE, _extract_nd_cosines,
+            lambda s: (s.theta, (moduli * np.exp(1j * s.theta), no_disp)),
+            _nd_line(diag), tol_rel, residuals, notes)
 
     if ns_ok and nd_ok:
         notes.append("both sectors consistent (state close to thermal); "
@@ -642,13 +610,7 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
                      "a displaced squeezed Gaussian state is not excluded "
                      "(reconstructing that sector needs two-port beam-splitter data)")
         residuals += _marginal_feasibility(m, tol, notes)
-    witness = None
-    if sector == NON_SQUEEZED and ns_solutions:
-        witness = {"displacement_phases": ns_solutions[0].phases.tolist(),
-                   **_phase_report(ns_system, ns_solutions, ns_stats)}
-    if sector == NON_DISPLACED and nd_solutions:
-        witness = {"covariance_phases": nd_solutions[0].theta.tolist(),
-                   **_phase_report(nd_system, nd_solutions, nd_stats)}
+    witness = {NON_SQUEEZED: ns_witness, NON_DISPLACED: nd_witness}.get(sector)
     return Classification(sector, tuple(residuals), tuple(notes), witness)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bucket as bucket_mod
 from . import fock, serialize
-from .classify import SIGMA_NAMES, classify, synthesize_measurements
+from .classify import SIGMA_NAMES, classify, synthesize_measurements, _nd_line, _ns_curve, _require
 from .errors import (
     GausstatError,
     InfeasibleError,
@@ -203,6 +203,8 @@ def cmd_reconstruct(args) -> int:
             raise ValidationError("--sector dst needs two measurement files: "
                                   "zero-mean port and reference port")
         m_minus, m_ref = msets
+        for port, mset in (("zero-mean port", m_minus), ("reference port", m_ref)):
+            _require(mset, f"--sector dst: the {port}", "nbar", "g2")
         if primary.modes == 1:
             g2_orig = float(m_ref.g2[0, 0])
             g3_orig = m_ref.g3.get((0, 0, 0))
@@ -325,10 +327,7 @@ def cmd_curves(args) -> int:
     if args.relation == "eq21" and hi > 2.0:
         raise ValidationError("the non-squeezed relation is defined for g2 <= 2")
     g2s = np.linspace(lo, hi, args.num)
-    if args.relation == "eq20":
-        g3s = 9.0 * g2s - 12.0
-    else:
-        g3s = 9.0 * g2s - 12.0 + 4.0 * np.clip(2.0 - g2s, 0.0, None) ** 1.5
+    g3s = _nd_line(g2s) if args.relation == "eq20" else _ns_curve(g2s)
     lines = ["g2,g3"]
     lines += [f"{a:.12g},{b:.12g}" for a, b in zip(g2s, g3s)]
     text = "\n".join(lines) + "\n"

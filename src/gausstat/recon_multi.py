@@ -28,8 +28,10 @@ from .classify import (
     NON_DISPLACED,
     MeasurementSet,
     classify_multimode,
+    _covariance_q,
     _extract_nd_cosines,
     _extract_ns_cosines,
+    _require,
 )
 from .errors import (
     InconsistentDataError,
@@ -289,6 +291,22 @@ def measurement_residual(params: GaussianParams, m: MeasurementSet) -> float:
     return worst
 
 
+def _ranked(candidates: list, tol: float, notes: list, kind: str | None = None):
+    """The best of the (residual, params) candidates, with every candidate within
+    max(100 tol, 10 x best) kept as a discrete alternative.
+
+    With ``kind``, a note names the number of kept solutions when several are.
+    """
+    candidates.sort(key=lambda t: t[0])
+    keep = [c for c in candidates if c[0] <= max(100 * tol, 10 * candidates[0][0])]
+    if kind is not None and len(keep) > 1:
+        notes.append(f"{len(keep)} discrete {kind} solutions reproduce the data")
+    ambiguity = Ambiguity(z2_reflection=len(keep) > 1,
+                          discrete_solutions=tuple(p for _, p in keep[1:]),
+                          notes=tuple(notes))
+    return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
+
+
 def recon_displaced_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> ReconstructedState:
     """Displacements, thermal occupations and mode rotation of a non-squeezed state.
 
@@ -296,8 +314,7 @@ def recon_displaced_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recon
     then the hermitian matrix sqrt(nbar_i nbar_j) g1_ij - alpha_i* alpha_j is
     diagonalized: eigenvalues are the occupations, eigenvectors the rotation.
     """
-    if m.nbar is None or m.g2 is None or m.g1_abs is None:
-        raise ValidationError("need nbar, g2 and g1 for reconstruction")
+    _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs", "g1_phase")
     mm = m.modes
     alpha_abs = np.sqrt(m.nbar) * np.clip(2.0 - np.diag(m.g2), 0.0, None) ** 0.25
     if np.abs(np.diag(m.g2) - 1.0).max() <= max(10 * tol, 1e-8):
@@ -334,16 +351,9 @@ def recon_displaced_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recon
     if not candidates:
         raise InconsistentDataError(
             "thermal matrix not positive semidefinite for any phase solution")
-    candidates.sort(key=lambda t: t[0])
-    keep = [c for c in candidates if c[0] <= max(100 * tol, 10 * candidates[0][0])]
     notes = ["global displacement phase fixed by gauge phi_1 = 0",
              "local phases of the rotation in degenerate thermal eigenspaces are free"]
-    if len(keep) > 1:
-        notes.append(f"{len(keep)} discrete phase solutions reproduce the data")
-    ambiguity = Ambiguity(z2_reflection=len(keep) > 1,
-                          discrete_solutions=tuple(p for _, p in keep[1:]),
-                          notes=tuple(notes))
-    return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
+    return _ranked(candidates, tol, notes, kind="phase")
 
 
 def recon_squeezed_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> ReconstructedState:
@@ -352,12 +362,10 @@ def recon_squeezed_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recons
     Covariance moduli from g2/g1, phases from the covariance phase system,
     then Williamson on the assembled covariance matrix.
     """
-    if m.nbar is None or m.g2 is None or m.g1_abs is None:
-        raise ValidationError("need nbar, g2 and g1 for reconstruction")
+    _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs")
     mm = m.modes
     root = np.sqrt(np.outer(m.nbar, m.nbar))
-    q = m.g2 - m.g1_abs**2 - 1.0
-    np.fill_diagonal(q, np.diag(m.g2) - 2.0)
+    q = _covariance_q(m)
     if q.min() < -100 * tol:
         raise InconsistentDataError(
             f"g2_ij - |g1_ij|^2 - 1 = {q.min():.3e} < 0: covariance moduli undefined")
@@ -365,6 +373,7 @@ def recon_squeezed_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recons
     if mm == 1:
         solutions = [None]
     else:
+        _require(m, "multimode reconstruction", "g1_phase")
         c = _extract_nd_cosines(m)
         solutions = solve_covariance_phases(
             PhaseSystem(COVARIANCE, m.g1_phase, c), tol=max(100 * tol, 1e-8))
@@ -386,16 +395,9 @@ def recon_squeezed_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recons
         candidates.append((measurement_residual(params, m), params))
     if not candidates:
         raise InconsistentDataError("no covariance-phase solution yields a physical state")
-    candidates.sort(key=lambda t: t[0])
-    keep = [c for c in candidates if c[0] <= max(100 * tol, 10 * candidates[0][0])]
     notes = ["global squeeze phase fixed by gauge Theta_11 = 0",
              "degenerate-occupation rotations are free"]
-    if len(keep) > 1:
-        notes.append(f"{len(keep)} discrete covariance-phase solutions reproduce the data")
-    ambiguity = Ambiguity(z2_reflection=len(keep) > 1,
-                          discrete_solutions=tuple(p for _, p in keep[1:]),
-                          notes=tuple(notes))
-    return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
+    return _ranked(candidates, tol, notes, kind="covariance-phase")
 
 
 def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSet,
@@ -460,16 +462,11 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
                                            candidates_per_mode, scale, tol, stats))
     if not results:
         raise InconsistentDataError("no displacement-phase assignment reproduces both ports")
-    results.sort(key=lambda t: t[0])
-    keep = [rp for rp in results if rp[0] <= max(100 * tol, 10 * results[0][0])]
     notes = ["displacement phases carry residual cosine ambiguities where "
              "off-diagonal data cannot prune them",
              f"displacement-phase search: {stats.explored} branches explored, "
              f"{stats.pruned} pruned, {stats.kept} kept"]
-    ambiguity = Ambiguity(z2_reflection=len(keep) > 1,
-                          discrete_solutions=tuple(p for _, p in keep[1:]),
-                          notes=tuple(notes))
-    return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
+    return _ranked(results, tol, notes)
 
 
 def _reference_pair_table(m_ref: MeasurementSet, mom_cov: MomentSummary,

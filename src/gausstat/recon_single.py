@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import NON_DISPLACED, MeasurementSet, classify_single_mode
+from .classify import NON_DISPLACED, MeasurementSet, classify_single_mode, _nd_line, _require
 from .errors import (
     InconsistentDataError,
     InfeasibleError,
@@ -239,7 +239,7 @@ def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
     g2s, g3s = pts[:, 0], pts[:, 1]
     spread = g2s.max() - g2s.min()
     if spread < 1e-12:
-        if abs(g3s.mean() - (9.0 * g2s.mean() - 12.0)) <= max(tol, 1e-9):
+        if abs(g3s.mean() - _nd_line(g2s.mean())) <= max(tol, 1e-9):
             # no phase dependence at all: zero-displacement limit of the scan
             r, occupation = _st_params_from_moduli(
                 nbar, 0.0, nbar * np.sqrt(max(g2s.mean() - 2.0, 0.0)))
@@ -390,6 +390,7 @@ def reconstruct_single_mode(m: MeasurementSet, sector: str, tol: float = 1e-8) -
     """
     if m.modes != 1:
         raise ValidationError("reconstruct_single_mode needs single-mode data")
+    _require(m, "single-mode reconstruction", "g2")
     g2 = float(m.g2[0, 0])
     nbar = float(m.nbar[0]) if m.nbar is not None else None
     p0 = float(m.p0[0]) if m.p0 is not None else None

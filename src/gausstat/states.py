@@ -249,8 +249,8 @@ def _require_occupied(moments: MomentSummary, modes) -> None:
 def _pair_blocks(moments: MomentSummary):
     """Normalized moment blocks shared by the g2 and g3 kernels.
 
-    With g = g1, returns c_ij = cov_ij / sqrt(n_i n_j), b_i = alpha_i / sqrt(n_i),
-    h = c + b b^T, a = |b|^2 and the pair matrix
+    With g = g1, returns c_ij = cov_ij / sqrt(n_i n_j), b_i = alpha_i / sqrt(n_i)
+    and the pair matrix (h = c + b b^T, a = |b|^2)
 
         P_ij = |g_ij|^2 + |c_ij|^2 - a_i a_j + 2 Re(c_ij conj(b_i b_j))
              = |g_ij|^2 + |h_ij|^2 - 2 a_i a_j = g2_ij - 1.
@@ -263,22 +263,25 @@ def _pair_blocks(moments: MomentSummary):
     h = c + np.outer(b, b)
     a = np.abs(b) ** 2
     pair = np.abs(moments.g1) ** 2 + np.abs(h) ** 2 - 2.0 * np.outer(a, a)
-    return c, b, h, a, pair
+    return c, b, pair
 
 
-def _g3_array(moments: MomentSummary) -> np.ndarray:
+def _g3_kernel(g: np.ndarray, c: np.ndarray, b: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """All g3[i, j, k] at once from the sixth-order decomposition of the g3 word.
 
-    With the blocks of ``_pair_blocks``,
+    Takes the blocks of ``_pair_blocks`` (g, c, b and P) and, with
+    h = c + b b^T and a = |b|^2, returns
 
         g3_ijk = 1 + 4 a_i a_j a_k + 2 Re(g_ij g_jk g_ki) + K_ijk + K_jki + K_kij,
         K_ijk = P_ij - w_ij a_k
                 + 2 Re(g_ij [conj(c_jk) h_ik + conj(b_j b_k) c_ik]),
         w_ij = 4 Re(c_ij conj(b_i b_j)) + 2 Re(g_ij b_i conj(b_j)).
+
+    Setting c = 0 or b = 0 gives the non-squeezed or the non-displaced sector.
     """
-    g = moments.g1
-    c, b, h, a, pair = _pair_blocks(moments)
     bb = np.outer(b, b)
+    h = c + bb
+    a = np.abs(b) ** 2
     w = 4.0 * (c * bb.conj()).real + 2.0 * (g * np.outer(b, b.conj())).real
     gij = g[:, :, None]
     k = (pair[:, :, None] - w[:, :, None] * a
@@ -286,6 +289,11 @@ def _g3_array(moments: MomentSummary) -> np.ndarray:
     return (1.0 + 4.0 * a[:, None, None] * np.outer(a, a)
             + 2.0 * (gij * g * g.T[:, None, :]).real
             + k + k.transpose(2, 0, 1) + k.transpose(1, 2, 0))
+
+
+def _g3_array(moments: MomentSummary) -> np.ndarray:
+    """All g3[i, j, k] of a state: ``_g3_kernel`` on its ``_pair_blocks``."""
+    return _g3_kernel(moments.g1, *_pair_blocks(moments))
 
 
 def g2_tensor(moments: MomentSummary) -> np.ndarray:

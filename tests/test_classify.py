@@ -21,6 +21,14 @@ from gausstat.classify import (
     classify_single_mode,
     displaced_squeezed_feasibility,
     synthesize_measurements,
+    _covariance_q,
+    _extract_nd_cosines,
+    _extract_ns_cosines,
+    _g3_misfits,
+    _mirrored,
+    _nd_line,
+    _ns_curve,
+    _tolerance,
 )
 from gausstat.errors import InsufficientDataError, ValidationError
 from gausstat.states import (
@@ -460,3 +468,226 @@ def test_barely_displaced_mode_classifies_nonsqueezed():
     # at the CLI's default tolerance; 1e-6 and 1e-7 pass
     cls = classify(synthesize_measurements(derive_moments(params)), tol=1e-8)
     assert cls.sector == NON_SQUEEZED
+
+
+def _sqrt_clip(x):
+    return np.sqrt(np.clip(x, 0.0, None))
+
+
+def reference_ns_cosines(m):
+    """The per-entry loop that the array extraction of the non-squeezed cosines replaced."""
+    mm = m.modes
+    g2, g1a = m.g2, m.g1_abs
+    a = _sqrt_clip(2.0 - np.diag(g2))
+    c = np.full((mm, mm), np.nan)
+    missing = []
+    for i in range(mm):
+        for j in range(mm):
+            if i == j:
+                continue
+            denom = 4.0 * g1a[i, j] * a[i] ** 1.5 * a[j] ** 0.5
+            if abs(denom) < 1e-12:
+                continue  # no phase information in this entry
+            key = tuple(sorted((i, i, j)))
+            if key not in m.g3:
+                missing.append((i, i, j))
+                continue
+            base = (2.0 + 4.0 * g1a[i, j] ** 2 - a[i] ** 2 - 4.0 * a[i] * a[j]
+                    + 4.0 * a[i] ** 2 * a[j])
+            val = (base - m.g3[key]) / denom
+            cij = val if np.isnan(c[i, j]) else 0.5 * (c[i, j] + val)
+            c[i, j] = c[j, i] = cij
+    if missing:
+        raise InsufficientDataError(
+            "non-squeezed phase extraction needs g3 entries: "
+            + ", ".join(map(str, sorted(set(missing)))))
+    return c
+
+
+def reference_nd_cosines(m):
+    """The per-entry loop that the array extraction of the non-displaced cosines replaced."""
+    mm = m.modes
+    g2, g1a = m.g2, m.g1_abs
+    c = np.full((mm, mm), np.nan)
+    missing = []
+    for i in range(mm):
+        for j in range(mm):
+            if i == j:
+                continue
+            q_ij = g2[i, j] - g1a[i, j] ** 2 - 1.0
+            q_ii = g2[i, i] - 2.0
+            denom = 4.0 * g1a[i, j] * _sqrt_clip(q_ij * q_ii)
+            if abs(denom) < 1e-12:
+                continue
+            key = tuple(sorted((i, i, j)))
+            if key not in m.g3:
+                missing.append((i, i, j))
+                continue
+            c[i, j] = (m.g3[key] - g2[i, i] - 4.0 * g2[i, j] + 4.0) / denom
+    if missing:
+        raise InsufficientDataError(
+            "non-displaced phase extraction needs g3 entries: "
+            + ", ".join(map(str, sorted(set(missing)))))
+    return c
+
+
+def reference_ns_predicted_g3(m, phases, i, j, k):
+    """g3_ijk of a displaced thermal state from g2, g1 and displacement phases."""
+    g2, g1a = m.g2, m.g1_abs
+    phi = m.g1_phase
+    a = {t: _sqrt_clip(2.0 - g2[t, t]) for t in (i, j, k)}
+    val = (g2[i, j] + g2[j, k] + g2[i, k] - 2.0
+           + 2.0 * g1a[i, j] * g1a[j, k] * g1a[i, k]
+           * np.cos(phi[i, j] + phi[j, k] - phi[i, k])
+           + 4.0 * a[i] * a[j] * a[k]
+           - 2.0 * (g1a[i, j] * np.sqrt(a[i] * a[j]) * a[k]
+                    * np.cos(phi[i, j] + phases[i] - phases[j])
+                    + g1a[j, k] * np.sqrt(a[j] * a[k]) * a[i]
+                    * np.cos(phi[j, k] + phases[j] - phases[k])
+                    + g1a[i, k] * np.sqrt(a[i] * a[k]) * a[j]
+                    * np.cos(phi[i, k] + phases[i] - phases[k])))
+    return val
+
+
+def reference_nd_predicted_g3(m, theta, i, j, k):
+    """g3_ijk of a squeezed thermal state from g2, g1 and covariance phases."""
+    g2, g1a = m.g2, m.g1_abs
+    phi = m.g1_phase
+
+    def q(x, y):
+        return g2[x, y] - g1a[x, y] ** 2 - 1.0
+
+    val = (g2[i, j] + g2[j, k] + g2[i, k] - 2.0
+           + 2.0 * g1a[i, j] * g1a[j, k] * g1a[i, k]
+           * np.cos(phi[i, j] + phi[j, k] - phi[i, k])
+           + 2.0 * g1a[i, j] * _sqrt_clip(q(j, k) * q(i, k))
+           * np.cos(phi[i, j] - theta[j, k] + theta[i, k])
+           + 2.0 * g1a[j, k] * _sqrt_clip(q(i, k) * q(i, j))
+           * np.cos(phi[j, k] - theta[i, k] + theta[i, j])
+           + 2.0 * g1a[i, k] * _sqrt_clip(q(i, j) * q(j, k))
+           * np.cos(-phi[i, k] - theta[i, j] + theta[j, k]))
+    return val
+
+
+def reference_ns_worst(m, phases):
+    """The per-triple g3 score of a displacement-phase solution."""
+    worst = 0.0
+    for (i, j, k), val in m.g3.items():
+        if i == j == k:
+            d = 2.0 - m.g2[i, i]
+            pred = 9.0 * m.g2[i, i] - 12.0 + 4.0 * np.clip(d, 0, None) ** 1.5
+            worst = max(worst, abs(val - pred))
+        elif len({i, j, k}) == 3:
+            worst = max(worst, abs(val - reference_ns_predicted_g3(m, phases, i, j, k)))
+    return worst
+
+
+def reference_nd_worst(m, theta):
+    """The per-triple g3 score of a covariance-phase solution."""
+    worst = 0.0
+    for (i, j, k), val in m.g3.items():
+        if i == j == k:
+            worst = max(worst, abs(val - (9.0 * m.g2[i, i] - 12.0)))
+        elif len({i, j, k}) == 3:
+            worst = max(worst, abs(val - reference_nd_predicted_g3(m, theta, i, j, k)))
+    return worst
+
+
+def ns_score(m, phases):
+    """The kernel score with the non-squeezed blocks c = 0, b_i = sqrt(a_i) e^{i phi_i}."""
+    mm = m.modes
+    b = np.sqrt(_sqrt_clip(2.0 - np.diag(m.g2))) * np.exp(1j * phases)
+    return _g3_misfits(m, _ns_curve(np.diag(m.g2)), [(np.zeros((mm, mm), complex), b)])[0]
+
+
+def nd_score(m, theta):
+    """The kernel score with the non-displaced blocks b = 0, c_ij = sqrt(q_ij) e^{i Theta_ij}."""
+    c = _mirrored(_sqrt_clip(_covariance_q(m))) * np.exp(1j * theta)
+    return _g3_misfits(m, _nd_line(np.diag(m.g2)), [(c, np.zeros(m.modes, complex))])[0]
+
+
+def assert_same_cosines(new, ref):
+    # the loop's scalar x ** 2 and x ** 1.5 round through the C library's
+    # pow, the array form through numpy's vectorized power; they part in the
+    # last bit, so equality is up to a few units of rounding
+    assert np.array_equal(np.isnan(new), np.isnan(ref))
+    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-13)
+
+
+class TestKernelScoringVsPerTripleFormulas:
+    """The array extractions and the kernel scoring against the per-entry code they replaced.
+
+    Seeded draws of each sector at M = 2-6, exact and jittered, with random
+    phases in place of solved ones.
+    """
+
+    SIGMAS = (0.0, 1e-4, 1e-3, 1e-2)
+
+    @staticmethod
+    def draws(sector, sigma):
+        rng = np.random.default_rng([int(sigma * 1e6), sector == "nd"])
+        maker = squeezed_thermal_params if sector == "nd" else displaced_thermal_params
+        for modes in range(2, 7):
+            for _ in range(8):
+                mom = derive_moments(maker(rng, modes))
+                noise = {"g2": sigma, "g3": sigma, "g1_abs": sigma, "g1_phase": sigma}
+                yield rng, (synthesize_measurements(mom, rng=rng, sigma=noise) if sigma
+                            else synthesize_measurements(mom))
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("sector", ["ns", "nd"])
+    def test_cosines(self, sector, sigma):
+        new_fn, ref_fn = {"ns": (_extract_ns_cosines, reference_ns_cosines),
+                          "nd": (_extract_nd_cosines, reference_nd_cosines)}[sector]
+        for rng, m in self.draws(sector, sigma):
+            assert_same_cosines(new_fn(m), ref_fn(m))
+            # drop a random share of the two-equal-index entries
+            g3 = {k: v for k, v in m.g3.items()
+                  if len(set(k)) != 2 or rng.uniform() < 0.7}
+            stripped = MeasurementSet(m.modes, nbar=m.nbar, g1_abs=m.g1_abs,
+                                      g1_phase=m.g1_phase, g2=m.g2, g3=g3, sigma=m.sigma)
+            try:
+                ref = ref_fn(stripped)
+            except InsufficientDataError as err:
+                with pytest.raises(InsufficientDataError) as caught:
+                    new_fn(stripped)
+                assert str(caught.value) == str(err)
+            else:
+                assert_same_cosines(new_fn(stripped), ref)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_non_squeezed_scores(self, sigma):
+        for rng, m in self.draws("ns", sigma):
+            phases = rng.uniform(-np.pi, np.pi, m.modes)
+            assert abs(ns_score(m, phases) - reference_ns_worst(m, phases)) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_non_displaced_scores(self, sigma):
+        clipped = 0
+        for rng, m in self.draws("nd", sigma):
+            theta = rng.uniform(-np.pi, np.pi, (m.modes, m.modes))
+            theta = np.triu(theta) + np.triu(theta, 1).T
+            q = _covariance_q(m)
+            tol_rel = _tolerance(m, 1e-6, dg2=3.0, dg3=1.0)
+            if q.min() < -tol_rel:
+                continue  # the modulus-positivity gate stops these before scoring
+            diff = abs(nd_score(m, theta) - reference_nd_worst(m, theta))
+            if q.min() >= 0.0:
+                assert diff <= 1e-12
+            else:
+                # sqrt(max(q_jk, 0)) sqrt(max(q_ik, 0)) in place of sqrt(max(q_jk q_ik, 0)):
+                # three terms, each off by at most 2 |g1| tol_rel
+                clipped += 1
+                assert diff <= 6.00001 * tol_rel
+        if sigma == 0.0:
+            assert clipped == 0
+
+    @pytest.mark.parametrize("modes", range(2, 7))
+    def test_reported_residual_is_the_witness_score(self, rng, modes):
+        for maker, key, label, worst in (
+                (displaced_thermal_params, "displacement", "non-squeezed", reference_ns_worst),
+                (squeezed_thermal_params, "covariance", "non-displaced", reference_nd_worst)):
+            m = synthesize_measurements(derive_moments(maker(rng, modes)))
+            cls = classify_multimode(m, tol=1e-6)
+            phases = np.array(cls.witness[f"{key}_phases"])
+            assert abs(cls.residual(f"{label} g3 consistency") - worst(m, phases)) <= 1e-12

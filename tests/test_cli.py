@@ -361,6 +361,54 @@ def test_malformed_measurement_document_is_rejected(tmp_path, corrupt):
     assert run("reconstruct", meas) == 2
 
 
+class TestMissingFieldIsNamed:
+    """A measurement file whose needed field is null stops with an error naming
+    the field (exit 2), not a misleading message or a traceback."""
+
+    @staticmethod
+    def measurements(tmp_path, params, name="meas.json", **nulls):
+        meas = tmp_path / name
+        assert run("simulate", write_params(tmp_path, params, "state_" + name), "--out", meas) == 0
+        doc = load(meas)
+        doc.update(nulls)
+        dump(doc, meas)
+        return meas
+
+    @pytest.mark.parametrize("argv", [["classify"], ["reconstruct"],
+                                      ["reconstruct", "--sector", "ns"],
+                                      ["reconstruct", "--sector", "nd"]])
+    def test_multimode_without_g1_phase(self, tmp_path, capsys, argv):
+        z = np.array([[0.3, 0.1], [0.1, 0.2]], dtype=complex)
+        params = GaussianParams(np.zeros(2), z, np.array([[0.0, 0.4], [0.4, 0.0]]),
+                                np.array([0.1, 0.3]))
+        meas = self.measurements(tmp_path, params, g1_phase=None)
+        capsys.readouterr()
+        assert run(*argv, meas) == 2
+        assert "needs g1_phase" in capsys.readouterr().err
+
+    def test_single_mode_nd_reconstruction_without_g2(self, tmp_path, capsys):
+        meas = self.measurements(tmp_path, GaussianParams.single_mode(r=0.5, occupation=0.2),
+                                 g2=None)
+        capsys.readouterr()
+        assert run("reconstruct", meas, "--sector", "nd") == 2
+        assert "single-mode reconstruction needs g2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["zero-mean", "reference"])
+    @pytest.mark.parametrize("field", ["g2", "nbar"])
+    def test_single_mode_dst_without_field(self, tmp_path, capsys, port, field):
+        params = GaussianParams.single_mode(alpha=0.3 * np.exp(0.6j), r=0.4, theta=0.1,
+                                            occupation=0.1)
+        _, minus = balanced_beamsplitter_duplicate(params)
+        nulled = {field: None}
+        m_minus = self.measurements(tmp_path, minus, "minus.json",
+                                    **(nulled if port == "zero-mean" else {}))
+        m_orig = self.measurements(tmp_path, params, "orig.json",
+                                   **(nulled if port == "reference" else {}))
+        capsys.readouterr()
+        assert run("reconstruct", m_minus, m_orig, "--sector", "dst") == 2
+        assert f"the {port} port needs {field}" in capsys.readouterr().err
+
+
 class TestScanCli:
     def test_scan_csv(self, tmp_path):
         from gausstat.states import derive_moments, single_mode_g2_g3
