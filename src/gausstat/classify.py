@@ -148,6 +148,7 @@ def synthesize_measurements(moments: MomentSummary, include_p0: bool = False,
         g2 = 0.5 * (g2 + g2.T)
         g3 = {k: float(jitter(v, sigma.get("g3", 0.0))) for k, v in g3.items()}
         mag = np.clip(jitter(np.abs(g1), sigma.get("g1_abs", 0.0)), 0.0, 1.0)
+        mag = np.triu(mag, 1) + np.triu(mag, 1).T
         np.fill_diagonal(mag, 1.0)
         ph = jitter(np.angle(g1), sigma.get("g1_phase", 0.0))
         ph = np.triu(ph, 1) - np.triu(ph, 1).T

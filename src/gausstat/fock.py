@@ -26,14 +26,24 @@ Fock levels of every mode, which is what actually controls convergence.
 Ladder operators are never formed as matrices.  A word of them acts by
 index arithmetic on the Fock digits of the basis states (``_word_action``):
 it maps each basis state it does not annihilate to one other, with a weight.
-The generators are scattered from these maps into dense arrays, and a moment
-is a weighted sum of density-matrix entries.
+The generators are scattered from these maps into dense arrays.
 
-Dense matrices only; this is an oracle, not a production path.  One build
-holds at most five dense dim x dim complex arrays at once: a generator and W
-while R and S act, then W, rho and the temporaries of rho's symmetrization or
-of ``validate``'s hermiticity and Cholesky checks.  MAX_DIMENSION = 4096
-keeps the five within 1.3 GB, under 2 GiB; at 8192 they would take 5.4 GB.
+rho itself is never formed.  The build keeps W and its row populations
+sum_c |W[s, c]|^2, the diagonal of rho, and reads from them everything the
+oracle reports: the trace deficit, each mode's photon-number marginal (a
+``bincount`` of its Fock digits weighted by the populations), the vacuum
+overlap and the total-number factorial moments.  A ladder word shifts every
+basis index by the same amount, so its moment is a weighted sum over one
+diagonal band of W W^H; the shift-0 band is the populations.
+
+Dense matrices only; this is an oracle, not a production path.  With
+U = 16 dim^2 bytes, one dense complex matrix, a build holds a generator (U),
+W (dim x k with k <= dim, up to U) and the temporaries of one block's
+exponential: the block, 1j times it, eigh's eigenvectors and workspace, the
+block's rows of W and two products of their size.  The largest block is a
+parity block of dim/2 states, so these come to about 2 U and a build peaks
+near 4 U: 1.1 GB at MAX_DIMENSION = 4096, under 2 GiB; at 8192 it would
+be 4.3 GB.
 """
 
 from __future__ import annotations
@@ -55,30 +65,15 @@ _TAIL_LEVELS = 2
 
 @dataclass(frozen=True)
 class TruncatedDensity:
-    """Dense truncated density matrix with its measured truncation indicators."""
+    """Truncated density operator rho = W W^H, held as its factor W, with its
+    populations (the diagonal of rho) and measured truncation indicators."""
 
-    matrix: np.ndarray
+    factor: np.ndarray
+    populations: np.ndarray
     dim: int
     modes: int
     deficit: float
     tail_mass: float
-
-    def validate(self, tol: float = 1e-10) -> None:
-        h = np.abs(self.matrix - self.matrix.conj().T).max()
-        if h > tol:
-            raise ValidationError(f"density not hermitian: asymmetry {h:.2e}")
-        # rho + 1e-10 I has a Cholesky factor when min eig > -1e-10, up to
-        # rounding, at a fraction of eigvalsh's cost; eigvalsh then decides
-        # and reports only when the factorization fails.
-        shifted = self.matrix.copy()
-        shifted.flat[:: shifted.shape[0] + 1] += 1e-10
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            evals = np.linalg.eigvalsh(self.matrix)
-            if evals.min() < -1e-10:
-                raise ValidationError(
-                    f"density not positive semidefinite: min eig {evals.min():.2e}") from None
 
 
 @lru_cache(maxsize=8)
@@ -182,7 +177,7 @@ def _displacement(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def build_density(params: GaussianParams, cutoff: int | None = None,
-                  tail_tol: float = 1e-3, check: bool = True) -> TruncatedDensity:
+                  tail_tol: float = 1e-3) -> TruncatedDensity:
     """Construct the truncated density operator of a Gaussian state.
 
     Args:
@@ -190,7 +185,6 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
         cutoff: Fock levels per mode (defaults per mode count: 25/12/8).
         tail_tol: raise TruncationError when deficit or top-level occupancy
             exceeds this; pass a larger value to inspect marginal states.
-        check: validate hermiticity/positivity of the result.
     """
     m = params.modes
     if m > MAX_MODES:
@@ -222,57 +216,49 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
         if alpha != 0:
             t = np.moveaxis(np.tensordot(_displacement(alpha, d), t, axes=(1, i)), 0, i)
     w = t.reshape(dim, -1)
-    rho = w @ w.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    populations = (w.real**2 + w.imag**2).sum(axis=1)
 
-    deficit = float(abs(1.0 - np.trace(rho).real))
-    tail = 0.0
-    for i in range(m):
-        marg = mode_number_distribution_matrix(rho, i, m, d)
-        tail = max(tail, float(marg[-_TAIL_LEVELS:].sum()))
+    deficit = float(abs(1.0 - populations.sum()))
+    tail = max(float(_marginal(populations, i, m, d)[-_TAIL_LEVELS:].sum()) for i in range(m))
     if deficit > tail_tol or tail > tail_tol:
         raise TruncationError(
             f"cutoff {d} too small: trace deficit {deficit:.3e}, "
             f"top-level occupancy {tail:.3e}",
             deficit=deficit, tail_mass=tail,
         )
-    density = TruncatedDensity(rho, d, m, deficit, tail)
-    if check:
-        density.validate()
-    return density
+    return TruncatedDensity(w, populations, d, m, deficit, tail)
+
+
+def _marginal(populations: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:
+    """Photon-number distribution of ``mode``: the populations summed by its Fock digit."""
+    return np.bincount(_fock_digits(modes, cutoff)[mode], weights=populations, minlength=cutoff)
 
 
 def moment_bruteforce(rho: TruncatedDensity, word: LadderWord) -> complex:
-    """Tr[rho · (operator product)] with truncated ladder operators."""
+    """Tr[rho · (operator product)] with truncated ladder operators.
+
+    The word maps basis state src to dst = src + shift, one shift for all, so
+    the moment is sum weight * rho[src, dst] over one band of rho = W W^H.
+    A word that keeps every mode's photon number reads the populations."""
     if word.max_mode() >= rho.modes:
         raise ValidationError("word references a mode outside the density")
     src, dst, weight = _word_action(word.ops, rho.modes, rho.dim)
-    return complex((weight * rho.matrix[src, dst]).sum())
+    if np.array_equal(src, dst):
+        return complex(weight @ rho.populations[src])
+    w = rho.factor
+    return complex(np.vdot(w[dst], weight[:, None] * w[src]))
 
 
 def vacuum_overlap(rho: TruncatedDensity) -> float:
     """<0..0| rho |0..0>."""
-    return float(rho.matrix[0, 0].real)
-
-
-def mode_number_distribution_matrix(matrix: np.ndarray, mode: int, modes: int,
-                                    cutoff: int) -> np.ndarray:
-    """Marginal photon-number distribution of one mode from a raw matrix."""
-    shaped = matrix.reshape((cutoff,) * modes * 2)
-    out = shaped
-    # trace out every other mode, highest axis first to keep indices stable
-    for ax in reversed(range(modes)):
-        if ax == mode:
-            continue
-        out = np.trace(out, axis1=ax, axis2=out.ndim // 2 + ax)
-    return np.diag(out).real.copy()
+    return float(rho.populations[0])
 
 
 def photon_number_distribution(rho: TruncatedDensity, mode: int) -> np.ndarray:
     """Marginal photon-number distribution of ``mode``."""
     if not 0 <= mode < rho.modes:
         raise ValidationError(f"mode {mode} out of range")
-    return mode_number_distribution_matrix(rho.matrix, mode, rho.modes, rho.dim)
+    return _marginal(rho.populations, mode, rho.modes, rho.dim)
 
 
 def total_number_factorial_moment(rho: TruncatedDensity, order: int) -> float:
@@ -285,5 +271,4 @@ def total_number_factorial_moment(rho: TruncatedDensity, order: int) -> float:
     weight = np.ones_like(digits)
     for k in range(order):
         weight *= digits - k
-    return float((np.diag(rho.matrix).real * weight).sum())
-
+    return float((rho.populations * weight).sum())

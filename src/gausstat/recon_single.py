@@ -24,7 +24,8 @@ from .errors import (
     SectorMismatchError,
     ValidationError,
 )
-from .states import GaussianParams, derive_moments, g2_tensor, g3_value
+from .states import (GaussianParams, _squeezed_thermal_inversion, derive_moments, g2_tensor,
+                     g3_value)
 
 _COS_CLAMP = 1e-9
 
@@ -62,12 +63,9 @@ def recon_squeezed_thermal(g2: float, nbar: float, tol: float = 1e-9):
         raise ValidationError("nbar must be positive")
     if g2 < 2.0 - 1e-9:
         raise SectorMismatchError(f"g2 = {g2} < 2: not a squeezed thermal state")
-    disc = (2 * nbar + 1.0) ** 2 - 4.0 * nbar**2 * (g2 - 2.0)
+    disc, sinh2, occupation = _squeezed_thermal_inversion(nbar, nbar**2 * (g2 - 2.0))
     if disc < 0:
         raise InfeasibleError(f"negative discriminant {disc:.3e}: (g2, nbar) outside the sector")
-    root = np.sqrt(disc)
-    occupation = 0.5 * root - 0.5
-    sinh2 = 0.5 * (2 * nbar + 1.0) / root - 0.5
     if occupation < -tol or sinh2 < -tol:
         raise InfeasibleError("inverted parameters fall below zero")
     r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
@@ -203,13 +201,9 @@ class ScanReconstruction:
 
 def _st_params_from_moduli(nbar: float, alpha2: float, cov_abs: float, tol: float = 1e-9):
     """(r, N) from the centered occupation nbar - |alpha|^2 and |cov|."""
-    m_c = nbar - alpha2
-    disc = (2 * m_c + 1.0) ** 2 - 4.0 * cov_abs**2
+    disc, sinh2, occupation = _squeezed_thermal_inversion(nbar - alpha2, cov_abs**2)
     if disc < -1e-9:
         raise InfeasibleError("covariance modulus exceeds the physical bound")
-    root = np.sqrt(max(disc, 0.0))
-    occupation = 0.5 * root - 0.5
-    sinh2 = 0.5 * (2 * m_c + 1.0) / root - 0.5 if root > 0 else 0.0
     if occupation < -1e-8 or sinh2 < -1e-8:
         raise InfeasibleError("scan moduli correspond to negative parameters")
     return float(np.arcsinh(np.sqrt(max(sinh2, 0.0)))), float(max(occupation, 0.0))
@@ -241,9 +235,8 @@ def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
     if spread < 1e-12:
         if abs(g3s.mean() - _nd_line(g2s.mean())) <= max(tol, 1e-9):
             # no phase dependence at all: zero-displacement limit of the scan
-            r, occupation = _st_params_from_moduli(
-                nbar, 0.0, nbar * np.sqrt(max(g2s.mean() - 2.0, 0.0)))
             cov_abs = nbar * np.sqrt(max(g2s.mean() - 2.0, 0.0))
+            r, occupation = _st_params_from_moduli(nbar, 0.0, cov_abs)
             return ScanReconstruction(0.0, float(cov_abs), r, occupation,
                                       tuple(0.0 for _ in g2s), None, 9.0, -12.0, 0.0, False)
         raise InconsistentDataError(

@@ -360,6 +360,17 @@ def no_click_probability_single(params: GaussianParams) -> float:
     return float(np.exp(-expo) / denom)
 
 
+def _squeezed_thermal_inversion(m_c: float, cov2: float) -> tuple[float, float, float]:
+    """(disc, sinh^2 r, N), unclamped, of the squeezed thermal mode with centered
+    occupation m_c and |cov|^2 = cov2: disc = (2 m_c + 1)^2 - 4 cov2 = (2N + 1)^2
+    and sinh^2 r = (2 m_c + 1) / (2 sqrt(disc)) - 1/2.  No physical mode has
+    disc < 0; each caller judges the three against its own thresholds."""
+    disc = (2 * m_c + 1.0) ** 2 - 4.0 * cov2
+    root = np.sqrt(max(disc, 0.0))
+    sinh2 = 0.5 * (2 * m_c + 1.0) / root - 0.5 if root > 0 else 0.0
+    return disc, sinh2, 0.5 * root - 0.5
+
+
 def mode_vacuum_probability(moments: MomentSummary, mode: int) -> float:
     """Vacuum probability of one mode of a multimode state from its reduced moments.
 
@@ -371,12 +382,9 @@ def mode_vacuum_probability(moments: MomentSummary, mode: int) -> float:
     alpha = complex(moments.alpha[i])
     cov = complex(moments.cov[i, i])
     m_c = float(moments.nbar[i] - abs(alpha) ** 2)
-    disc = (2 * m_c + 1.0) ** 2 - 4.0 * abs(cov) ** 2
+    disc, sinh2, occ = _squeezed_thermal_inversion(m_c, abs(cov) ** 2)
     if disc < -1e-12:
         raise ValidationError("reduced mode violates single-mode physicality")
-    root = np.sqrt(max(disc, 0.0))
-    occ = 0.5 * root - 0.5
-    sinh2 = (2 * m_c + 1.0) / (2.0 * root) - 0.5 if root > 0 else 0.0
     r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
     theta = float(np.angle(-cov)) if abs(cov) > 0 else 0.0
     # only the relative phase 2 phi_d - theta matters; rotate theta away

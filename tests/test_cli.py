@@ -13,7 +13,7 @@ import gausstat
 from gausstat.cli import main
 from gausstat.classify import MeasurementSet
 from gausstat.serialize import dump, load, measurement_to_json, params_to_json
-from gausstat.states import GaussianParams, balanced_beamsplitter_duplicate
+from gausstat.states import GaussianParams, balanced_beamsplitter_duplicate, derive_moments
 
 
 def write_params(tmp_path, params, name="state.json"):
@@ -51,6 +51,18 @@ class TestSimulate:
         doc = load(out_a)
         assert doc["sigma"]["g2"] == 1e-3
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_g1_abs_noise_keeps_g1_symmetric(self, tmp_path):
+        params = GaussianParams(np.array([0.5, 0.3j, -0.4]), np.zeros((3, 3)),
+                                np.array([[0.0, 0.4, 0.2], [0.4, 0.0, 0.3], [0.2, 0.3, 0.0]]),
+                                np.array([0.2, 0.3, 0.1]))
+        path = write_params(tmp_path, params)
+        out = tmp_path / "meas.json"
+        assert run("simulate", path, "--out", out, "--seed", 0, "--noise", "g1_abs=1e-3") == 0
+        g1_abs = np.array(load(out)["g1_abs"])
+        exact = np.abs(derive_moments(params).g1)
+        assert np.abs(g1_abs - exact).max() > 1e-4  # the noise was applied
+        assert np.array_equal(g1_abs, g1_abs.T)
 
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -495,3 +507,19 @@ def test_verify_photon_csv(tmp_path):
     mode, n, p = lines[1].split(",")
     assert (mode, n) == ("0", "0")
     assert float(p) == pytest.approx(1 / 1.5, abs=1e-9)
+
+
+def test_verify_photon_csv_three_modes(tmp_path):
+    """Each mode's marginal in the CSV sums to the trace the oracle kept."""
+    params = GaussianParams(np.array([0.3, 0.2j, 0.1]), 0.1 * np.eye(3), np.full((3, 3), 0.2),
+                            np.array([0.05, 0.1, 0.0]))
+    path = write_params(tmp_path, params)
+    csv_path = tmp_path / "dist.csv"
+    out = tmp_path / "verify.json"
+    assert run("verify", path, "--photon-csv", csv_path, "--out", out) == 0
+    doc = load(out)
+    rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 3 * doc["cutoff"]
+    for mode in range(3):
+        total = sum(float(p) for m, _, p in rows if int(m) == mode)
+        assert total == pytest.approx(1.0 - doc["trace_deficit"], abs=1e-10)

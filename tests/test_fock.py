@@ -1,8 +1,8 @@
 """Truncated Fock-space oracle."""
 
 import tracemalloc
-from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from gausstat.fock import (
     MAX_DIMENSION,
     TruncatedDensity,
     build_density,
-    mode_number_distribution_matrix,
     moment_bruteforce,
     photon_number_distribution,
     total_number_factorial_moment,
@@ -28,11 +27,28 @@ from gausstat.states import GaussianParams, derive_moments
 from gausstat.words import LadderOp, LadderWord, correlation_word, gaussian_moment
 
 
+def dense(rho: TruncatedDensity) -> np.ndarray:
+    """The dim x dim density matrix W W^H that the oracle never forms."""
+    return rho.factor @ rho.factor.conj().T
+
+
+def mode_number_distribution_matrix(matrix, mode, modes, cutoff):
+    """Marginal photon-number distribution of one mode, by partial trace of a
+    dense density matrix."""
+    out = matrix.reshape((cutoff,) * modes * 2)
+    # trace out every other mode, highest axis first to keep indices stable
+    for ax in reversed(range(modes)):
+        if ax == mode:
+            continue
+        out = np.trace(out, axis1=ax, axis2=out.ndim // 2 + ax)
+    return np.diag(out).real.copy()
+
+
 def test_vacuum_is_projector():
     rho = build_density(GaussianParams.vacuum(1), cutoff=10)
     expected = np.zeros((10, 10))
     expected[0, 0] = 1.0
-    assert np.allclose(rho.matrix, expected)
+    assert np.allclose(dense(rho), expected)
 
 
 def test_thermal_geometric_diagonal():
@@ -40,7 +56,7 @@ def test_thermal_geometric_diagonal():
     rho = build_density(GaussianParams.single_mode(occupation=occ), cutoff=40)
     n = np.arange(40)
     expected = (occ / (occ + 1)) ** n / (occ + 1)
-    assert np.allclose(np.diag(rho.matrix).real, expected)
+    assert np.allclose(rho.populations, expected)
     assert rho.deficit < 1e-12
 
 
@@ -83,6 +99,34 @@ def test_total_number_factorial_moment_single_mode_thermal():
     rho = build_density(GaussianParams.single_mode(occupation=0.4), cutoff=40)
     assert total_number_factorial_moment(rho, 2) == pytest.approx(2 * 0.4**2, abs=1e-9)
     assert total_number_factorial_moment(rho, 3) == pytest.approx(6 * 0.4**3, abs=1e-9)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+@pytest.mark.parametrize("modes", [2, 3])
+def test_readers_match_dense_partial_trace(modes, pure):
+    """Populations, each mode's marginal, the vacuum overlap and the factorial
+    moments read from W equal those of the dense W W^H, on squeezed and
+    rotated states, mixed (k = dim columns) and pure (k = 1)."""
+    params = random_params(np.random.default_rng(40 + modes), modes,
+                           alpha_max=0.5, r_max=0.4, n_max=0.3)
+    if pure:
+        params = GaussianParams(params.alpha, params.squeeze, params.rotation, np.zeros(modes))
+    assert np.any(params.squeeze) and np.any(params.rotation - np.diag(np.diag(params.rotation)))
+    cutoff = VERIFY_CUTOFFS[modes]
+    rho = build_density(params, cutoff=cutoff, tail_tol=1.0)
+    assert rho.factor.shape == (cutoff**modes, 1 if pure else cutoff**modes)
+    matrix = dense(rho)
+    diag = np.diag(matrix).real
+    assert np.abs(rho.populations - diag).max() <= 1e-12
+    for mode in range(modes):
+        ref = mode_number_distribution_matrix(matrix, mode, modes, cutoff)
+        assert np.abs(photon_number_distribution(rho, mode) - ref).max() <= 1e-12
+    assert vacuum_overlap(rho) == pytest.approx(matrix[0, 0].real, abs=1e-12)
+    n_tot = np.indices((cutoff,) * modes).reshape(modes, -1).sum(axis=0)
+    for order in (1, 2, 3):
+        falling = np.prod([n_tot - k for k in range(order)], axis=0)
+        assert total_number_factorial_moment(rho, order) == pytest.approx(
+            falling @ diag, abs=1e-12)
 
 
 def test_trace_deficit_decreases_with_cutoff():
@@ -189,11 +233,12 @@ def test_moment_matches_sparse_product_on_every_word(modes, cutoff):
     params = random_params(np.random.default_rng(10 * modes + cutoff), modes,
                            alpha_max=0.5, r_max=0.3, n_max=0.3)
     rho = build_density(params, cutoff=cutoff, tail_tol=1.0)
+    matrix = dense(rho)
     words = 0
     worst = 0.0
     for word, op in _sparse_words(modes, cutoff, 6):
         op = op.tocoo()
-        ref = complex((op.data * rho.matrix[op.col, op.row]).sum())
+        ref = complex((op.data * matrix[op.col, op.row]).sum())
         worst = max(worst, abs(moment_bruteforce(rho, word) - ref) / max(1.0, abs(ref)))
         words += 1
     assert words == sum((2 * modes) ** k for k in range(1, 7))
@@ -250,7 +295,7 @@ def expm_reference_build(params, cutoff, tail_tol=1e-3):
             f"top-level occupancy {tail:.3e}",
             deficit=deficit, tail_mass=tail,
         )
-    return TruncatedDensity(rho, d, m, deficit, tail)
+    return SimpleNamespace(matrix=rho, dim=d, modes=m, deficit=deficit, tail_mass=tail)
 
 
 def _outcome(build, params, cutoff, tail_tol):
@@ -261,16 +306,16 @@ def _outcome(build, params, cutoff, tail_tol):
 
 
 def assert_matches_reference(params, cutoff, tail_tol=1.0):
-    """The factorized build equals the expm build: the same matrix, deficit
-    and tail to 1e-12, or the same TruncationError."""
+    """The factorized build equals the expm build: W W^H equals its matrix, and
+    the deficit and tail agree, to 1e-12; or both raise TruncationError."""
     new = _outcome(build_density, params, cutoff, tail_tol)
     old = _outcome(expm_reference_build, params, cutoff, tail_tol)
-    assert type(new) is type(old)
+    assert isinstance(new, TruncationError) == isinstance(old, TruncationError)
     assert new.deficit == pytest.approx(old.deficit, abs=1e-12)
     assert new.tail_mass == pytest.approx(old.tail_mass, abs=1e-12)
-    if isinstance(old, TruncatedDensity):
+    if isinstance(new, TruncatedDensity):
         assert (new.dim, new.modes) == (old.dim, old.modes)
-        assert np.abs(new.matrix - old.matrix).max() <= 1e-12
+        assert np.abs(dense(new) - old.matrix).max() <= 1e-12
     return new
 
 
@@ -326,48 +371,3 @@ class TestFactorizedBuildVsExpm:
             build_density(params, cutoff=cutoff)
         assert isinstance(assert_matches_reference(params, cutoff, tail_tol=1e-3),
                           TruncationError)
-
-
-def _passes_validate(density):
-    try:
-        density.validate()
-    except ValidationError:
-        return False
-    return True
-
-
-def _hermitian_with_spectrum(rng, evals):
-    q, _ = np.linalg.qr(rng.standard_normal((len(evals),) * 2)
-                        + 1j * rng.standard_normal((len(evals),) * 2))
-    h = (q * np.asarray(evals, dtype=float)) @ q.conj().T
-    return 0.5 * (h + h.conj().T)
-
-
-class TestPositivityCheck:
-    """``validate``'s Cholesky test against the eigvalsh verdict it replaced:
-    a density passes exactly when its smallest eigenvalue is at least -1e-10."""
-
-    @pytest.mark.parametrize("modes", [1, 2, 3])
-    def test_seeded_densities_match_eigvalsh(self, modes):
-        rng = np.random.default_rng(500 + modes)
-        for _ in range(3):
-            rho = build_density(random_params(rng, modes), cutoff=VERIFY_CUTOFFS[modes],
-                                tail_tol=1.0, check=False)
-            for shift in (0.0, 1e-12, 1e-8):
-                shifted = replace(rho, matrix=rho.matrix - shift * np.eye(rho.matrix.shape[0]))
-                reference = np.linalg.eigvalsh(shifted.matrix).min() >= -1e-10
-                assert _passes_validate(shifted) == reference == (shift < 1e-10)
-
-    @pytest.mark.parametrize("min_eig,passes", [(0.0, True), (-1e-12, True), (-1e-8, False)])
-    def test_hand_built_spectra(self, min_eig, passes):
-        matrix = _hermitian_with_spectrum(np.random.default_rng(3), [0.5, 0.3, 0.2, 0.0, min_eig])
-        density = TruncatedDensity(matrix, 5, 1, 0.0, 0.0)
-        if passes:
-            density.validate()
-        else:
-            with pytest.raises(ValidationError, match="min eig"):
-                density.validate()
-
-    def test_rank_one(self):
-        v = np.random.default_rng(4).standard_normal(12) + 1j
-        TruncatedDensity(np.outer(v, v.conj()) / np.vdot(v, v).real, 12, 1, 0.0, 0.0).validate()
