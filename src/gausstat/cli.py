@@ -27,6 +27,7 @@ from .errors import (
     GausstatError,
     InfeasibleError,
     NumericalError,
+    TruncationError,
     ValidationError,
 )
 from .recon_multi import (
@@ -279,8 +280,9 @@ def cmd_verify(args) -> int:
     measured truncation indicators, so an unconverged oracle is reported as
     such instead of masquerading as a closed-form bug.  Without ``--cutoff``
     it walks a short ladder of cutoffs (VERIFY_LADDERS): when the worst error
-    misses the budget at one cutoff, the oracle is rebuilt at the next, and
-    the output reports the cutoff it settled on.  A g3 row divides by
+    misses the budget at one cutoff, or the build there raises
+    TruncationError, the oracle is rebuilt at the next, and the output
+    reports the cutoff it settled on.  A g3 row divides by
     nbar^3, so a small mean photon number can push a converged-looking
     oracle past the budget at the default cutoff.
     """
@@ -288,8 +290,13 @@ def cmd_verify(args) -> int:
     params = serialize.params_from_json(serialize.load(args.params))
     ladder = ((config.fock_cutoff,) if config.fock_cutoff
               else VERIFY_LADDERS[min(params.modes, 3)])
-    for cutoff in ladder:
-        rho = fock.build_density(params, cutoff=cutoff)
+    for rung, cutoff in enumerate(ladder, 1):
+        try:
+            rho = fock.build_density(params, cutoff=cutoff)
+        except TruncationError:
+            if rung == len(ladder):
+                raise
+            continue
         rows = _verify_rows(params, rho)
         worst = max(row["abs_error"] for row in rows)
         # sixth-order moments amplify boundary occupancy by up to ~3e4
@@ -308,6 +315,8 @@ def cmd_verify(args) -> int:
         "type": "verification",
         "cutoff": rho.dim,
         "trace_deficit": rho.deficit,
+        "thermal_columns": rho.factor.shape[1],
+        "dropped_weight": rho.dropped_weight,
         "tail_mass": rho.tail_mass,
         "worst_abs_error": worst,
         "oracle_budget": budget,

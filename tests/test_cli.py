@@ -469,6 +469,33 @@ class TestVerifyCurvesBucket:
         assert doc["cutoff"] > 50
         assert doc["worst_abs_error"] <= doc["oracle_budget"]
 
+    def test_verify_climbs_past_truncation_error(self, tmp_path):
+        # the top-level occupancy at cutoff 50 is 8.6e-3, above the build's
+        # 1e-3 gate; the next rung of the ladder settles it
+        params = GaussianParams.single_mode(alpha=5.8)
+        spath = write_params(tmp_path, params)
+        out = tmp_path / "verify.json"
+        assert run("verify", spath, "--cutoff", "50") == 4
+        assert run("verify", spath, "--out", out) == 0
+        doc = load(out)
+        assert doc["cutoff"] == 64
+        assert doc["worst_abs_error"] <= doc["oracle_budget"]
+
+    def test_verify_reports_thermal_columns(self, tmp_path):
+        params = GaussianParams(np.array([0.2, 0.1j]), 0.1 * np.eye(2), np.full((2, 2), 0.2),
+                                np.array([0.05, 0.1]))
+        spath = write_params(tmp_path, params)
+        out = tmp_path / "verify.json"
+        assert run("verify", spath, "--out", out) == 0
+        doc = load(out)
+        assert 1 < doc["thermal_columns"] < doc["cutoff"] ** 2
+        # the dropped weight times (M (d - 1))^3 = 38^3 stays at or below 1e-16
+        assert 0 < doc["dropped_weight"] <= 1e-16 / 38**3
+        pure = write_params(tmp_path, GaussianParams.single_mode(alpha=0.3, r=0.2), "pure.json")
+        assert run("verify", pure, "--out", out) == 0
+        doc = load(out)
+        assert (doc["thermal_columns"], doc["dropped_weight"]) == (1, 0.0)
+
     def test_curves_eq20_point(self, tmp_path, capsys):
         assert run("curves", "--relation", "eq20", "--g2-min", "3",
                    "--g2-max", "3", "--num", "1") == 0

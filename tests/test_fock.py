@@ -17,6 +17,9 @@ from gausstat.fock import (
     DEFAULT_CUTOFFS,
     MAX_DIMENSION,
     TruncatedDensity,
+    _displacement,
+    _ladder_steps,
+    _word_action,
     build_density,
     moment_bruteforce,
     photon_number_distribution,
@@ -42,6 +45,23 @@ def mode_number_distribution_matrix(matrix, mode, modes, cutoff):
             continue
         out = np.trace(out, axis1=ax, axis2=out.ndim // 2 + ax)
     return np.diag(out).real.copy()
+
+
+def thermal_weights(occupations, cutoff):
+    """p_n of the truncated thermal seed, mode 0 most significant."""
+    n = np.arange(cutoff)
+    per_mode = [(occ / (occ + 1.0)) ** n / (occ + 1.0) if occ > 0 else (n == 0) * 1.0
+                for occ in occupations]
+    return np.prod(np.meshgrid(*per_mode, indexing="ij"), axis=0).ravel()
+
+
+def floored_columns(occupations, cutoff):
+    """(k, delta): the number of thermal columns the floor keeps, and the
+    weight it drops: the lightest weights go while their total delta keeps
+    delta (M (d - 1))^3 <= 1e-16."""
+    light = np.cumsum(np.sort(thermal_weights(occupations, cutoff)))
+    gone = light <= 1e-16 / (len(occupations) * (cutoff - 1)) ** 3
+    return light.size - int(gone.sum()), float(light[gone][-1]) if gone.any() else 0.0
 
 
 def test_vacuum_is_projector():
@@ -106,7 +126,7 @@ def test_total_number_factorial_moment_single_mode_thermal():
 def test_readers_match_dense_partial_trace(modes, pure):
     """Populations, each mode's marginal, the vacuum overlap and the factorial
     moments read from W equal those of the dense W W^H, on squeezed and
-    rotated states, mixed (k = dim columns) and pure (k = 1)."""
+    rotated states, mixed (k = the floored column count) and pure (k = 1)."""
     params = random_params(np.random.default_rng(40 + modes), modes,
                            alpha_max=0.5, r_max=0.4, n_max=0.3)
     if pure:
@@ -114,7 +134,9 @@ def test_readers_match_dense_partial_trace(modes, pure):
     assert np.any(params.squeeze) and np.any(params.rotation - np.diag(np.diag(params.rotation)))
     cutoff = VERIFY_CUTOFFS[modes]
     rho = build_density(params, cutoff=cutoff, tail_tol=1.0)
-    assert rho.factor.shape == (cutoff**modes, 1 if pure else cutoff**modes)
+    kept, _ = floored_columns(params.thermal, cutoff)
+    assert rho.factor.shape == (cutoff**modes, 1 if pure else kept)
+    assert pure or 1 < kept < cutoff**modes
     matrix = dense(rho)
     diag = np.diag(matrix).real
     assert np.abs(rho.populations - diag).max() <= 1e-12
@@ -371,3 +393,138 @@ class TestFactorizedBuildVsExpm:
             build_density(params, cutoff=cutoff)
         assert isinstance(assert_matches_reference(params, cutoff, tail_tol=1e-3),
                           TruncationError)
+
+
+def dense_generator_reference_build(params, cutoff, tail_tol=1e-3):
+    """The build before the thermal floor and the block-local generators:
+    every nonzero thermal column, each generator scattered into a dense
+    dim x dim array, and each block's exponential applied to every column."""
+    m, d = params.modes, cutoff
+    dim = d**m
+    digits = np.indices((d,) * m).reshape(m, -1)
+    total = digits.sum(axis=0)
+    p = thermal_weights(params.thermal, d)
+    cols = np.flatnonzero(p)
+    w = np.zeros((dim, cols.size), dtype=complex)
+    w[cols, np.arange(cols.size)] = np.sqrt(p[cols])
+
+    def apply_blocked(terms, labels):
+        gen = np.zeros((dim, dim), dtype=complex)
+        for coef, ops in terms:
+            src, dst, weight = _word_action(ops, m, d)
+            np.add.at(gen, (dst, src), coef * weight)
+        for label in range(labels.max() + 1):
+            idx = np.flatnonzero(labels == label)
+            rows = w[idx]
+            if not rows.any():
+                continue
+            evals, vecs = np.linalg.eigh(1j * gen[np.ix_(idx, idx)])
+            w[idx] = vecs @ (np.exp(-1j * evals)[:, None] * (vecs.conj().T @ rows))
+
+    phi, z = params.rotation, params.squeeze
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    if np.any(phi - np.diag(np.diag(phi))):
+        apply_blocked([(1j * phi[i, j], (LadderOp(i, True), LadderOp(j, False)))
+                       for i, j in pairs if phi[i, j] != 0], total)
+    if np.any(z):
+        apply_blocked([term for i, j in pairs if z[i, j] != 0
+                       for term in ((0.5 * np.conj(z[i, j]),
+                                     (LadderOp(i, False), LadderOp(j, False))),
+                                    (-0.5 * z[i, j], (LadderOp(i, True), LadderOp(j, True))))],
+                      total % 2)
+    t = w.reshape((d,) * m + (-1,))
+    for i, alpha in enumerate(params.alpha):
+        if alpha != 0:
+            t = np.moveaxis(np.tensordot(_displacement(alpha, d), t, axes=(1, i)), 0, i)
+    w = t.reshape(dim, -1)
+    populations = (w.real**2 + w.imag**2).sum(axis=1)
+    deficit = float(abs(1.0 - populations.sum()))
+    tail = max(float(np.bincount(digits[i], weights=populations, minlength=d)[-_TAIL_LEVELS:].sum())
+               for i in range(m))
+    if deficit > tail_tol or tail > tail_tol:
+        raise TruncationError("reference build truncated", deficit=deficit, tail_mass=tail)
+    return SimpleNamespace(factor=w, populations=populations, dim=d, modes=m,
+                           deficit=deficit, tail_mass=tail)
+
+
+def max_word_difference(diff, modes, cutoff, max_order=6):
+    """(words, worst): the number of ladder words of order 1..max_order, and
+    the largest |Tr[diff O]| over them.  O|s> = weight_s |dst_s> by index
+    arithmetic, so Tr[diff O] = sum_s weight_s diff[s, dst_s]; each word is
+    reached from its right part by one more operator on the left."""
+    steps = _ladder_steps(modes, cutoff)
+    dim = cutoff**modes
+    padded = np.zeros((dim, dim + 1), dtype=complex)  # column dim: the sink
+    padded[:, :dim] = diff
+    rows = np.arange(dim)
+    stack = [(rows, np.ones(dim), 0)]
+    words, worst = 0, 0.0
+    while stack:
+        dst, weight, order = stack.pop()
+        for mode in range(modes):
+            for creation in (False, True):
+                nxt, factor = steps[mode][creation]
+                right = (nxt[dst], weight * factor[dst], order + 1)
+                worst = max(worst, abs((right[1] * padded[rows, right[0]]).sum()))
+                words += 1
+                if right[2] < max_order:
+                    stack.append(right)
+    return words, worst
+
+
+def _floor_states(modes, cutoff):
+    """Seeded mixed states (the verify draw's small occupations, whose lightest
+    columns the floor drops, and larger ones), one with an empty mode, and a
+    pure state."""
+    rng = np.random.default_rng(3000 * modes + cutoff)
+    mixed = [random_params(rng, modes, alpha_max=0.6, r_max=0.15, n_max=0.1),
+             random_params(rng, modes, alpha_max=0.5, r_max=0.3, n_max=0.5)]
+    p = random_params(rng, modes, alpha_max=0.5, r_max=0.3, n_max=0.3)
+    occ = p.thermal.copy()
+    occ[rng.integers(modes)] = 0.0
+    p2 = random_params(rng, modes, alpha_max=0.5, r_max=0.3)
+    return mixed + [GaussianParams(p.alpha, p.squeeze, p.rotation, occ),
+                    GaussianParams(p2.alpha, p2.squeeze, p2.rotation, np.zeros(modes))]
+
+
+@pytest.mark.parametrize("modes,cutoff", _SIDE_BY_SIDE_CUTOFFS)
+def test_floored_block_local_build_matches_dense_generator_build(modes, cutoff):
+    """The build with the thermal floor, per-block columns and block-local
+    generators against the dense-generator build without a floor: W W^H
+    within delta + 1e-15, every ladder word of order 1-6 within
+    delta (M (d - 1))^3 + 1e-14, and deficit and tail within delta + 1e-15,
+    where delta is the dropped thermal weight."""
+    norm = (modes * (cutoff - 1)) ** 3
+    dropped = []
+    for params in _floor_states(modes, cutoff):
+        new = build_density(params, cutoff=cutoff, tail_tol=1.0)
+        old = dense_generator_reference_build(params, cutoff, tail_tol=1.0)
+        kept, delta = floored_columns(params.thermal, cutoff)
+        assert new.factor.shape == (cutoff**modes, kept)
+        assert new.dropped_weight == pytest.approx(delta, rel=1e-12, abs=0.0)
+        assert delta * norm <= 1e-16
+        delta = new.dropped_weight
+        dropped.append(delta)
+        diff = dense(new) - old.factor @ old.factor.conj().T
+        assert np.abs(diff).max() <= delta + 1e-15
+        assert abs(new.deficit - old.deficit) <= delta + 1e-15
+        assert abs(new.tail_mass - old.tail_mass) <= delta + 1e-15
+        words, worst = max_word_difference(diff, modes, cutoff)
+        assert words == sum((2 * modes) ** k for k in range(1, 7))
+        assert worst <= delta * norm + 1e-14
+    assert dropped[0] > 0.0 and dropped[-1] == 0.0
+
+
+def test_build_holds_no_dense_generator():
+    """One build at (M, cutoff) = (3, 12) peaks at 1.5 U or less under
+    tracemalloc, U = 16 dim^2 bytes: no generator on the full space (U) and
+    no product of a block with all of W's columns."""
+    params = _params([0.2, 0.1j, 0], 0.1 * np.eye(3), np.full((3, 3), 0.2), [0.05, 0.1, 0])
+    tracemalloc.start()
+    try:
+        rho = build_density(params, cutoff=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.factor.shape[0] == 12**3
+    assert peak <= 1.5 * 16 * (12**3) ** 2
