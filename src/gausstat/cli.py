@@ -37,12 +37,7 @@ from .recon_multi import (
     recon_squeezed_thermal_multi,
 )
 from .recon_single import recon_dst_beamsplitter, recon_dst_scan, reconstruct_single_mode
-from .states import (
-    derive_moments,
-    g2_tensor,
-    g3_tensor,
-    no_click_probability_single,
-)
+from .states import derive_moments, g2_tensor, g3_tensor, mode_vacuum_probability
 from .words import LadderWord, correlation_word
 
 log = logging.getLogger("gausstat")
@@ -63,6 +58,18 @@ class RunConfig:
             raise ValidationError("tolerance must be positive")
         if self.fock_cutoff is not None and self.fock_cutoff < 2:
             raise ValidationError("fock cutoff must be at least 2")
+
+
+def _finite_float(text: str) -> float:
+    """A finite float parsed from command-line or CSV text; anything else is a
+    ValidationError, which exits 2.  The argparse ``type`` of every float flag."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_noise(spec: str | None) -> dict:
@@ -151,9 +158,12 @@ def _read_scan_csv(path):
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ValidationError(f"{path}: scan CSV needs header columns g2,g3")
         for row in reader:
-            rows.append([float(row["g2"]), float(row["g3"])])
-            if row.get("sigma_g3"):
-                sigmas.append(float(row["sigma_g3"]))
+            try:
+                rows.append([_finite_float(row["g2"]), _finite_float(row["g3"])])
+                if row.get("sigma_g3"):
+                    sigmas.append(_finite_float(row["sigma_g3"]))
+            except ValidationError as err:
+                raise ValidationError(f"{path}: line {reader.line_num}: {err}") from err
     if sigmas and len(sigmas) != len(rows):
         raise ValidationError(f"{path}: sigma_g3 must be given for every row or none")
     return np.array(rows), (np.array(sigmas) if sigmas else None)
@@ -162,13 +172,15 @@ def _read_scan_csv(path):
 def cmd_reconstruct(args) -> int:
     config = _config_from_args(args)
     inputs = list(args.measurements)
+    if not inputs and not args.scan:
+        raise ValidationError("reconstruct needs a measurement file or --scan")
     if args.scan:
         pts, sigmas = _read_scan_csv(args.scan)
         if args.nbar is None:
             raise ValidationError("--scan needs --nbar")
         steps = None
         if args.phase_steps:
-            steps = [float(x) for x in args.phase_steps.split(",")]
+            steps = [_finite_float(x) for x in args.phase_steps.split(",")]
         result = recon_dst_scan(pts, nbar=args.nbar, sigmas=sigmas, phase_steps=steps,
                                 tol=max(config.tolerance, 1e-8))
         doc = {
@@ -263,7 +275,7 @@ def _verify_rows(params, rho) -> list[dict]:
         denom = moments.nbar[i] * moments.nbar[j] * moments.nbar[k]
         add(f"g3_{i}{j}{k}", val, fock.moment_bruteforce(rho, word) / denom)
     if m == 1:
-        add("p0", no_click_probability_single(params), fock.vacuum_overlap(rho))
+        add("p0", mode_vacuum_probability(moments, 0), fock.vacuum_overlap(rho))
     if m <= 2:
         obs = bucket_mod.bucket_correlations(moments)
         t1 = fock.total_number_factorial_moment(rho, 1)
@@ -333,6 +345,8 @@ def cmd_verify(args) -> int:
 def cmd_curves(args) -> int:
     config = _config_from_args(args)
     lo, hi = args.g2_min, args.g2_max
+    if args.num < 1:
+        raise ValidationError("--num must be at least 1")
     if args.relation == "eq21" and hi > 2.0:
         raise ValidationError("the non-squeezed relation is defined for g2 <= 2")
     g2s = np.linspace(lo, hi, args.num)
@@ -392,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance")
+        p.add_argument("--tol", type=_finite_float, default=1e-8, help="numerical tolerance")
         p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff per mode")
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -415,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-port", choices=["orig", "plus"], default="orig",
                    help="which reference port the second dst file describes")
     p.add_argument("--scan", default=None, help="phase-scan CSV with g2,g3 columns")
-    p.add_argument("--nbar", type=float, default=None, help="mean photon number for --scan")
+    p.add_argument("--nbar", type=_finite_float, default=None, help="mean photon number for --scan")
     p.add_argument("--phase-steps", default=None,
                    help="comma-separated scan phase increments (resolves the Z2 sign)")
     common(p)
@@ -431,16 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="reference g2-g3 relation curves as CSV")
     p.add_argument("--relation", choices=["eq20", "eq21"], required=True,
                    help="eq20: non-displaced line; eq21: non-squeezed curve")
-    p.add_argument("--g2-min", type=float, default=1.0)
-    p.add_argument("--g2-max", type=float, default=2.0)
+    p.add_argument("--g2-min", type=_finite_float, default=1.0)
+    p.add_argument("--g2-max", type=_finite_float, default=2.0)
     p.add_argument("--num", type=int, default=51)
     common(p)
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("bucket", help="bucket correlations, bounds, mode estimate")
     p.add_argument("params", nargs="?", default=None, help="GaussianParams JSON file")
-    p.add_argument("--g2b", type=float, default=None)
-    p.add_argument("--g3b", type=float, default=None)
+    p.add_argument("--g2b", type=_finite_float, default=None)
+    p.add_argument("--g3b", type=_finite_float, default=None)
     p.add_argument("--estimate-modes", action="store_true")
     common(p)
     p.set_defaults(func=cmd_bucket)
@@ -453,8 +467,9 @@ def main(argv=None) -> int:
                       logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a float flag that is not finite raises ValidationError while parsing
+        args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as err:
         log.error("%s", err)

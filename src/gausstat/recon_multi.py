@@ -12,10 +12,11 @@ leftovers in two-mode systems.  The universal acceptance check is therefore
 to push reconstructed parameters through the forward model and compare
 observables, not raw parameters.
 
-Every matrix function is built from numpy's hermitian eigensolver: V^(-1/2)
-and the real Schur basis of Williamson's kernel from ``eigh``, and the log and
-square root of a unitary from ``eigh`` of its Cayley transform
-(``_unitary_eig``).
+Every matrix function is built from numpy's hermitian eigensolver and SVD:
+V^(-1/2) and the real Schur basis of Williamson's kernel from ``eigh``, the
+log of a unitary from ``eigh`` of its Cayley transform (``_unitary_eig``),
+and the squeeze matrix and rotation behind the Bogoliubov blocks from one SVD
+each (``squeeze_from_blocks``).
 """
 
 from __future__ import annotations
@@ -169,24 +170,6 @@ def williamson(v: np.ndarray, tol: float = 1e-8) -> WilliamsonResult:
     return WilliamsonResult(d, s, degenerate)
 
 
-def symplectic_spectrum(v: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues via |eig(Omega V)|, sorted descending."""
-    m = v.shape[0] // 2
-    ev = np.linalg.eigvals(symplectic_form(m) @ v)
-    d = np.sort(np.abs(ev))[::-1]
-    return d[::2]
-
-
-def check_physicality(v: np.ndarray, tol: float = 1e-9) -> float:
-    """Smallest symplectic eigenvalue; raises if below the vacuum limit 1/2."""
-    dmin = float(symplectic_spectrum(v).min())
-    if dmin < 0.5 - tol:
-        raise ValidationError(
-            f"covariance violates the uncertainty bound: min symplectic "
-            f"eigenvalue {dmin:.6f} < 1/2")
-    return dmin
-
-
 def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal angles theta in (-pi, pi] and orthonormal eigenvectors V of a
     (near-)unitary u = V diag(e^{i theta}) V^H.
@@ -209,29 +192,6 @@ def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wrap_angle(2.0 * np.arctan(t) + beta), vecs
 
 
-def takagi(sym: np.ndarray, tol: float = 1e-12):
-    """Autonne-Takagi factorization sym = U diag(s) U^T of a complex symmetric matrix."""
-    sym = np.asarray(sym, dtype=complex)
-    if np.abs(sym - sym.T).max() > 1e-8 * (1 + np.abs(sym).max()):
-        raise ValidationError("takagi needs a symmetric matrix")
-    n = sym.shape[0]
-    if np.abs(sym).max() < tol:
-        return np.zeros(n), np.eye(n, dtype=complex)
-    u, s, vh = np.linalg.svd(sym)
-    w = vh.conj().T
-    # group (nearly) degenerate singular values; within a group the columns of
-    # u are fixed by the unitary u_g^T w_g, whose principal square root they absorb
-    uu = u.copy()
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or abs(s[k] - s[start]) > 1e-8 * (1 + s[0]):
-            theta, vecs = _unitary_eig(u[:, start:k].T @ w[:, start:k])
-            root = (vecs * np.exp(0.5j * theta)) @ vecs.conj().T
-            uu[:, start:k] = u[:, start:k] @ root.conj()
-            start = k
-    return s.copy(), uu
-
-
 def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian phi with e^{i phi} = u (principal branch)."""
     theta, vecs = _unitary_eig(u)
@@ -239,26 +199,34 @@ def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def squeeze_from_blocks(e_block: np.ndarray, f_block: np.ndarray):
-    """(z, phi) with E = cosh(r) e^{i phi}, F = -sinh(r) e^{i theta} e^{-i phi^T}."""
-    p2 = e_block @ e_block.conj().T
-    vals, vecs = np.linalg.eigh(0.5 * (p2 + p2.conj().T))
-    vals = np.clip(vals, 1.0, None)
-    cosh_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    expiphi = cosh_inv @ e_block
-    y = -f_block @ expiphi.T  # sinh(r) e^{i theta}, symmetric
-    y = 0.5 * (y + y.T)
-    sv, uu = takagi(y)
-    z = (uu * np.arcsinh(sv)) @ uu.T
-    phi = rotation_from_unitary(expiphi)
-    return z, phi
+    """(z, phi) with E = cosh(r) e^{i phi}, F = -sinh(r) e^{i theta} e^{-i phi^T}.
+
+    e^{i phi} = U V^H is the unitary polar factor of E = U S V^H, and with
+    y = -F (e^{i phi})^T = sinh(r) e^{i theta} = W' S' V'^H the squeeze
+    matrix is z = W' arcsinh(S') V'^H.
+    """
+    u, _, vh = np.linalg.svd(e_block)
+    expiphi = u @ vh
+    y = -f_block @ expiphi.T
+    w, sv, vh = np.linalg.svd(0.5 * (y + y.T))
+    z = (w * np.arcsinh(sv)) @ vh
+    return z, rotation_from_unitary(expiphi)
 
 
 def params_from_covariance(cov: ComplexCovariance, alpha: np.ndarray,
                            tol: float = 1e-8) -> GaussianParams:
-    """Gaussian parameters (up to gauge) reproducing a physical covariance."""
+    """Gaussian parameters (up to gauge) reproducing a physical covariance.
+
+    Raises ValidationError when a symplectic eigenvalue of the covariance lies
+    below the vacuum limit 1/2.
+    """
     v = complex_to_real_cov(cov)
-    check_physicality(v)
     res = williamson(v, tol=max(tol, 1e-8))
+    dmin = float(res.D.min())
+    if dmin < 0.5 - 1e-9:
+        raise ValidationError(
+            f"covariance violates the uncertainty bound: min symplectic "
+            f"eigenvalue {dmin:.6f} < 1/2")
     m = cov.modes
     occupations = np.clip(res.D - 0.5, 0.0, None)
     lam = _ladder_to_quadrature(m)

@@ -24,8 +24,8 @@ from .errors import (
     SectorMismatchError,
     ValidationError,
 )
-from .states import (GaussianParams, _squeezed_thermal_inversion, derive_moments, g2_tensor,
-                     g3_value)
+from .states import (GaussianParams, derive_moments, g2_tensor, g3_value,
+                     mode_vacuum_probability)
 
 _COS_CLAMP = 1e-9
 
@@ -53,13 +53,29 @@ def _clamp_cosine(value: float, tol: float = _COS_CLAMP) -> float:
     return float(np.clip(value, -1.0, 1.0))
 
 
+def _squeezed_thermal_inversion(m_c: float, cov2: float) -> tuple[float, float, float]:
+    """(disc, sinh^2 r, N), unclamped, of the squeezed thermal mode with centered
+    occupation m_c and |cov|^2 = cov2: disc = (2 m_c + 1)^2 - 4 cov2 = (2N + 1)^2
+    and sinh^2 r = (2 m_c + 1) / (2 sqrt(disc)) - 1/2.  No physical mode has
+    disc < 0; each caller judges the three against its own thresholds."""
+    disc = (2 * m_c + 1.0) ** 2 - 4.0 * cov2
+    root = np.sqrt(max(disc, 0.0))
+    sinh2 = 0.5 * (2 * m_c + 1.0) / root - 0.5 if root > 0 else 0.0
+    return disc, sinh2, 0.5 * root - 0.5
+
+
+def _squeeze_radius(sinh2: float) -> float:
+    """r from sinh^2 r, with a slightly negative sinh^2 r read as zero."""
+    return float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
+
+
 def recon_squeezed_thermal(g2: float, nbar: float, tol: float = 1e-9):
     """(r, N) of a squeezed thermal state from g2 and the mean photon number.
 
     sinh^2 r = (2 nbar + 1) / (2 sqrt(D)) - 1/2 and N = sqrt(D)/2 - 1/2 with
     D = (2 nbar + 1)^2 - 4 nbar^2 (g2 - 2).
     """
-    if nbar <= 0:
+    if not nbar > 0:
         raise ValidationError("nbar must be positive")
     if g2 < 2.0 - 1e-9:
         raise SectorMismatchError(f"g2 = {g2} < 2: not a squeezed thermal state")
@@ -68,17 +84,7 @@ def recon_squeezed_thermal(g2: float, nbar: float, tol: float = 1e-9):
         raise InfeasibleError(f"negative discriminant {disc:.3e}: (g2, nbar) outside the sector")
     if occupation < -tol or sinh2 < -tol:
         raise InfeasibleError("inverted parameters fall below zero")
-    r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
-    return r, float(max(occupation, 0.0))
-
-
-def _squeezed_thermal_forward(r: float, occupation: float):
-    s = np.sinh(r) ** 2
-    nbar = s + occupation * (2 * s + 1.0)
-    cov = (2 * occupation + 1.0) * np.sinh(r) * np.cosh(r)
-    g2 = 2.0 + cov**2 / nbar**2 if nbar > 0 else np.nan
-    p0 = 1.0 / np.sqrt(occupation**2 + (2 * occupation + 1.0) * np.cosh(r) ** 2)
-    return g2, nbar, p0
+    return _squeeze_radius(sinh2), float(max(occupation, 0.0))
 
 
 def recon_squeezed_thermal_click(g2: float, p0: float, tol: float = 1e-8):
@@ -119,11 +125,11 @@ def recon_squeezed_thermal_click(g2: float, p0: float, tol: float = 1e-8):
         sinh2 = (1.0 - (occupation + 1.0) ** 2 * p0**2) / ((2 * occupation + 1.0) * p0**2)
         if sinh2 < -1e-10:
             continue
-        r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
-        g2_f, nbar_f, p0_f = _squeezed_thermal_forward(r, occupation)
-        err = abs(p0_f - p0)
-        if np.isfinite(g2_f):  # vacuum root leaves g2 unconstrained
-            err = max(err, abs(g2_f - g2))
+        r = _squeeze_radius(sinh2)
+        mom = derive_moments(GaussianParams.single_mode(r=r, occupation=occupation))
+        err = abs(mode_vacuum_probability(mom, 0) - p0)
+        if mom.nbar[0] > 0:  # vacuum root leaves g2 unconstrained
+            err = max(err, abs(g2_tensor(mom)[0, 0] - g2))
         if err <= max(tol, 1e-6 * (1 + abs(g2))):
             out.append((err, r, occupation))
     if not out:
@@ -137,7 +143,7 @@ def recon_displaced_thermal(g2: float, nbar: float, tol: float = 1e-9):
 
     |alpha|^2 = nbar sqrt(2 - g2), N = nbar (1 - sqrt(2 - g2)).
     """
-    if nbar <= 0:
+    if not nbar > 0:
         raise ValidationError("nbar must be positive")
     if g2 > 2.0 + tol or g2 < 1.0 - tol:
         raise SectorMismatchError(f"g2 = {g2} outside [1, 2]: not a displaced thermal state")
@@ -206,7 +212,7 @@ def _st_params_from_moduli(nbar: float, alpha2: float, cov_abs: float, tol: floa
         raise InfeasibleError("covariance modulus exceeds the physical bound")
     if occupation < -1e-8 or sinh2 < -1e-8:
         raise InfeasibleError("scan moduli correspond to negative parameters")
-    return float(np.arcsinh(np.sqrt(max(sinh2, 0.0)))), float(max(occupation, 0.0))
+    return _squeeze_radius(sinh2), float(max(occupation, 0.0))
 
 
 def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
@@ -228,7 +234,7 @@ def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValidationError("need at least two (g2, g3) points")
-    if nbar <= 0:
+    if not nbar > 0:
         raise ValidationError("nbar must be positive")
     g2s, g3s = pts[:, 0], pts[:, 1]
     spread = g2s.max() - g2s.min()
@@ -345,9 +351,9 @@ def recon_dst_beamsplitter(m_minus: MeasurementSet, g2_orig: float,
     if alpha2 < -1e-10:
         raise InconsistentDataError("negative inferred |alpha|^2 from the nbar difference")
     alpha2 = max(alpha2, 0.0)
-    cov_abs = (2 * occupation + 1.0) * np.sinh(r) * np.cosh(r)
+    params = GaussianParams.single_mode(r=r, occupation=occupation)
+    cov_abs = abs(derive_moments(params).cov[0, 0])
     if alpha2 < 1e-12:
-        params = GaussianParams.single_mode(r=r, occupation=occupation)
         return ReconstructedState(params, Ambiguity(notes=("displacement vanishes",)),
                                   residual=0.0)
     if cov_abs < 1e-12:

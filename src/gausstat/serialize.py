@@ -68,6 +68,8 @@ def params_from_json(doc: dict) -> GaussianParams:
         )
     except KeyError as err:
         raise ValidationError(f"gaussian_params document missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"malformed gaussian_params document: {err}") from err
 
 
 def moments_to_json(moments: MomentSummary) -> dict:

@@ -16,6 +16,7 @@ coherences g1, and the annihilation covariances cov_ij.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -96,26 +97,14 @@ class GaussianParams:
         )
 
 
-def polar_squeeze(z: np.ndarray):
-    """Left polar decomposition z = r e^{i theta} of a symmetric matrix.
-
-    Returns (r, e^{i theta}) with r hermitian positive semidefinite.  Columns
-    of the phase factor belonging to zero singular values carry no physics and
-    are fixed by the SVD convention.
-    """
-    w, sv, vh = np.linalg.svd(z)
-    r = (w * sv) @ w.conj().T
-    return 0.5 * (r + r.conj().T), w @ vh
-
-
 def _squeeze_blocks(z: np.ndarray):
-    """cosh(r) and sinh(r) e^{i theta} of the left polar form z = r e^{i theta}."""
-    r, expith = polar_squeeze(np.asarray(z, dtype=complex))
-    vals, vecs = np.linalg.eigh(r)
-    vals = np.clip(vals, 0.0, None)
-    cosh_r = (vecs * np.cosh(vals)) @ vecs.conj().T
-    sinh_r = (vecs * np.sinh(vals)) @ vecs.conj().T
-    return cosh_r, sinh_r @ expith
+    """cosh(r) and sinh(r) e^{i theta} of the left polar form z = r e^{i theta}.
+
+    One SVD z = W S V^H gives both: r = W S W^H and e^{i theta} = W V^H, so
+    cosh(r) = W cosh(S) W^H and sinh(r) e^{i theta} = W sinh(S) V^H.
+    """
+    w, sv, vh = np.linalg.svd(np.asarray(z, dtype=complex))
+    return (w * np.cosh(sv)) @ w.conj().T, (w * np.sinh(sv)) @ vh
 
 
 def _unitary_from_hermitian(phi: np.ndarray) -> np.ndarray:
@@ -339,58 +328,35 @@ def single_mode_g2_g3(params: GaussianParams) -> tuple[float, float]:
 
 
 def no_click_probability_single(params: GaussianParams) -> float:
-    """Vacuum overlap of a single-mode Gaussian state (closed form).
-
-    p0 = exp(-[1 + (2N+1)cosh 2r + (2N+1)sinh 2r cos(2 phi_d - theta)] |alpha|^2
-         / [2N^2 + 2(2N+1)cosh^2 r]) / sqrt(N^2 + (2N+1)cosh^2 r),
-    with phi_d the displacement phase and theta the squeeze phase.  Multimode
-    states are delegated to the Fock oracle.
-    """
+    """Vacuum overlap of a single-mode Gaussian state, from its moments
+    (``mode_vacuum_probability``).  Multimode states are delegated to the
+    Fock oracle."""
     if params.modes != 1:
         raise ValidationError("closed-form no-click probability is single-mode only")
-    z = complex(params.squeeze[0, 0])
-    r, theta = abs(z), float(np.angle(z))
-    occ = float(params.thermal[0])
-    alpha = complex(params.alpha[0])
-    phi_d = float(np.angle(alpha)) if alpha != 0 else 0.0
-    tp1 = 2.0 * occ + 1.0
-    denom = np.sqrt(occ**2 + tp1 * np.cosh(r) ** 2)
-    expo = (1.0 + tp1 * np.cosh(2 * r) + tp1 * np.sinh(2 * r) * np.cos(2 * phi_d - theta))
-    expo *= abs(alpha) ** 2 / (2.0 * occ**2 + 2.0 * tp1 * np.cosh(r) ** 2)
-    return float(np.exp(-expo) / denom)
-
-
-def _squeezed_thermal_inversion(m_c: float, cov2: float) -> tuple[float, float, float]:
-    """(disc, sinh^2 r, N), unclamped, of the squeezed thermal mode with centered
-    occupation m_c and |cov|^2 = cov2: disc = (2 m_c + 1)^2 - 4 cov2 = (2N + 1)^2
-    and sinh^2 r = (2 m_c + 1) / (2 sqrt(disc)) - 1/2.  No physical mode has
-    disc < 0; each caller judges the three against its own thresholds."""
-    disc = (2 * m_c + 1.0) ** 2 - 4.0 * cov2
-    root = np.sqrt(max(disc, 0.0))
-    sinh2 = 0.5 * (2 * m_c + 1.0) / root - 0.5 if root > 0 else 0.0
-    return disc, sinh2, 0.5 * root - 0.5
+    return mode_vacuum_probability(derive_moments(params), 0)
 
 
 def mode_vacuum_probability(moments: MomentSummary, mode: int) -> float:
     """Vacuum probability of one mode of a multimode state from its reduced moments.
 
-    The single-mode marginal of a Gaussian state is Gaussian; its effective
-    (r, N) follow from |cov| and the centered occupation exactly as in the
-    squeezed-thermal inversion, after which the closed form above applies.
+    The single-mode marginal of a Gaussian state is Gaussian.  With its
+    displacement alpha, covariance cov = <a a> - alpha^2 and centered
+    occupation m_c = nbar - |alpha|^2,
+
+        p0 = exp(-[(m_c + 1) |alpha|^2 - Re(conj(cov) alpha^2)] / Delta) / sqrt(Delta),
+        Delta = (m_c + 1)^2 - |cov|^2.
+
+    Raises ValidationError when (2 m_c + 1)^2 - 4 |cov|^2 < -1e-12, which no
+    physical mode reaches.
     """
-    i = mode
-    alpha = complex(moments.alpha[i])
-    cov = complex(moments.cov[i, i])
-    m_c = float(moments.nbar[i] - abs(alpha) ** 2)
-    disc, sinh2, occ = _squeezed_thermal_inversion(m_c, abs(cov) ** 2)
-    if disc < -1e-12:
+    alpha = complex(moments.alpha[mode])
+    cov = complex(moments.cov[mode, mode])
+    m_c = float(moments.nbar[mode]) - abs(alpha) ** 2
+    if (2 * m_c + 1.0) ** 2 - 4.0 * abs(cov) ** 2 < -1e-12:
         raise ValidationError("reduced mode violates single-mode physicality")
-    r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
-    theta = float(np.angle(-cov)) if abs(cov) > 0 else 0.0
-    # only the relative phase 2 phi_d - theta matters; rotate theta away
-    phi_rel = float(np.angle(alpha)) - 0.5 * theta if alpha != 0 else 0.0
-    eff = GaussianParams.single_mode(abs(alpha) * np.exp(1j * phi_rel), r, 0.0, max(occ, 0.0))
-    return no_click_probability_single(eff)
+    delta = (m_c + 1.0) ** 2 - abs(cov) ** 2
+    expo = ((m_c + 1.0) * abs(alpha) ** 2 - (cov.conjugate() * alpha**2).real) / delta
+    return math.exp(-expo) / math.sqrt(delta)
 
 
 def balanced_beamsplitter_duplicate(params: GaussianParams):

@@ -13,7 +13,12 @@ import gausstat
 from gausstat.cli import main
 from gausstat.classify import MeasurementSet
 from gausstat.serialize import dump, load, measurement_to_json, params_to_json
-from gausstat.states import GaussianParams, balanced_beamsplitter_duplicate, derive_moments
+from gausstat.states import (
+    GaussianParams,
+    balanced_beamsplitter_duplicate,
+    derive_moments,
+    single_mode_g2_g3,
+)
 
 
 def write_params(tmp_path, params, name="state.json"):
@@ -95,6 +100,81 @@ class TestRejectBadInput:
     def test_overflowing_squeeze_is_numerical_failure(self, tmp_path):
         path = write_params(tmp_path, GaussianParams.single_mode(r=400.0))
         assert run("simulate", path) == 4
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """A single-mode displaced squeezed state, its measurements and a
+    three-point phase scan of it at fixed |alpha|, r and N."""
+    params = GaussianParams.single_mode(alpha=0.5 * np.exp(0.4j), r=0.45, theta=0.3,
+                                        occupation=0.1)
+    state = write_params(tmp_path, params)
+    meas = tmp_path / "meas.json"
+    assert run("simulate", state, "--out", meas) == 0
+    rows = ["g2,g3"]
+    for delta in (0.0, np.pi / 3, 2 * np.pi / 3):
+        g2, g3 = single_mode_g2_g3(GaussianParams.single_mode(
+            alpha=0.3 * np.exp(0.5j * delta), r=0.4, occupation=0.1))
+        rows.append(f"{g2!r},{g3!r}")
+    scan = tmp_path / "scan.csv"
+    scan.write_text("\n".join(rows) + "\n")
+    nbar = derive_moments(GaussianParams.single_mode(alpha=0.3, r=0.4, occupation=0.1)).nbar[0]
+    return {"state": state, "meas": meas, "scan": scan, "nbar": repr(float(nbar))}
+
+
+def _edit_json(path, edit):
+    doc = load(path)
+    edit(doc)
+    dump(doc, path)
+
+
+def _edit_scan_cell(path, column, value):
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("argv,corrupt", [
+    (["classify", "meas", "--tol", "nan"], None),
+    (["bucket", "--g2b", "nan", "--g3b", "3"], None),
+    (["bucket", "--g2b", "inf", "--g3b", "3"], None),
+    (["reconstruct", "--scan", "scan", "--nbar", "nan"], None),
+    (["reconstruct", "--scan", "scan", "--nbar", "inf"], None),
+    (["reconstruct", "--scan", "scan", "--nbar", "nbar", "--phase-steps", "nan,1.0"], None),
+    (["curves", "--relation", "eq20", "--g2-min", "nan"], None),
+    (["curves", "--relation", "eq20", "--num", "-1"], None),
+    (["simulate", "state"], lambda f: _edit_json(f["state"], lambda d: d.update(thermal=["x"]))),
+    (["simulate", "state"],
+     lambda f: _edit_json(f["state"], lambda d: d.update(alpha=[["a", 1]]))),
+    (["simulate", "state"], lambda f: _edit_json(f["state"], lambda d: d.update(squeeze=5))),
+    (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
+     lambda f: _edit_scan_cell(f["scan"], "g3", "abc")),
+    (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
+     lambda f: _edit_scan_cell(f["scan"], "g2", "nan")),
+    (["reconstruct"], None),
+], ids=["classify-tol-nan", "bucket-g2b-nan", "bucket-g2b-inf", "scan-nbar-nan",
+        "scan-nbar-inf", "scan-phase-step-nan", "curves-g2-min-nan", "curves-num-negative",
+        "params-thermal-string", "params-alpha-string", "params-squeeze-scalar",
+        "scan-g3-not-a-number", "scan-g2-nan", "reconstruct-without-input"])
+def test_bad_input_is_a_validation_error(cli_inputs, capfd, argv, corrupt):
+    """Non-finite flags and malformed file content stop where they enter: exit
+    2 with a validation error, and no report, NaN or traceback on stdout."""
+    if corrupt is not None:
+        corrupt(cli_inputs)
+    capfd.readouterr()
+    assert run(*[cli_inputs.get(a, a) for a in argv]) == 2
+    out, err = capfd.readouterr()
+    assert "validation error" in err
+    assert out == ""
+
+
+def test_scan_cell_error_names_file_and_line(cli_inputs, capsys):
+    _edit_scan_cell(cli_inputs["scan"], "g3", "abc")
+    assert run("reconstruct", "--scan", cli_inputs["scan"], "--nbar", cli_inputs["nbar"]) == 2
+    assert f"{cli_inputs['scan']}: line 3: expected a finite number, got 'abc'" \
+        in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_optimize_out():

@@ -13,7 +13,6 @@ from gausstat.errors import InconsistentDataError, SectorMismatchError, Validati
 from gausstat.phases import SearchStats
 from gausstat.recon_multi import (
     ComplexCovariance,
-    check_physicality,
     complex_to_real_cov,
     measurement_residual,
     params_from_covariance,
@@ -24,14 +23,13 @@ from gausstat.recon_multi import (
     rotation_from_unitary,
     squeeze_from_blocks,
     symplectic_form,
-    symplectic_spectrum,
-    takagi,
     williamson,
 )
 from gausstat.recon_single import recon_squeezed_thermal
 from gausstat.states import (
     GaussianParams,
     balanced_beamsplitter_duplicate,
+    bogoliubov_map,
     derive_moments,
 )
 
@@ -95,35 +93,21 @@ class TestWilliamson:
         s_rand = williamson(complex_to_real_cov(
             ComplexCovariance.from_moments(derive_moments(other)))).S
         conjugated = s_rand @ v @ s_rand.T
-        assert np.allclose(np.sort(symplectic_spectrum(conjugated)),
-                           np.sort(symplectic_spectrum(v)), atol=1e-8)
+        assert np.allclose(williamson(conjugated).D, williamson(v).D, atol=1e-8)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             williamson(np.diag([1.0, -0.1, 1.0, 1.0]))
 
-    def test_physicality_check(self):
-        with pytest.raises(ValidationError):
-            check_physicality(0.3 * np.eye(4))
-
-
-class TestTakagi:
-    def test_random_symmetric(self, rng):
-        for _ in range(10):
-            sym = random_symmetric(rng, 3, 0.8)
-            s, u = takagi(sym)
-            assert np.allclose((u * s) @ u.T, sym, atol=1e-10)
-            assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
-
-    def test_degenerate_singular_values(self, rng):
-        q = np.linalg.qr(rng.standard_normal((3, 3))
-                         + 1j * rng.standard_normal((3, 3)))[0]
-        sym = q @ np.diag([0.5, 0.5, 0.2]) @ q.T
-        s, u = takagi(sym)
-        assert np.allclose((u * s) @ u.T, sym, atol=1e-9)
-
 
 class TestParamsFromCovariance:
+    def test_unphysical_covariance_rejected(self):
+        # V = 0.3 I: both symplectic eigenvalues lie below the vacuum limit 1/2
+        cov = ComplexCovariance(0.3 * np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="violates the uncertainty bound: "
+                                                  "min symplectic eigenvalue 0.300000 < 1/2"):
+            params_from_covariance(cov, np.zeros(2))
+
     def test_round_trip_observables(self, rng):
         for modes in (1, 2, 3):
             _, params = random_state_covariance(rng, modes, alpha_max=0.0)
@@ -428,6 +412,20 @@ def takagi_reference(sym, tol=1e-12):
     return s.copy(), u @ block_diag(*blocks).conj()
 
 
+def squeeze_from_blocks_reference(e_block, f_block):
+    """The former ``squeeze_from_blocks``: e^{i phi} = (E E^H)^(-1/2) E by
+    ``eigh``, then z = U arcsinh(s) U^T from a Takagi factorization
+    y = U diag(s) U^T of y = -F (e^{i phi})^T."""
+    p2 = e_block @ e_block.conj().T
+    vals, vecs = np.linalg.eigh(0.5 * (p2 + p2.conj().T))
+    vals = np.clip(vals, 1.0, None)
+    expiphi = ((vecs / np.sqrt(vals)) @ vecs.conj().T) @ e_block
+    y = -f_block @ expiphi.T
+    sv, uu = takagi_reference(0.5 * (y + y.T))
+    z = (uu * np.arcsinh(sv)) @ uu.T
+    return z, recon_multi.rotation_from_unitary(expiphi)
+
+
 def rotation_reference(u):
     """The former ``rotation_from_unitary``: -i logm(u), made hermitian."""
     h = -1j * logm(np.asarray(u, dtype=complex))
@@ -440,7 +438,7 @@ def reference_path(monkeypatch):
     def run(fn, *args, **kwargs):
         with monkeypatch.context() as patch:
             patch.setattr(recon_multi, "williamson", williamson_reference)
-            patch.setattr(recon_multi, "takagi", takagi_reference)
+            patch.setattr(recon_multi, "squeeze_from_blocks", squeeze_from_blocks_reference)
             patch.setattr(recon_multi, "rotation_from_unitary", rotation_reference)
             return fn(*args, **kwargs)
     return run
@@ -534,6 +532,61 @@ class TestRotationFromUnitaryVsLogm:
             assert np.abs(rotation_from_unitary(u) - rotation_reference(u)).max() <= 1e-10
 
 
+def _bogoliubov_blocks(z, phi):
+    bog = bogoliubov_map(GaussianParams(np.zeros(z.shape[0]), z, phi, np.zeros(z.shape[0])))
+    return bog.E, bog.F
+
+
+def _williamson_blocks(params):
+    """(E, F) of the symplectic matrix that Williamson's form finds for the state."""
+    modes = params.modes
+    res = williamson(complex_to_real_cov(ComplexCovariance.from_moments(derive_moments(params))))
+    lam = recon_multi._ladder_to_quadrature(modes)
+    blocks = lam.conj().T @ res.S @ lam
+    return blocks[:modes, :modes], blocks[:modes, modes:]
+
+
+def _edge_blocks():
+    """(E, F) of zero, rank-deficient, degenerate and strong (r = 3) squeezing."""
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    phi = random_hermitian(rng, 3, 0.8)
+    squeezes = {
+        "zero": np.zeros((3, 3), dtype=complex),
+        "rank-one": 0.6 * np.outer(q[:, 0], q[:, 0]),
+        "rank-two": q[:, :2] @ np.diag([0.7, 0.2]) @ q[:, :2].T,
+        "degenerate": q @ np.diag([0.5, 0.5, 0.2]) @ q.T,
+        "scaled-identity": 0.4j * np.eye(3),
+        "r=3": q @ np.diag([3.0, 1.0, 0.1]) @ q.T,
+    }
+    return {name: (z, _bogoliubov_blocks(z, phi)) for name, z in squeezes.items()}
+
+
+class TestSqueezeFromBlocksVsTakagi:
+    """One SVD each for e^{i phi} and z against the former eigh and Takagi route."""
+
+    def test_random(self):
+        rng = np.random.default_rng(18)
+        for modes in (1, 2, 3, 4, 5):
+            for _ in range(10):
+                params = random_params(rng, modes, alpha_max=0.0, r_max=1.5)
+                for e_block, f_block in (_bogoliubov_blocks(params.squeeze, params.rotation),
+                                         _williamson_blocks(params)):
+                    z, phi = squeeze_from_blocks(e_block, f_block)
+                    z_ref, phi_ref = squeeze_from_blocks_reference(e_block, f_block)
+                    assert np.abs(z - z_ref).max() <= 1e-12
+                    assert np.abs(phi - phi_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_edge_blocks()))
+    def test_edge_cases(self, name):
+        z_true, (e_block, f_block) = _edge_blocks()[name]
+        z, phi = squeeze_from_blocks(e_block, f_block)
+        z_ref, phi_ref = squeeze_from_blocks_reference(e_block, f_block)
+        assert np.abs(z - z_ref).max() <= 1e-12
+        assert np.abs(phi - phi_ref).max() <= 1e-12
+        assert np.abs(z - z_true).max() <= 1e-12
+
+
 class TestNumpyPathVsScipyReference:
     def test_williamson_spectrum_and_symplectic(self):
         rng = np.random.default_rng(12)
@@ -548,26 +601,12 @@ class TestNumpyPathVsScipyReference:
                 dd = np.diag(np.concatenate([res.D, res.D]))
                 assert np.abs(res.S @ dd @ res.S.T - v).max() <= 1e-10
 
-    def test_takagi_matches_reference(self):
-        rng = np.random.default_rng(13)
-        q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        for sym in [random_symmetric(rng, n, 0.8) for n in (1, 2, 3, 4)] + [
-                q @ np.diag([0.5, 0.5, 0.2]) @ q.T]:
-            (s, u), (s_ref, u_ref) = takagi(sym), takagi_reference(sym)
-            assert np.abs(s - s_ref).max() <= 1e-12
-            assert np.abs(u - u_ref).max() <= 1e-10
-
     def test_squeeze_from_blocks(self, reference_path):
         rng = np.random.default_rng(14)
         for modes in (1, 2, 3):
-            params = random_params(rng, modes, alpha_max=0.0)
-            res = williamson(complex_to_real_cov(
-                ComplexCovariance.from_moments(derive_moments(params))))
-            lam = recon_multi._ladder_to_quadrature(modes)
-            blocks = lam.conj().T @ res.S @ lam
-            e_block, f_block = blocks[:modes, :modes], blocks[:modes, modes:]
+            e_block, f_block = _williamson_blocks(random_params(rng, modes, alpha_max=0.0))
             z, phi = squeeze_from_blocks(e_block, f_block)
-            z_ref, phi_ref = reference_path(squeeze_from_blocks, e_block, f_block)
+            z_ref, phi_ref = reference_path(squeeze_from_blocks_reference, e_block, f_block)
             assert np.abs(z - z_ref).max() <= 1e-10
             assert np.abs(phi - phi_ref).max() <= 1e-10
 

@@ -247,3 +247,15 @@ class TestDispatch:
         rec = reconstruct_single_mode(stripped, "ns")
         assert abs(rec.params.alpha[0]) == pytest.approx(0.4, abs=1e-7)
         assert rec.params.thermal[0] == pytest.approx(0.3, abs=1e-7)
+
+
+@pytest.mark.parametrize("recon,points", [
+    (recon_squeezed_thermal, 2.5),
+    (recon_displaced_thermal, 1.5),
+    (recon_dst_scan, [[2.1, 7.0], [2.3, 8.2]]),
+], ids=["squeezed-thermal", "displaced-thermal", "dst-scan"])
+def test_nan_nbar_rejected(recon, points):
+    """A NaN mean photon number is rejected like a nonpositive one, not
+    carried into (0, nan) or (nan, nan)."""
+    with pytest.raises(ValidationError, match="nbar must be positive"):
+        recon(points, np.nan)

@@ -501,3 +501,146 @@ class TestG3KernelVsExpansion:
             g3_tensor(mom)
         with pytest.raises(UndefinedCorrelationError, match="mode 1 has nbar = 0"):
             g2_tensor(mom)
+
+
+# The former squeeze and vacuum-overlap routes, kept as references for the
+# one-SVD squeeze blocks and the moments formula of p0 that replaced them.
+
+def squeeze_blocks_reference(z):
+    """The former ``_squeeze_blocks``: left polar form z = r e^{i theta} by
+    SVD, then cosh and sinh of r through ``eigh``."""
+    w, sv, vh = np.linalg.svd(np.asarray(z, dtype=complex))
+    r = (w * sv) @ w.conj().T
+    vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
+    vals = np.clip(vals, 0.0, None)
+    cosh_r = (vecs * np.cosh(vals)) @ vecs.conj().T
+    sinh_r = (vecs * np.sinh(vals)) @ vecs.conj().T
+    return cosh_r, sinh_r @ (w @ vh)
+
+
+def no_click_cosh_reference(params):
+    """The former single-mode closed form
+
+    p0 = exp(-[1 + (2N+1)cosh 2r + (2N+1)sinh 2r cos(2 phi_d - theta)] |alpha|^2
+         / [2N^2 + 2(2N+1)cosh^2 r]) / sqrt(N^2 + (2N+1)cosh^2 r).
+    """
+    z = complex(params.squeeze[0, 0])
+    r, theta = abs(z), float(np.angle(z))
+    occ = float(params.thermal[0])
+    alpha = complex(params.alpha[0])
+    phi_d = float(np.angle(alpha)) if alpha != 0 else 0.0
+    tp1 = 2.0 * occ + 1.0
+    denom = np.sqrt(occ**2 + tp1 * np.cosh(r) ** 2)
+    expo = (1.0 + tp1 * np.cosh(2 * r) + tp1 * np.sinh(2 * r) * np.cos(2 * phi_d - theta))
+    expo *= abs(alpha) ** 2 / (2.0 * occ**2 + 2.0 * tp1 * np.cosh(r) ** 2)
+    return float(np.exp(-expo) / denom)
+
+
+def mode_vacuum_round_trip_reference(moments, mode):
+    """The former ``mode_vacuum_probability``: the reduced moments give an
+    effective squeezed thermal (r, N), whose cosh form is then evaluated."""
+    alpha = complex(moments.alpha[mode])
+    cov = complex(moments.cov[mode, mode])
+    m_c = float(moments.nbar[mode] - abs(alpha) ** 2)
+    disc = (2 * m_c + 1.0) ** 2 - 4.0 * abs(cov) ** 2
+    root = np.sqrt(max(disc, 0.0))
+    sinh2 = 0.5 * (2 * m_c + 1.0) / root - 0.5 if root > 0 else 0.0
+    r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
+    theta = float(np.angle(-cov)) if abs(cov) > 0 else 0.0
+    phi_rel = float(np.angle(alpha)) - 0.5 * theta if alpha != 0 else 0.0
+    eff = GaussianParams.single_mode(abs(alpha) * np.exp(1j * phi_rel), r, 0.0,
+                                     max(0.5 * root - 0.5, 0.0))
+    return no_click_cosh_reference(eff)
+
+
+def vacuum_overlap_reference(params):
+    """p0 of every mode as 2 pi times the overlap of the mode's reduced Wigner
+    function with the vacuum one, exp(-d^T (V + I/2)^-1 d / 2) / sqrt(det(V + I/2)),
+    with the Bogoliubov matrix built by scipy's expm from the generators of
+    S(z) and R(phi) instead of by ``bogoliubov_map``."""
+    from scipy.linalg import expm
+
+    m = params.modes
+    z, phi = params.squeeze, params.rotation
+    zero = np.zeros((m, m), dtype=complex)
+    bog = expm(np.block([[zero, -z], [-z.conj(), zero]])) \
+        @ expm(np.block([[1j * phi, zero], [zero, -1j * phi.conj()]]))
+    seed = np.zeros((2 * m, 2 * m), dtype=complex)
+    seed[:m, m:] = np.diag(params.thermal + 1.0)
+    seed[m:, :m] = np.diag(params.thermal)
+    fluct = bog @ seed @ bog.T
+    to_quad = np.array([[1.0, 1.0], [-1j, 1j]]) / np.sqrt(2.0)
+    out = []
+    for i in range(m):
+        block = fluct[np.ix_([i, m + i], [i, m + i])]
+        total = (to_quad @ (0.5 * (block + block.T)) @ to_quad.T).real + 0.5 * np.eye(2)
+        d = np.sqrt(2.0) * np.array([params.alpha[i].real, params.alpha[i].imag])
+        out.append(np.exp(-0.5 * d @ np.linalg.solve(total, d)) / np.sqrt(np.linalg.det(total)))
+    return np.array(out)
+
+
+def _edge_squeezes():
+    rng = np.random.default_rng(31)
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    return {
+        "zero": np.zeros((3, 3), dtype=complex),
+        "rank-one": 0.6 * np.outer(q[:, 0], q[:, 0]),
+        "rank-two": q[:, :2] @ np.diag([0.7, 0.2]) @ q[:, :2].T,
+        "degenerate": q @ np.diag([0.5, 0.5, 0.2, 0.2]) @ q.T,
+        "scaled-identity": 0.4j * np.eye(3),
+        "large": random_symmetric(rng, 3, 3.0),
+    }
+
+
+class TestSqueezeBlocksVsPolarEigh:
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_random(self, modes):
+        rng = np.random.default_rng(40 + modes)
+        for _ in range(20):
+            z = random_symmetric(rng, modes, rng.uniform(0.0, 1.5))
+            for new, ref in zip(_squeeze_blocks(z), squeeze_blocks_reference(z)):
+                assert np.abs(new - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(_edge_squeezes()))
+    def test_edge_cases(self, name):
+        z = _edge_squeezes()[name]
+        for new, ref in zip(_squeeze_blocks(z), squeeze_blocks_reference(z)):
+            assert np.abs(new - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+class TestVacuumProbabilityVsFormerRoutes:
+    def test_mode_vacuum_probability_matches_round_trip(self):
+        rng = np.random.default_rng(50)
+        for modes in range(1, 9):
+            for _ in range(25):
+                mom = derive_moments(random_params(rng, modes, alpha_max=1.5, r_max=1.2,
+                                                   n_max=1.0))
+                for i in range(modes):
+                    ref = mode_vacuum_round_trip_reference(mom, i)
+                    assert mode_vacuum_probability(mom, i) == pytest.approx(ref, rel=1e-11)
+
+    def test_single_mode_matches_cosh_form(self):
+        rng = np.random.default_rng(51)
+        for _ in range(200):
+            params = random_params(rng, 1, alpha_max=1.5, r_max=1.2, n_max=1.0)
+            assert no_click_probability_single(params) == pytest.approx(
+                no_click_cosh_reference(params), rel=1e-14)
+
+    def test_matches_wigner_overlap_reference(self):
+        # squeezing drawn down to 1e-4: there the former route's sinh^2 r, a
+        # difference of nearly equal numbers, lost up to 1e-11 relative in p0
+        rng = np.random.default_rng(52)
+        for modes in (1, 2, 3, 4):
+            for _ in range(25):
+                params = random_params(rng, modes, alpha_max=1.5,
+                                       r_max=10 ** rng.uniform(-4.0, 0.0))
+                mom = derive_moments(params)
+                new = np.array([mode_vacuum_probability(mom, i) for i in range(modes)])
+                ref = vacuum_overlap_reference(params)
+                assert np.abs(new / ref - 1.0).max() <= 1e-13
+
+    def test_unphysical_reduced_moments_rejected(self):
+        mom = MomentSummary(np.array([0.1]), np.ones((1, 1)), np.array([[0.7]]),
+                            np.zeros(1))
+        with pytest.raises(ValidationError, match="single-mode physicality"):
+            mode_vacuum_probability(mom, 0)
