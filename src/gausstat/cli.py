@@ -162,6 +162,8 @@ def _read_scan_csv(path):
                 rows.append([_finite_float(row["g2"]), _finite_float(row["g3"])])
                 if row.get("sigma_g3"):
                     sigmas.append(_finite_float(row["sigma_g3"]))
+                    if not sigmas[-1] > 0:
+                        raise ValidationError(f"sigma_g3 must be positive, got {sigmas[-1]!r}")
             except ValidationError as err:
                 raise ValidationError(f"{path}: line {reader.line_num}: {err}") from err
     if sigmas and len(sigmas) != len(rows):

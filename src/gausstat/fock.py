@@ -18,19 +18,25 @@ No unitary is formed on the full space:
   generator is block diagonal over it and each block is exponentiated alone.
   A diagonal phi (always, for one mode) is skipped: it multiplies each
   thermal column by a phase, and W W^H cancels it.
-- S: a_i a_j and a_i† a_j† change the total number by two, so the squeeze
-  generator keeps its parity and splits into two blocks.
+- S: a_i a_j and a_i† a_j† change the total number N by two, so the
+  squeeze generator keeps N's parity and splits into two blocks.  It has no
+  diagonal: each parity block is bipartite, between N = p and N = p + 2
+  (mod 4).
 - D: the displacement terms act on one mode each and commute, so D is the
   Kronecker product of d x d factors, each applied along its mode's axis.
+  Each factor's generator is bipartite too, between even and odd n.
 
 A thermal column |n> stays in its total-number block through R and in its
 parity block through S.  So W's columns are kept in block order, each
 block's exponential acts on the columns held in that block only, and a
 block that holds none is skipped before its generator is built.
 
-Every block G is anti-hermitian, so 1j*G is hermitian and eigh gives
-1j*G = V diag(w) V^H with real w and unitary V.  Then exp(G) =
-V diag(e^{-iw}) V^H, unitary to rounding, whatever the norm of G.
+Every block G is anti-hermitian, so 1j*G is hermitian.  For R, eigh gives
+1j*G = V diag(w) V^H with real w and unitary V, and exp(G) =
+V diag(e^{-iw}) V^H.  For S and D, 1j*G = [[0, B], [B^H, 0]] on the two
+sides, and one thin SVD B = U diag(s) V^H of the half gives exp(G) in
+closed form (``_expm_bipartite``): cos s on each side and -1j sin s
+across.  Both are unitary to rounding, whatever the norm of G.
 Truncated generators of D and S are still anti-hermitian, so those factors
 remain exactly unitary and the trace deficit alone cannot detect their
 truncation error; the builder therefore also records the occupancy of the top
@@ -41,7 +47,8 @@ index arithmetic on the Fock digits of the basis states (``_word_action``):
 it maps each basis state it does not annihilate to one other, with a weight.
 Each generator is scattered from these maps straight into the blocks it
 keeps, at block-local places cached per (modes, cutoff)
-(``_number_blocks``); no generator exists on the full space.
+(``_number_blocks``); of the squeeze, only the A <- B quarter of each
+parity block.  No generator exists on the full space.
 
 rho itself is never formed.  The build keeps W and its row populations
 sum_c |W[s, c]|^2, the diagonal of rho, and reads from them everything the
@@ -49,24 +56,27 @@ oracle reports: the trace deficit, each mode's photon-number marginal (a
 ``bincount`` of its Fock digits weighted by the populations), the vacuum
 overlap and the total-number factorial moments.  A ladder word shifts every
 basis index by the same amount, so its moment is a weighted sum over one
-diagonal band of W W^H; the shift-0 band is the populations.
+diagonal band of W W^H; the shift-0 band is the populations, and each other
+band is computed once per density and shift (``TruncatedDensity.band``).
 
 Dense matrices only; this is an oracle, not a production path.  With
 U = 16 dim^2 bytes, one dense complex matrix, a build holds W (dim x k with
 k <= dim, up to U) and, at any time, the temporaries of one block's
-exponential or one displacement step.  The largest block is a parity block
-of dim/2 states, U/4 per matrix of its size.  Inside eigh it holds five:
-the generator, eigh's copy of it, the eigenvectors and eigh's complex and
-real workspace; after it, the eigenvectors and up to three products of the
-block's rows of W.  A displacement step writes one new W.  So a build peaks
-between 2 U and 3 U (a fully mixed state at (M, cutoff) = (3, 12):
-tracemalloc peak 2.04 U, max RSS growth 2.8 U): 0.8 GB at
-MAX_DIMENSION = 4096, and 3.2 GB at 8192, which stays refused.
+exponential or one displacement step.  The largest eigenproblem is the SVD
+of a squeeze half, about dim/4 x dim/4 (432 x 432 at (M, cutoff) =
+(3, 12)), U/16 per matrix of its size: the half, the SVD's copy of it, U,
+V^H and the SVD's workspace.  A rotation number block is smaller still (108
+states at (3, 12)).  The products with a parity block's columns hold up to
+six matrices of one side by those columns, U/8 each for a fully mixed
+state.  A displacement step writes one new W, so it sets the peak at about
+2 U: a fully mixed state at (3, 12) peaks at 2.01 U under tracemalloc, and
+its max RSS grows by 2.0 U.  That is 0.5 GB at MAX_DIMENSION = 4096, and
+2.1 GB at 8192, which stays refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -87,7 +97,8 @@ _DROP_TOL = 1e-16
 class TruncatedDensity:
     """Truncated density operator rho = W W^H, held as its factor W, with its
     populations (the diagonal of rho), measured truncation indicators and
-    the total weight of the thermal columns the build left out."""
+    the total weight of the thermal columns the build left out.  The bands
+    rho[s, s + t] that moments read are kept per shift t once computed."""
 
     factor: np.ndarray
     populations: np.ndarray
@@ -96,6 +107,17 @@ class TruncatedDensity:
     deficit: float
     tail_mass: float
     dropped_weight: float
+    _bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def band(self, shift: int) -> np.ndarray:
+        """rho[s, s + shift] for s = 0 .. D - 1 - shift, D = cutoff^M, and
+        shift > 0; computed once per shift, in O(D k) for W of k columns."""
+        band = self._bands.get(shift)
+        if band is None:
+            w = self.factor
+            band = np.einsum("ij,ij->i", w[:w.shape[0] - shift], w[shift:].conj())
+            self._bands[shift] = band
+        return band
 
 
 @lru_cache(maxsize=8)
@@ -108,16 +130,21 @@ def _fock_digits(modes: int, cutoff: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _number_blocks(modes: int, cutoff: int):
-    """The Fock basis grouped into blocks by total photon number, and by its
-    parity.  Each grouping is (blocks, label, local): the basis indices of
-    each block, ascending, and for every basis state s its block label[s] and
-    its place local[s] in that block.  Number blocks come even numbers first,
-    so a state's number label and parity label grow together."""
+    """The Fock basis grouped by its total photon number N, as (number,
+    sides).  Each grouping is (blocks, label, local): the basis indices of
+    each block, ascending, and for every basis state s its block label[s]
+    and its place local[s] in that block.
+
+    Number blocks come even N first.  ``sides`` splits each parity block in
+    two: parity p is side 2p (N = p mod 4, side A) and side 2p + 1
+    (N = p + 2 mod 4, side B), so both labels order the parity blocks alike.
+    A term that moves N by two maps each side of its parity block to the
+    other."""
     total = _fock_digits(modes, cutoff).sum(axis=0)
 
-    def grouping(label):
+    def grouping(label, count):
         label.flags.writeable = False
-        blocks = tuple(np.flatnonzero(label == b) for b in range(label.max() + 1))
+        blocks = tuple(np.flatnonzero(label == b) for b in range(count))
         local = np.empty_like(label)
         for idx in blocks:
             local[idx] = np.arange(idx.size)
@@ -125,7 +152,8 @@ def _number_blocks(modes: int, cutoff: int):
         return blocks, label, local
 
     evens = total.max() // 2 + 1
-    return grouping(total % 2 * evens + total // 2), grouping(total % 2)
+    return (grouping(total % 2 * evens + total // 2, total.max() + 1),
+            grouping(total % 2 * 2 + total // 2 % 2, 4))
 
 
 @lru_cache(maxsize=8)
@@ -190,23 +218,34 @@ def _thermal_columns(occupations: np.ndarray, cutoff: int, label: np.ndarray):
     return states, p[states], float(dropped[cut - 1]) if cut else 0.0
 
 
-def _apply_blocked(w: np.ndarray, terms, grouping, seeds: np.ndarray,
-                   modes: int, cutoff: int) -> None:
-    """w <- exp(G) w in place, for the anti-hermitian G = sum of coef * (ladder
-    word) over ``terms`` of (coef, ops), which maps each block of
-    ``grouping`` (see ``_number_blocks``) to itself.
-
-    Column c of w is zero outside the block of its seed state ``seeds[c]``,
-    and the columns come in block order.  So each block's exponential acts
-    on its own columns only, and a block that holds none is skipped before
-    its generator is built.  Each word's entries are scattered straight into
-    the block they lie in, at their block-local places, and
-    exp(G) = V diag(e^{-iw}) V^H from eigh of the hermitian 1j*G."""
-    blocks, label, local = grouping
+def _generator_entries(terms, modes: int, cutoff: int):
+    """(src, dst, val): G|src> holds val at dst, for G = sum of coef * (ladder
+    word) over ``terms`` of (coef, ops); entries at one place add up."""
     actions = [(coef, _word_action(ops, modes, cutoff)) for coef, ops in terms]
     src = np.concatenate([src for _, (src, _, _) in actions])
     dst = np.concatenate([dst for _, (_, dst, _) in actions])
     val = np.concatenate([coef * weight for coef, (_, _, weight) in actions])
+    return src, dst, val
+
+
+def _rotate(w: np.ndarray, phi: np.ndarray, seeds: np.ndarray, modes: int, cutoff: int) -> None:
+    """w <- exp(G) w in place for the rotation generator
+    G = sum_ij 1j phi_ij a_i† a_j, which keeps the total photon number.
+
+    Column c of w is zero outside the number block of its seed state
+    ``seeds[c]``, and the columns come in block order.  So each block's
+    exponential acts on its own columns only, and a block that holds none
+    is skipped before its generator is built.  Each word's entries are
+    scattered straight into the block they lie in, at their block-local
+    places, and exp(G) = V diag(e^{-iw}) V^H from eigh of the hermitian
+    1j*G.  A diagonal phi is skipped: it multiplies each thermal column |n>
+    by a phase, which W W^H cancels."""
+    if not np.any(phi - np.diag(np.diag(phi))):
+        return
+    terms = [(1j * phi[i, j], (LadderOp(i, True), LadderOp(j, False)))
+             for i in range(modes) for j in range(modes) if phi[i, j] != 0]
+    blocks, label, local = _number_blocks(modes, cutoff)[0]
+    src, dst, val = _generator_entries(terms, modes, cutoff)
     src_block = label[src]
     by_block = np.argsort(src_block, kind="stable")
     bounds = np.arange(len(blocks) + 1)
@@ -230,11 +269,75 @@ def _apply_blocked(w: np.ndarray, terms, grouping, seeds: np.ndarray,
         w[idx, c0:c1] = vecs @ coeffs
 
 
+def _expm_bipartite(half: np.ndarray, xa: np.ndarray, xb: np.ndarray):
+    """(ya, yb) = exp(G) x on sides A and B, for x given by its rows xa on
+    side A and xb on side B, and the anti-hermitian G with
+    1j*G = [[0, half], [half^H, 0]].
+
+    With the thin SVD half = U S V^H,
+
+        ya = xa + U [(cos S - 1) U^H xa - 1j sin S V^H xb],
+        yb = xb + V [(cos S - 1) V^H xb - 1j sin S U^H xa],
+
+    and cos S - 1 is taken as -2 sin^2(S/2).  On the complement of U's (or
+    V's) columns 1j*G acts as 0, so a rectangular ``half`` needs no special
+    case."""
+    u, s, vh = np.linalg.svd(half, full_matrices=False)
+    cos1 = (-2.0 * np.sin(0.5 * s) ** 2)[:, None]
+    isin = 1j * np.sin(s)[:, None]
+    ua = u.conj().T @ xa
+    vb = vh @ xb
+    da = cos1 * ua - isin * vb
+    # side B's update in place: two fewer temporaries the size of the
+    # block's columns, which would lift a mixed state's peak above 2 U
+    ua *= isin
+    vb *= cos1
+    vb -= ua
+    del ua
+    return xa + u @ da, xb + vh.conj().T @ vb
+
+
+def _squeeze(w: np.ndarray, z: np.ndarray, seeds: np.ndarray, modes: int, cutoff: int) -> None:
+    """w <- exp(G) w in place for the squeeze generator
+    G = sum_ij (z_ij* a_i a_j - z_ij a_i† a_j†) / 2.
+
+    G moves the total photon number by two, so it keeps its parity and has
+    no diagonal: 1j*G maps each side of a parity block (``_number_blocks``)
+    to the other, and one SVD of its A <- B quarter gives the block's
+    exponential (``_expm_bipartite``).  Only that quarter is scattered.
+    Column c of w is zero outside the parity block of its seed state
+    ``seeds[c]``, and the columns come in block order, so each block acts on
+    its own columns only.  A block that holds no column, or has an empty
+    side, is left as it is."""
+    if not np.any(z):
+        return
+    terms = [term for i in range(modes) for j in range(modes) if z[i, j] != 0
+             for term in ((0.5 * np.conj(z[i, j]), (LadderOp(i, False), LadderOp(j, False))),
+                          (-0.5 * z[i, j], (LadderOp(i, True), LadderOp(j, True))))]
+    blocks, label, local = _number_blocks(modes, cutoff)[1]
+    src, dst, val = _generator_entries(terms, modes, cutoff)
+    columns = np.searchsorted(label[seeds] // 2, np.arange(3))
+    for p in (0, 1):
+        c0, c1 = columns[p], columns[p + 1]
+        a, b = blocks[2 * p], blocks[2 * p + 1]
+        if c0 == c1 or not a.size or not b.size:
+            continue
+        e = label[src] == 2 * p + 1
+        half = np.zeros((a.size, b.size), dtype=complex)
+        np.add.at(half, (local[dst[e]], local[src[e]]), 1j * val[e])
+        w[a, c0:c1], w[b, c0:c1] = _expm_bipartite(half, w[a, c0:c1], w[b, c0:c1])
+
+
 def _displacement(alpha: complex, cutoff: int) -> np.ndarray:
-    """exp(alpha a^+ - alpha* a) of one truncated mode (cutoff x cutoff)."""
+    """exp(alpha a^+ - alpha* a) of one truncated mode (cutoff x cutoff).  The
+    generator moves n by one, so it maps even n (side A) to odd n (side B)
+    and back."""
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    evals, vecs = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
-    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+    half = 1j * (alpha * a.T - np.conj(alpha) * a)[0::2, 1::2]
+    eye = np.eye(cutoff, dtype=complex)
+    out = np.empty((cutoff, cutoff), dtype=complex)
+    out[0::2], out[1::2] = _expm_bipartite(half, eye[0::2], eye[1::2])
+    return out
 
 
 def build_density(params: GaussianParams, cutoff: int | None = None,
@@ -256,25 +359,13 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
     if d**m > MAX_DIMENSION:
         raise ValidationError(f"requested dimension {d**m} exceeds limit {MAX_DIMENSION}")
 
-    number, parity = _number_blocks(m, d)
     dim = d**m
     # columns in number-block order, which is parity-block order too
-    states, weights, dropped = _thermal_columns(params.thermal, d, number[1])
+    states, weights, dropped = _thermal_columns(params.thermal, d, _number_blocks(m, d)[0][1])
     w = np.zeros((dim, states.size), dtype=complex)
     w[states, np.arange(states.size)] = np.sqrt(weights)
-    phi, z = params.rotation, params.squeeze
-    pairs = [(i, j) for i in range(m) for j in range(m)]
-    # a diagonal rotation generator (always, for one mode) only multiplies
-    # each thermal column |n> by a phase, which W W^H cancels
-    if np.any(phi - np.diag(np.diag(phi))):
-        terms = [(1j * phi[i, j], (LadderOp(i, True), LadderOp(j, False)))
-                 for i, j in pairs if phi[i, j] != 0]
-        _apply_blocked(w, terms, number, states, m, d)
-    if np.any(z):
-        terms = [term for i, j in pairs if z[i, j] != 0
-                 for term in ((0.5 * np.conj(z[i, j]), (LadderOp(i, False), LadderOp(j, False))),
-                              (-0.5 * z[i, j], (LadderOp(i, True), LadderOp(j, True))))]
-        _apply_blocked(w, terms, parity, states, m, d)
+    _rotate(w, params.rotation, states, m, d)
+    _squeeze(w, params.squeeze, states, m, d)
     for i, alpha in enumerate(params.alpha):
         if alpha != 0:
             # mode i's digit is the middle axis of (d^i, d, rest)
@@ -301,15 +392,21 @@ def moment_bruteforce(rho: TruncatedDensity, word: LadderWord) -> complex:
     """Tr[rho · (operator product)] with truncated ladder operators.
 
     The word maps basis state src to dst = src + shift, one shift for all, so
-    the moment is sum weight * rho[src, dst] over one band of rho = W W^H.
-    A word that keeps every mode's photon number reads the populations."""
+    the moment is sum weight * rho[src, dst] over one band of rho = W W^H,
+    read at min(src, dst) from the band of shift |shift| (conjugated for a
+    negative shift).  A word that keeps every mode's photon number reads the
+    populations; one that annihilates every state gives 0."""
     if word.max_mode() >= rho.modes:
         raise ValidationError("word references a mode outside the density")
     src, dst, weight = _word_action(word.ops, rho.modes, rho.dim)
-    if np.array_equal(src, dst):
+    if not src.size:
+        return 0j
+    shift = int(dst[0] - src[0])
+    if shift == 0:
         return complex(weight @ rho.populations[src])
-    w = rho.factor
-    return complex(np.vdot(w[dst], weight[:, None] * w[src]))
+    if shift > 0:
+        return complex(weight @ rho.band(shift)[src])
+    return complex(np.conj(weight @ rho.band(-shift)[dst]))
 
 
 def vacuum_overlap(rho: TruncatedDensity) -> float:

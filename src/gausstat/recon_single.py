@@ -230,6 +230,8 @@ def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
     With >= 2 phase settings of known ordering (``phase_steps`` lists the
     applied increments of 2 phi_d - theta between consecutive points) the
     global reflection is broken and signed phases are returned.
+    ``sigmas``, one positive finite value per point, weight the fit by
+    1/sigma; a nonpositive one is a ValidationError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -237,6 +239,10 @@ def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
     if not nbar > 0:
         raise ValidationError("nbar must be positive")
     g2s, g3s = pts[:, 0], pts[:, 1]
+    if sigmas is not None:
+        sigmas = np.asarray(sigmas, dtype=float)
+        if sigmas.shape != g2s.shape or not np.all(np.isfinite(sigmas) & (sigmas > 0)):
+            raise ValidationError("sigmas must be one positive finite value per point")
     spread = g2s.max() - g2s.min()
     if spread < 1e-12:
         if abs(g3s.mean() - _nd_line(g2s.mean())) <= max(tol, 1e-9):
@@ -248,10 +254,7 @@ def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
         raise InconsistentDataError(
             "scan points coincide but violate the zero-displacement line: "
             "degenerate scan cannot be inverted")
-    weights = None
-    if sigmas is not None:
-        weights = 1.0 / np.clip(np.asarray(sigmas, dtype=float), 1e-12, None) ** 2
-    coeffs = np.polyfit(g2s, g3s, 1, w=None if weights is None else np.sqrt(weights))
+    coeffs = np.polyfit(g2s, g3s, 1, w=None if sigmas is None else 1.0 / sigmas)
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     fit_res = float(np.abs(np.polyval(coeffs, g2s) - g3s).max())
     if fit_res > max(tol, 100 * _COS_CLAMP):

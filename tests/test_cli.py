@@ -177,6 +177,21 @@ def test_scan_cell_error_names_file_and_line(cli_inputs, capsys):
         in capsys.readouterr().err
 
 
+def test_nonpositive_scan_sigma_is_a_validation_error(cli_inputs, capfd):
+    """A sigma_g3 of -1 or 0 would weigh its point by 1/sigma^2; it stops where
+    it enters, naming the file and the line."""
+    scan = cli_inputs["scan"]
+    lines = scan.read_text().splitlines()
+    rows = [f"{row},{sigma}" for row, sigma in zip(lines[1:], ("-1", "0", "1e-3"))]
+    scan.write_text("\n".join([lines[0] + ",sigma_g3"] + rows) + "\n")
+    capfd.readouterr()
+    assert run("reconstruct", "--scan", scan, "--nbar", cli_inputs["nbar"]) == 2
+    out, err = capfd.readouterr()
+    assert "validation error" in err
+    assert f"{scan}: line 2: sigma_g3 must be positive, got -1.0" in err
+    assert out == ""
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     env = dict(os.environ, PYTHONPATH=str(Path(gausstat.__file__).parents[1]))
     code = "import sys, gausstat.cli; print('scipy.optimize' in sys.modules)"

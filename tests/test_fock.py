@@ -6,10 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import random_params
+from conftest import random_params, random_symmetric
 from scipy import sparse
 from scipy.linalg import expm
 
+from gausstat import fock
 from gausstat.cli import VERIFY_CUTOFFS, VERIFY_LADDERS
 from gausstat.errors import TruncationError, ValidationError
 from gausstat.fock import (
@@ -18,7 +19,10 @@ from gausstat.fock import (
     MAX_DIMENSION,
     TruncatedDensity,
     _displacement,
+    _expm_bipartite,
     _ladder_steps,
+    _number_blocks,
+    _squeeze,
     _word_action,
     build_density,
     moment_bruteforce,
@@ -267,6 +271,19 @@ def test_moment_matches_sparse_product_on_every_word(modes, cutoff):
     assert worst <= 1e-12
 
 
+def squeeze_generator(z, modes, cutoff):
+    """The truncated squeeze generator sum_ij (z_ij* a_i a_j - z_ij a_i† a_j†) / 2
+    as a sparse matrix on the full Fock space."""
+    ladders = _sparse_annihilators(modes, cutoff)
+    gen = sparse.csr_matrix((cutoff**modes,) * 2, dtype=complex)
+    for i, ai in enumerate(ladders):
+        for j, aj in enumerate(ladders):
+            if z[i, j] != 0:
+                gen = gen + 0.5 * np.conj(z[i, j]) * (ai @ aj) \
+                    - 0.5 * z[i, j] * (ai.conj().T @ aj.conj().T)
+    return gen
+
+
 def expm_reference_build(params, cutoff, tail_tol=1e-3):
     """The former oracle build: rho = D S R rho_th R† S† D† with each unitary
     from a dense expm of its truncated generator on the full Fock space."""
@@ -274,17 +291,13 @@ def expm_reference_build(params, cutoff, tail_tol=1e-3):
     ladders = _sparse_annihilators(m, d)
     dim = d**m
     gen_d = sparse.csr_matrix((dim, dim), dtype=complex)
-    gen_s = sparse.csr_matrix((dim, dim), dtype=complex)
+    gen_s = squeeze_generator(params.squeeze, m, d)
     gen_r = sparse.csr_matrix((dim, dim), dtype=complex)
     for i in range(m):
         ai = ladders[i]
         gen_d = gen_d + params.alpha[i] * ai.conj().T - np.conj(params.alpha[i]) * ai
         for j in range(m):
             aj = ladders[j]
-            zij = params.squeeze[i, j]
-            if zij != 0:
-                gen_s = gen_s + 0.5 * np.conj(zij) * (ai @ aj) \
-                    - 0.5 * zij * (ai.conj().T @ aj.conj().T)
             pij = params.rotation[i, j]
             if pij != 0:
                 gen_r = gen_r + 1j * pij * (ai.conj().T @ aj)
@@ -395,10 +408,20 @@ class TestFactorizedBuildVsExpm:
                           TruncationError)
 
 
-def dense_generator_reference_build(params, cutoff, tail_tol=1e-3):
-    """The build before the thermal floor and the block-local generators:
-    every nonzero thermal column, each generator scattered into a dense
-    dim x dim array, and each block's exponential applied to every column."""
+def eigh_displacement(alpha, cutoff):
+    """exp(alpha a^+ - alpha* a) of one truncated mode from eigh of its
+    hermitian 1j*G, as the oracle computed it before the bipartite SVD."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    evals, vecs = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+
+
+def eigh_reference_build(params, cutoff, tail_tol=1e-3):
+    """The former eigh build, before the thermal floor, the block-local
+    generators and the bipartite SVD: every nonzero thermal column, each
+    generator scattered into a dense dim x dim array, each number block
+    (rotation) and parity block (squeeze) exponentiated by eigh and applied
+    to every column, and each displacement factor from eigh."""
     m, d = params.modes, cutoff
     dim = d**m
     digits = np.indices((d,) * m).reshape(m, -1)
@@ -435,7 +458,7 @@ def dense_generator_reference_build(params, cutoff, tail_tol=1e-3):
     t = w.reshape((d,) * m + (-1,))
     for i, alpha in enumerate(params.alpha):
         if alpha != 0:
-            t = np.moveaxis(np.tensordot(_displacement(alpha, d), t, axes=(1, i)), 0, i)
+            t = np.moveaxis(np.tensordot(eigh_displacement(alpha, d), t, axes=(1, i)), 0, i)
     w = t.reshape(dim, -1)
     populations = (w.real**2 + w.imag**2).sum(axis=1)
     deficit = float(abs(1.0 - populations.sum()))
@@ -487,25 +510,36 @@ def _floor_states(modes, cutoff):
                     GaussianParams(p2.alpha, p2.squeeze, p2.rotation, np.zeros(modes))]
 
 
+@pytest.fixture
+def unfloored(monkeypatch):
+    """build_density with the thermal floor off: only zero weights go."""
+    def build(params, cutoff):
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "_DROP_TOL", 0.0)
+            return build_density(params, cutoff=cutoff, tail_tol=1.0)
+    return build
+
+
 @pytest.mark.parametrize("modes,cutoff", _SIDE_BY_SIDE_CUTOFFS)
-def test_floored_block_local_build_matches_dense_generator_build(modes, cutoff):
-    """The build with the thermal floor, per-block columns and block-local
-    generators against the dense-generator build without a floor: W W^H
-    within delta + 1e-15, every ladder word of order 1-6 within
+def test_floored_build_matches_unfloored_build(modes, cutoff, unfloored):
+    """The build with the thermal floor against the same build without it:
+    W W^H within delta + 1e-15, every ladder word of order 1-6 within
     delta (M (d - 1))^3 + 1e-14, and deficit and tail within delta + 1e-15,
     where delta is the dropped thermal weight."""
     norm = (modes * (cutoff - 1)) ** 3
     dropped = []
     for params in _floor_states(modes, cutoff):
         new = build_density(params, cutoff=cutoff, tail_tol=1.0)
-        old = dense_generator_reference_build(params, cutoff, tail_tol=1.0)
+        old = unfloored(params, cutoff)
         kept, delta = floored_columns(params.thermal, cutoff)
         assert new.factor.shape == (cutoff**modes, kept)
+        assert old.factor.shape == (cutoff**modes,
+                                    np.count_nonzero(thermal_weights(params.thermal, cutoff)))
         assert new.dropped_weight == pytest.approx(delta, rel=1e-12, abs=0.0)
         assert delta * norm <= 1e-16
         delta = new.dropped_weight
         dropped.append(delta)
-        diff = dense(new) - old.factor @ old.factor.conj().T
+        diff = dense(new) - dense(old)
         assert np.abs(diff).max() <= delta + 1e-15
         assert abs(new.deficit - old.deficit) <= delta + 1e-15
         assert abs(new.tail_mass - old.tail_mass) <= delta + 1e-15
@@ -513,6 +547,83 @@ def test_floored_block_local_build_matches_dense_generator_build(modes, cutoff):
         assert words == sum((2 * modes) ** k for k in range(1, 7))
         assert worst <= delta * norm + 1e-14
     assert dropped[0] > 0.0 and dropped[-1] == 0.0
+
+
+@pytest.mark.parametrize("modes,cutoff", _SIDE_BY_SIDE_CUTOFFS)
+def test_svd_build_matches_former_eigh_build(modes, cutoff, unfloored):
+    """The build, squeeze and displacement by SVD of their bipartite halves,
+    against the former eigh build, both without the floor: W W^H within
+    1e-14, every ladder word of order 1-6 within 1e-13, and deficit and
+    tail within 1e-14."""
+    for params in _floor_states(modes, cutoff):
+        new = unfloored(params, cutoff)
+        old = eigh_reference_build(params, cutoff, tail_tol=1.0)
+        diff = dense(new) - old.factor @ old.factor.conj().T
+        assert np.abs(diff).max() <= 1e-14
+        assert abs(new.deficit - old.deficit) <= 1e-14
+        assert abs(new.tail_mass - old.tail_mass) <= 1e-14
+        words, worst = max_word_difference(diff, modes, cutoff)
+        assert words == sum((2 * modes) ** k for k in range(1, 7))
+        assert worst <= 1e-13
+
+
+def _bipartite_expm(half):
+    """expm(G) for 1j*G = [[0, half], [half^H, 0]], by scipy."""
+    p, q = half.shape
+    h = np.zeros((p + q, p + q), dtype=complex)
+    h[:p, p:] = half
+    h[p:, :p] = half.conj().T
+    return expm(-1j * h)
+
+
+def assert_unitary(u, tol=1e-13):
+    assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() <= tol
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.05, 0.5, 2.0])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (5, 3), (3, 5), (4, 0), (0, 2)])
+def test_expm_bipartite_matches_expm(shape, scale):
+    """Square, rectangular and one-sided halves, from zero to a norm of
+    several units."""
+    rng = np.random.default_rng(sum(shape))
+    half = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    eye = np.eye(sum(shape), dtype=complex)
+    ya, yb = _expm_bipartite(half, eye[:shape[0]], eye[shape[0]:])
+    u = np.vstack([ya, yb])
+    assert np.abs(u - _bipartite_expm(half)).max() <= 1e-13
+    assert_unitary(u)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5 - 1.1j, 2.0j])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 9, 25])
+def test_displacement_matches_expm(cutoff, alpha):
+    """Even and odd cutoffs, where the odd-n side is as large as the even-n
+    side or one smaller."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    u = _displacement(alpha, cutoff)
+    assert np.abs(u - expm(alpha * a.T - np.conj(alpha) * a)).max() <= 1e-13
+    assert_unitary(u)
+
+
+@pytest.mark.parametrize("case", ["random z", "diagonal z", "z = 0", "r = 1.2"])
+@pytest.mark.parametrize("pure", [False, True])
+@pytest.mark.parametrize("modes,cutoff", [(1, 2), (1, 7), (1, 8), (2, 2), (2, 5), (2, 6),
+                                          (3, 2), (3, 3), (3, 4)])
+def test_squeeze_matches_expm(modes, cutoff, pure, case):
+    """``_squeeze`` on every basis state, or on the vacuum column alone (a
+    pure state), equals expm of the truncated squeeze generator to 1e-13,
+    and is unitary to 1e-13.  Odd and even cutoffs give rectangular halves,
+    and at cutoff 2 the odd parity block has an empty side."""
+    rng = np.random.default_rng(10 * modes + cutoff)
+    z = random_symmetric(rng, modes, 1.2 if case == "r = 1.2" else 0.4)
+    z = {"diagonal z": np.diag(np.diag(z)), "z = 0": 0 * z}.get(case, z)
+    # every state, in number-block order, as the build orders its columns
+    seeds = np.concatenate(_number_blocks(modes, cutoff)[0][0])[:1 if pure else None]
+    w = np.eye(cutoff**modes, dtype=complex)[:, seeds]
+    _squeeze(w, z, seeds, modes, cutoff)
+    ref = expm(squeeze_generator(z, modes, cutoff).toarray())[:, seeds]
+    assert np.abs(w - ref).max() <= 1e-13
+    assert_unitary(w)
 
 
 def test_build_holds_no_dense_generator():

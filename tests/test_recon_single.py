@@ -259,3 +259,11 @@ def test_nan_nbar_rejected(recon, points):
     carried into (0, nan) or (nan, nan)."""
     with pytest.raises(ValidationError, match="nbar must be positive"):
         recon(points, np.nan)
+
+
+@pytest.mark.parametrize("sigmas", [[-1.0, 1e-3], [0.0, 1e-3], [np.inf, 1e-3], [1e-3]],
+                         ids=["negative", "zero", "infinite", "too-few"])
+def test_scan_sigmas_must_be_positive(sigmas):
+    """A nonpositive sigma is rejected, not clipped into a weight of 1e24."""
+    with pytest.raises(ValidationError, match="sigmas must be one positive finite value"):
+        recon_dst_scan([[2.1, 7.0], [2.3, 8.2]], nbar=0.5, sigmas=sigmas)
