@@ -68,6 +68,11 @@ class MeasurementSet:
 
     def __post_init__(self):
         m = self.modes
+        if m == 1:  # one mode's g1 is 1 by definition
+            if self.g1_abs is None:
+                object.__setattr__(self, "g1_abs", np.ones((1, 1)))
+            if self.g1_phase is None:
+                object.__setattr__(self, "g1_phase", np.zeros((1, 1)))
         for name in ("nbar", "p0"):
             v = getattr(self, name)
             if v is not None:

@@ -31,12 +31,11 @@ from .errors import (
     ValidationError,
 )
 from .recon_multi import (
-    measurement_residual,
     recon_displaced_squeezed_multi,
     recon_displaced_thermal_multi,
     recon_squeezed_thermal_multi,
 )
-from .recon_single import recon_dst_beamsplitter, recon_dst_scan, reconstruct_single_mode
+from .recon_single import recon_dst_scan, reconstruct_single_mode
 from .states import derive_moments, g2_tensor, g3_tensor, mode_vacuum_probability
 from .words import LadderWord, correlation_word
 
@@ -154,11 +153,16 @@ def _read_scan_csv(path):
     sigmas = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"g2", "g3"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        if reader.fieldnames is None or not {"g2", "g3"} <= set(reader.fieldnames):
             raise ValidationError(f"{path}: scan CSV needs header columns g2,g3")
+        for name in reader.fieldnames:
+            if name not in ("g2", "g3", "sigma_g3"):
+                raise ValidationError(f"{path}: unknown scan CSV column {name!r} "
+                                      "(expected g2, g3 and optionally sigma_g3)")
         for row in reader:
             try:
+                if None in row:  # csv.DictReader's key for cells past the header
+                    raise ValidationError("more cells than header columns")
                 rows.append([_finite_float(row["g2"]), _finite_float(row["g3"])])
                 if row.get("sigma_g3"):
                     sigmas.append(_finite_float(row["sigma_g3"]))
@@ -220,15 +224,7 @@ def cmd_reconstruct(args) -> int:
         m_minus, m_ref = msets
         for port, mset in (("zero-mean port", m_minus), ("reference port", m_ref)):
             _require(mset, f"--sector dst: the {port}", "nbar", "g2")
-        if primary.modes == 1:
-            g2_orig = float(m_ref.g2[0, 0])
-            g3_orig = m_ref.g3.get((0, 0, 0))
-            rec = recon_dst_beamsplitter(m_minus, g2_orig, float(m_ref.nbar[0]),
-                                         ref_port=args.ref_port, g3_orig=g3_orig,
-                                         tol=tol)
-        else:
-            rec = recon_displaced_squeezed_multi(m_minus, m_ref,
-                                                 ref_port=args.ref_port, tol=tol)
+        rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=args.ref_port, tol=tol)
     elif primary.modes == 1:
         rec = reconstruct_single_mode(primary, sector, tol=tol)
     elif sector == "nd":
@@ -239,8 +235,7 @@ def cmd_reconstruct(args) -> int:
         raise ValidationError(f"unknown sector {sector!r}")
     meta = _file_meta(inputs, config)
     meta["sector"] = sector
-    meta["observable_residual"] = float(measurement_residual(rec.params, primary)) \
-        if sector != "dst" else rec.residual
+    meta["observable_residual"] = rec.residual
     doc = serialize.reconstruction_to_json(rec, meta=meta)
     _emit(doc, config.output_path)
     return 0

@@ -1,6 +1,6 @@
 """Multimode reconstruction: spectral route for displaced thermal states,
 Williamson route for squeezed thermal states, beam-splitter reduction for the
-general displaced squeezed case.
+general displaced squeezed case (at every mode count, one mode included).
 
 Quadrature convention: x = (a + a†)/sqrt(2), p = (a - a†)/(i sqrt(2)),
 ordering (x_1..x_M, p_1..p_M), vacuum variance 1/2, symplectic form
@@ -27,8 +27,9 @@ import numpy as np
 
 from .classify import (
     NON_DISPLACED,
+    THERMAL_LIKE,
     MeasurementSet,
-    classify_multimode,
+    classify,
     _covariance_q,
     _extract_nd_cosines,
     _extract_ns_cosines,
@@ -371,18 +372,29 @@ def recon_squeezed_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recons
 def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSet,
                                    ref_port: str = "orig",
                                    tol: float = 1e-7) -> ReconstructedState:
-    """Reconstruct a displaced squeezed thermal state from two-port beam-splitter data.
+    """Reconstruct a displaced squeezed thermal state of any mode count from
+    two-port beam-splitter data.
 
-    ``m_minus`` is the zero-mean output (must classify NonDisplaced); ``m_ref``
-    the original state (``ref_port="orig"``) or the bright port
-    (``ref_port="plus"``).  Displacement moduli come from nbar differences,
-    phases from the diagonal g2 of the reference state with their cosine
-    ambiguities pruned by off-diagonal g2 and g1 entries.
+    ``m_minus`` is the zero-mean output, which must classify NonDisplaced or
+    ThermalLike; ``m_ref`` is the original state (``ref_port="orig"``) or the
+    bright port (``ref_port="plus"``, displacement sqrt(2) alpha).  The
+    covariance comes from the zero-mean port, the displacement moduli from
+    the nbar differences, and each mode's phase from the diagonal g2 of the
+    reference port up to the cosine ambiguity, which pairs of modes prune
+    through the off-diagonal g2 and g1 entries.
+
+    The first displaced mode keeps only the phases (Theta_ii +- w)/2 without
+    their +pi copies: alpha -> -alpha on every mode is the global phase pi,
+    so no listed solution is a global-sign copy of another.  One mode leaves
+    the pair {(Theta - w)/2, (Theta + w)/2}, the Z2 reflection of the noise
+    ellipse through the displacement axis.  ``residual`` is the
+    ``measurement_residual`` of the primary solution against the reference
+    port.
     """
     if ref_port not in ("orig", "plus"):
         raise ValidationError("ref_port must be 'orig' or 'plus'")
-    verdict = classify_multimode(m_minus, tol=max(tol, 1e-7)) if m_minus.modes > 1 else None
-    if verdict is not None and verdict.sector != NON_DISPLACED:
+    verdict = classify(m_minus, tol=max(tol, 1e-7))
+    if verdict.sector not in (NON_DISPLACED, THERMAL_LIKE):
         raise SectorMismatchError(
             f"zero-mean port classifies as {verdict.sector}, not NonDisplaced")
     base = recon_squeezed_thermal_multi(m_minus, tol=tol)
@@ -401,6 +413,7 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
     for params_cov in cov_solutions:
         mom_cov = derive_moments(params_cov)
         candidates_per_mode = []
+        pinned = False  # has a displaced mode fixed the global sign yet?
         for i in range(mm):
             cov_ii = mom_cov.cov[i, i]
             ai_ref = alpha_abs[i] * np.sqrt(scale)
@@ -410,6 +423,7 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
             if abs(cov_ii) < 1e-12:
                 # diagonal g2 carries no phase information for this mode
                 candidates_per_mode.append([None])
+                pinned = True
                 continue
             nbar_ref_i = m_ref.nbar[i]
             val = (nbar_ref_i**2 * (m_ref.g2[i, i] - 2.0) - abs(cov_ii) ** 2
@@ -418,11 +432,10 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
                 continue
             w = np.arccos(np.clip(val, -1.0, 1.0))
             theta_ii = np.angle(cov_ii)
-            base_phi = [0.5 * (theta_ii - w), 0.5 * (theta_ii + w)]
-            cands = []
-            for b in base_phi:
-                for shift in (0.0, np.pi):
-                    cands.append(wrap_angle(b + shift))
+            shifts = (0.0, np.pi) if pinned else (0.0,)
+            pinned = True
+            cands = [wrap_angle(0.5 * (theta_ii + sign * w) + shift)
+                     for sign in (-1.0, 1.0) for shift in shifts]
             candidates_per_mode.append(sorted(set(np.round(cands, 12))))
         if len(candidates_per_mode) != mm:
             continue
@@ -430,7 +443,9 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
                                            candidates_per_mode, scale, tol, stats))
     if not results:
         raise InconsistentDataError("no displacement-phase assignment reproduces both ports")
-    notes = ["displacement phases carry residual cosine ambiguities where "
+    notes = ["global displacement sign fixed by gauge: the first displaced mode "
+             "takes phases (Theta_ii +- w)/2",
+             "displacement phases carry residual cosine ambiguities where "
              "off-diagonal data cannot prune them",
              f"displacement-phase search: {stats.explored} branches explored, "
              f"{stats.pruned} pruned, {stats.kept} kept"]

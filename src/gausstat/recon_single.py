@@ -4,7 +4,9 @@ Loss-invariant (g2, g3) data fixes ratios only; adding the mean photon number
 nbar or the no-click probability p0 pins the parameters down.  Displaced
 squeezed states keep a Z2 reflection of the noise ellipse through the
 displacement axis (the cosine of the relative phase is observable, its sign
-is not) unless a phase scan with known ordering breaks it.
+is not) unless a phase scan with known ordering breaks it.  Their two-port
+beam-splitter reconstruction is ``recon_multi.recon_displaced_squeezed_multi``,
+which serves one mode as it serves several.
 
 Phase bookkeeping: theta is the squeeze phase arg(z), so the annihilation
 covariance is cov = -e^{i theta} (2N+1) sinh r cosh r and the relative phase
@@ -17,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import NON_DISPLACED, MeasurementSet, classify_single_mode, _nd_line, _require
+from .classify import MeasurementSet, _nd_line, _require
 from .errors import (
     InconsistentDataError,
     InfeasibleError,
     SectorMismatchError,
     ValidationError,
 )
-from .states import (GaussianParams, derive_moments, g2_tensor, g3_value,
-                     mode_vacuum_probability)
+from .states import GaussianParams, derive_moments, g2_tensor, mode_vacuum_probability
 
 _COS_CLAMP = 1e-9
 
@@ -322,73 +323,11 @@ def _resolve_scan_phases(cosines, steps, tol):
     return best[1], not degenerate
 
 
-def recon_dst_beamsplitter(m_minus: MeasurementSet, g2_orig: float,
-                           nbar_ref: float, ref_port: str = "orig",
-                           g3_orig: float | None = None,
-                           tol: float = 1e-8) -> ReconstructedState:
-    """Reconstruct a displaced squeezed thermal state from beam-splitter data.
-
-    ``m_minus`` holds (g2, g3, nbar) of the zero-mean output port, which must
-    pass the non-displaced test; ``nbar_ref`` is the mean photon number of the
-    original state (``ref_port="orig"``) or of the bright output port
-    (``ref_port="plus"``, carrying 2|alpha|^2).  The relative phase follows
-    from inverting the single-mode g2 of the original state; only its cosine
-    is observable, so the Z2 reflection flag is always set.
-    """
-    if m_minus.modes != 1:
-        raise ValidationError("beam-splitter reconstruction is single-mode")
-    verdict = classify_single_mode(m_minus, tol=max(tol, 1e-8))
-    if verdict.sector not in (NON_DISPLACED, "ThermalLike"):
-        raise SectorMismatchError(
-            f"zero-mean port classifies as {verdict.sector}, not NonDisplaced")
-    nbar_minus = float(m_minus.nbar[0])
-    r, occupation = recon_squeezed_thermal(float(m_minus.g2[0, 0]), nbar_minus)
-    if ref_port == "orig":
-        alpha2 = nbar_ref - nbar_minus
-        nbar_orig = nbar_ref
-    elif ref_port == "plus":
-        alpha2 = 0.5 * (nbar_ref - nbar_minus)
-        nbar_orig = nbar_minus + alpha2
-    else:
-        raise ValidationError("ref_port must be 'orig' or 'plus'")
-    if alpha2 < -1e-10:
-        raise InconsistentDataError("negative inferred |alpha|^2 from the nbar difference")
-    alpha2 = max(alpha2, 0.0)
-    params = GaussianParams.single_mode(r=r, occupation=occupation)
-    cov_abs = abs(derive_moments(params).cov[0, 0])
-    if alpha2 < 1e-12:
-        return ReconstructedState(params, Ambiguity(notes=("displacement vanishes",)),
-                                  residual=0.0)
-    if cov_abs < 1e-12:
-        raise SectorMismatchError(
-            "zero covariance: use the displaced-thermal reconstruction instead")
-    # invert g2 = 2 + (|cov|^2 - 2 |alpha|^2 |cov| cos(delta) - |alpha|^4)/nbar^2
-    cos_delta = (nbar_orig**2 * (g2_orig - 2.0) - cov_abs**2 + alpha2**2) \
-        / (-2.0 * alpha2 * cov_abs)
-    cos_delta = _clamp_cosine(cos_delta, max(tol, _COS_CLAMP))
-    delta = float(np.arccos(cos_delta))
-    # gauge: theta = 0, so phi_d = delta / 2 up to the reflection delta -> -delta
-    primary = GaussianParams.single_mode(np.sqrt(alpha2) * np.exp(0.5j * delta),
-                                         r=r, occupation=occupation)
-    mirror = GaussianParams.single_mode(np.sqrt(alpha2) * np.exp(-0.5j * delta),
-                                        r=r, occupation=occupation)
-    residual = 0.0
-    if g3_orig is not None:
-        mom = derive_moments(primary)
-        residual = abs(g3_value(mom, 0, 0, 0) - g3_orig)
-        if residual > max(100 * tol, 1e-6):
-            raise InconsistentDataError(
-                f"g3 of the original state disagrees with the reconstruction "
-                f"by {residual:.3e}")
-    ambiguity = Ambiguity(z2_reflection=True, discrete_solutions=(mirror,),
-                          notes=("sign of 2 phi_d - theta unobservable",))
-    return ReconstructedState(primary, ambiguity, residual=residual)
-
-
 def reconstruct_single_mode(m: MeasurementSet, sector: str, tol: float = 1e-8) -> ReconstructedState:
     """Dispatch reconstruction of single-mode data in a decided sector.
 
-    Uses nbar when present, otherwise the no-click probability.
+    Uses nbar when present, otherwise the no-click probability.  ``residual``
+    is ``recon_multi.measurement_residual``, as for every multimode route.
     """
     if m.modes != 1:
         raise ValidationError("reconstruct_single_mode needs single-mode data")
@@ -422,8 +361,6 @@ def reconstruct_single_mode(m: MeasurementSet, sector: str, tol: float = 1e-8) -
     else:
         raise ValidationError(f"unsupported single-mode sector {sector!r} "
                               "(displaced-squeezed needs scan or beam-splitter data)")
-    mom = derive_moments(params)
-    residual = abs(g2_tensor(mom)[0, 0] - g2)
-    if (0, 0, 0) in m.g3:
-        residual = max(residual, abs(g3_value(mom, 0, 0, 0) - m.g3[(0, 0, 0)]))
-    return ReconstructedState(params, ambiguity, residual=float(residual))
+    # imported here: recon_multi imports this module's result types
+    from .recon_multi import measurement_residual
+    return ReconstructedState(params, ambiguity, residual=measurement_residual(params, m))

@@ -214,9 +214,9 @@ def _thermal_second_moments(occupations: np.ndarray) -> np.ndarray:
 def derive_moments(params: GaussianParams) -> MomentSummary:
     """Mean photon numbers, g1, covariances and displacements of the state."""
     m = params.modes
-    bog = bogoliubov_map(params)
+    big_l = bogoliubov_map(params).L
     with np.errstate(over="ignore", invalid="ignore"):
-        second = bog.L @ _thermal_second_moments(params.thermal) @ bog.L.T
+        second = big_l @ _thermal_second_moments(params.thermal) @ big_l.T
         cov = second[:m, :m]
         centered_g = second[m:, :m]  # <δa_i† δa_j> at row i, column j
         coherence = centered_g + np.outer(params.alpha.conj(), params.alpha)

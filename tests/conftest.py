@@ -36,6 +36,18 @@ def scale_params(params, s):
                           params.rotation, s * params.thermal)
 
 
+def assert_no_sign_copies(rec, tol=1e-9):
+    """No two listed solutions differ only by alpha -> -alpha, the global phase pi."""
+    sols = [rec.params, *rec.ambiguity.discrete_solutions]
+    for k, a in enumerate(sols):
+        for b in sols[k + 1:]:
+            same_rest = max(np.abs(a.squeeze - b.squeeze).max(),
+                            np.abs(a.rotation - b.rotation).max(),
+                            np.abs(a.thermal - b.thermal).max()) <= tol
+            assert not (same_rest and np.abs(a.alpha + b.alpha).max() <= tol), \
+                f"solutions {a.alpha} and {b.alpha} are global-sign copies"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)

@@ -14,7 +14,13 @@ unconverged oracle.
 import time
 
 import numpy as np
-from conftest import random_hermitian, random_params, random_symmetric, scale_params
+from conftest import (
+    assert_no_sign_copies,
+    random_hermitian,
+    random_params,
+    random_symmetric,
+    scale_params,
+)
 
 from gausstat.bucket import bucket_correlations, equal_squeezer_bucket, \
     pure_squeezer_mode_estimate
@@ -46,7 +52,6 @@ from gausstat.recon_multi import (
 from gausstat.recon_single import (
     recon_displaced_thermal,
     recon_displaced_thermal_click,
-    recon_dst_beamsplitter,
     recon_dst_scan,
     recon_squeezed_thermal,
     recon_squeezed_thermal_click,
@@ -233,14 +238,17 @@ def test_criterion_4_reconstruction_round_trips():
     # single-mode displaced squeezed: beam-splitter scheme with Z2 flag
     params = GaussianParams.single_mode(alpha=0.3 * np.exp(0.7j), r=0.4,
                                         theta=0.2, occupation=0.1)
-    _, minus = balanced_beamsplitter_duplicate(params)
+    plus, minus = balanced_beamsplitter_duplicate(params)
     m_minus = synthesize_measurements(derive_moments(minus))
     g2o, g3o, nbo, _ = _single_mode_observables(params)
-    rec = recon_dst_beamsplitter(m_minus, g2o, nbo, ref_port="orig", g3_orig=g3o)
-    assert rec.ambiguity.z2_reflection
-    assert abs(abs(rec.params.alpha[0]) - 0.3) < 1e-7
-    g2r, g3r, nbr, _ = _single_mode_observables(rec.params)
-    assert max(abs(g2r - g2o), abs(g3r - g3o), abs(nbr - nbo)) < 1e-8
+    for ref_port, ref_state in (("orig", params), ("plus", plus)):
+        m_ref = synthesize_measurements(derive_moments(ref_state))
+        rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=ref_port, tol=1e-8)
+        assert rec.ambiguity.z2_reflection
+        assert_no_sign_copies(rec)
+        assert abs(abs(rec.params.alpha[0]) - 0.3) < 1e-7
+        g2r, g3r, nbr, _ = _single_mode_observables(rec.params)
+        assert max(abs(g2r - g2o), abs(g3r - g3o), abs(nbr - nbo)) < 1e-8
 
     # multimode displaced thermal (3-mode unique, 2-mode Z2 pair)
     def dt_params(modes):
@@ -302,8 +310,7 @@ def test_criterion_4_reconstruction_round_trips():
         zero = GaussianParams(np.zeros(modes), rec.params.squeeze,
                               rec.params.rotation, rec.params.thermal)
         assert measurement_residual(zero, m_minus) < 1e-8
-        if modes == 2:
-            assert len(rec.ambiguity.discrete_solutions) >= 1
+        assert_no_sign_copies(rec)
     elapsed = time.time() - t0
     assert elapsed < 600
     report(f"4 reconstruction round-trips ({elapsed:.0f}s)")

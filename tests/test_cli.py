@@ -12,7 +12,15 @@ import pytest
 import gausstat
 from gausstat.cli import main
 from gausstat.classify import MeasurementSet
-from gausstat.serialize import dump, load, measurement_to_json, params_to_json
+from gausstat.recon_multi import measurement_residual
+from gausstat.serialize import (
+    dump,
+    load,
+    measurement_from_json,
+    measurement_to_json,
+    params_from_json,
+    params_to_json,
+)
 from gausstat.states import (
     GaussianParams,
     balanced_beamsplitter_duplicate,
@@ -153,11 +161,14 @@ def _edit_scan_cell(path, column, value):
      lambda f: _edit_scan_cell(f["scan"], "g3", "abc")),
     (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
      lambda f: _edit_scan_cell(f["scan"], "g2", "nan")),
+    (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
+     lambda f: _edit_scan_cell(f["scan"], "g3", "8.0,1e-3")),
     (["reconstruct"], None),
 ], ids=["classify-tol-nan", "bucket-g2b-nan", "bucket-g2b-inf", "scan-nbar-nan",
         "scan-nbar-inf", "scan-phase-step-nan", "curves-g2-min-nan", "curves-num-negative",
         "params-thermal-string", "params-alpha-string", "params-squeeze-scalar",
-        "scan-g3-not-a-number", "scan-g2-nan", "reconstruct-without-input"])
+        "scan-g3-not-a-number", "scan-g2-nan", "scan-cell-past-header",
+        "reconstruct-without-input"])
 def test_bad_input_is_a_validation_error(cli_inputs, capfd, argv, corrupt):
     """Non-finite flags and malformed file content stop where they enter: exit
     2 with a validation error, and no report, NaN or traceback on stdout."""
@@ -189,6 +200,21 @@ def test_nonpositive_scan_sigma_is_a_validation_error(cli_inputs, capfd):
     out, err = capfd.readouterr()
     assert "validation error" in err
     assert f"{scan}: line 2: sigma_g3 must be positive, got -1.0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("column,value", [("sigma_g2", "abc"), ("sigma-g3", "-5")])
+def test_unknown_scan_column_is_a_validation_error(cli_inputs, capfd, column, value):
+    """A scan column other than g2, g3 and sigma_g3 is never read, so it is
+    rejected by name rather than silently ignored."""
+    scan = cli_inputs["scan"]
+    lines = scan.read_text().splitlines()
+    scan.write_text("\n".join([f"{lines[0]},{column}"]
+                              + [f"{row},{value}" for row in lines[1:]]) + "\n")
+    capfd.readouterr()
+    assert run("reconstruct", "--scan", scan, "--nbar", cli_inputs["nbar"]) == 2
+    out, err = capfd.readouterr()
+    assert f"{scan}: unknown scan CSV column {column!r}" in err
     assert out == ""
 
 
@@ -362,22 +388,31 @@ class TestClassifyReconstruct:
         assert row["residual"] is None and row["passed"] is False
         assert doc["witness"] is None
 
-    def test_dst_two_files(self, tmp_path):
+    @pytest.mark.parametrize("ref_port", ["orig", "plus"])
+    def test_dst_two_files(self, tmp_path, ref_port):
         params = GaussianParams.single_mode(alpha=0.3 * np.exp(0.6j), r=0.4,
                                             theta=0.1, occupation=0.1)
         plus, minus = balanced_beamsplitter_duplicate(params)
         p_minus = write_params(tmp_path, minus, "minus.json")
-        p_orig = write_params(tmp_path, params, "orig.json")
-        m_minus, m_orig = tmp_path / "m_minus.json", tmp_path / "m_orig.json"
+        p_ref = write_params(tmp_path, params if ref_port == "orig" else plus, "ref.json")
+        m_minus, m_ref = tmp_path / "m_minus.json", tmp_path / "m_ref.json"
         run("simulate", p_minus, "--out", m_minus)
-        run("simulate", p_orig, "--out", m_orig)
+        run("simulate", p_ref, "--out", m_ref)
         rec_path = tmp_path / "rec.json"
-        assert run("reconstruct", m_minus, m_orig, "--sector", "dst",
+        assert run("reconstruct", m_minus, m_ref, "--sector", "dst", "--ref-port", ref_port,
                    "--out", rec_path) == 0
         rec = load(rec_path)
         assert rec["ambiguity"]["z2_reflection"] is True
         alpha = complex(*rec["params"]["alpha"][0])
         assert abs(alpha) == pytest.approx(0.3, abs=1e-7)
+        # both ports reproduced: the reference port with sqrt(2) alpha under plus
+        got = params_from_json(rec["params"])
+        scale = 1.0 if ref_port == "orig" else np.sqrt(2.0)
+        for alpha_scale, port in ((scale, m_ref), (0.0, m_minus)):
+            state = GaussianParams(alpha_scale * got.alpha, got.squeeze, got.rotation,
+                                   got.thermal)
+            assert measurement_residual(state, measurement_from_json(load(port))) < 1e-8
+        assert rec["residual"] < 1e-8
 
     def test_sector_mismatch_exit_code(self, tmp_path):
         params = GaussianParams.single_mode(r=0.5, occupation=0.2)  # g2 > 2
@@ -499,6 +534,18 @@ class TestMissingFieldIsNamed:
         capsys.readouterr()
         assert run("reconstruct", meas, "--sector", "nd") == 2
         assert "single-mode reconstruction needs g2" in capsys.readouterr().err
+
+    def test_single_mode_dst_without_g1(self, tmp_path):
+        """One mode's g1 is 1 by definition, so single-mode files need not carry it."""
+        params = GaussianParams.single_mode(alpha=0.3 * np.exp(0.6j), r=0.4, theta=0.1,
+                                            occupation=0.1)
+        _, minus = balanced_beamsplitter_duplicate(params)
+        nulls = {"g1_abs": None, "g1_phase": None}
+        m_minus = self.measurements(tmp_path, minus, "minus.json", **nulls)
+        m_orig = self.measurements(tmp_path, params, "orig.json", **nulls)
+        out = tmp_path / "rec.json"
+        assert run("reconstruct", m_minus, m_orig, "--sector", "dst", "--out", out) == 0
+        assert load(out)["residual"] < 1e-8
 
     @pytest.mark.parametrize("port", ["zero-mean", "reference"])
     @pytest.mark.parametrize("field", ["g2", "nbar"])

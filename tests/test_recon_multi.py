@@ -4,7 +4,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_params, random_symmetric
+from conftest import (
+    assert_no_sign_copies,
+    random_hermitian,
+    random_params,
+    random_symmetric,
+)
 from scipy.linalg import block_diag, expm, logm, schur, sqrtm
 
 from gausstat import recon_multi
@@ -273,19 +278,18 @@ class TestDisplacedSqueezedMulti:
         rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port="orig")
         assert np.abs(rec.params.alpha).max() < 1e-7
 
-    def test_two_mode_inherits_fourfold(self, rng):
+    def test_two_mode_lists_no_sign_copy(self, rng):
         params = self.make(rng, 2)
         plus, minus = balanced_beamsplitter_duplicate(params)
         m_minus = synthesize_measurements(derive_moments(minus))
         m_ref = synthesize_measurements(derive_moments(params))
         rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port="orig")
         m_orig = synthesize_measurements(derive_moments(params))
-        total = 1 + len(rec.ambiguity.discrete_solutions)
-        assert total >= 2  # discrete leftovers listed
+        assert_no_sign_copies(rec)
         assert measurement_residual(rec.params, m_orig) < 1e-6
 
     @pytest.mark.parametrize("ref_port", ["orig", "plus"])
-    @pytest.mark.parametrize("modes", [2, 3, 4, 5])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5])
     def test_seeded_draws_match_exhaustive(self, side_by_side, modes, ref_port):
         for seed in range(2):
             params = self.make(np.random.default_rng(100 * modes + seed), modes)
@@ -297,6 +301,7 @@ class TestDisplacedSqueezedMulti:
             assert measurement_residual(rec.params, synthesize_measurements(
                 derive_moments(params))) < 1e-6
             assert any("branches explored" in n for n in rec.ambiguity.notes)
+            assert_no_sign_copies(rec)
         assert sum(kept for kept, _ in side_by_side) >= 2
 
     @pytest.mark.parametrize("ref_port", ["orig", "plus"])

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from gausstat.classify import synthesize_measurements
+from gausstat.classify import MeasurementSet, synthesize_measurements
 from gausstat.errors import (
     InconsistentDataError,
     SectorMismatchError,
     ValidationError,
 )
+from gausstat.recon_multi import recon_displaced_squeezed_multi
 from gausstat.recon_single import (
     recon_displaced_thermal,
     recon_displaced_thermal_click,
-    recon_dst_beamsplitter,
     recon_dst_scan,
     recon_squeezed_thermal,
     recon_squeezed_thermal_click,
@@ -178,12 +178,14 @@ class TestScan:
 
 
 class TestBeamSplitter:
+    """The single-mode beam-splitter scheme, through the two-port reconstruction."""
+
     def test_zero_displacement_reduces(self):
         params = GaussianParams.single_mode(r=0.5, occupation=0.2)
         _, minus = balanced_beamsplitter_duplicate(params)
         m_minus = synthesize_measurements(derive_moments(minus))
-        g2_orig, _, nbar_orig, _ = observables(params)
-        rec = recon_dst_beamsplitter(m_minus, g2_orig, nbar_orig, ref_port="orig")
+        m_orig = synthesize_measurements(derive_moments(params))
+        rec = recon_displaced_squeezed_multi(m_minus, m_orig, ref_port="orig", tol=1e-8)
         assert abs(rec.params.alpha[0]) == 0.0
         assert abs(rec.params.squeeze[0, 0]) == pytest.approx(0.5, abs=1e-8)
 
@@ -195,16 +197,15 @@ class TestBeamSplitter:
         plus, minus = balanced_beamsplitter_duplicate(params)
         m_minus = synthesize_measurements(derive_moments(minus))
         g2_orig, g3_orig, nbar_orig, _ = observables(params)
-        nbar_ref = nbar_orig if ref_port == "orig" else derive_moments(plus).nbar[0]
-        rec = recon_dst_beamsplitter(m_minus, g2_orig, nbar_ref, ref_port=ref_port,
-                                     g3_orig=g3_orig)
+        m_ref = synthesize_measurements(derive_moments(params if ref_port == "orig" else plus))
+        rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=ref_port, tol=1e-8)
         assert rec.ambiguity.z2_reflection
         assert abs(rec.params.alpha[0]) == pytest.approx(a0, abs=1e-8)
         assert abs(rec.params.squeeze[0, 0]) == pytest.approx(r0, abs=1e-8)
         assert rec.params.thermal[0] == pytest.approx(n0, abs=1e-8)
-        # the relative phase is recovered up to sign
+        # the relative phase 2 phi_d - theta is recovered up to sign
         delta_true = 2 * phi_d - th0
-        delta_rec = 2 * np.angle(rec.params.alpha[0])
+        delta_rec = 2 * np.angle(rec.params.alpha[0]) - np.angle(rec.params.squeeze[0, 0])
         assert np.cos(delta_rec) == pytest.approx(np.cos(delta_true), abs=1e-8)
         # reconstruction reproduces the original observables
         g2_rec, g3_rec, nbar_rec, _ = observables(rec.params)
@@ -220,14 +221,16 @@ class TestBeamSplitter:
         params = GaussianParams.single_mode(r=0.5, occupation=0.2)
         _, minus = balanced_beamsplitter_duplicate(params)
         m_minus = synthesize_measurements(derive_moments(minus))
+        m_ref = MeasurementSet(1, nbar=[0.1], g2=[[4.0]])
         with pytest.raises(InconsistentDataError):
-            recon_dst_beamsplitter(m_minus, 4.0, nbar_ref=0.1, ref_port="orig")
+            recon_displaced_squeezed_multi(m_minus, m_ref, ref_port="orig", tol=1e-8)
 
     def test_displaced_port_rejected(self):
         params = GaussianParams.single_mode(alpha=0.5, r=0.3, occupation=0.1)
         m_bad = synthesize_measurements(derive_moments(params))
+        m_ref = MeasurementSet(1, nbar=[1.0], g2=[[2.0]])
         with pytest.raises(SectorMismatchError):
-            recon_dst_beamsplitter(m_bad, 2.0, nbar_ref=1.0)
+            recon_displaced_squeezed_multi(m_bad, m_ref, tol=1e-8)
 
 
 class TestDispatch:
