@@ -1,5 +1,10 @@
 """Command-line front end: simulate, classify, reconstruct, verify, curves, bucket.
 
+Each subcommand declares only the flags it reads, and a report's
+``meta.config`` records only those.  An unknown flag, a flag the command
+would ignore in the mode it runs in, and a file that cannot be read or
+written are validation errors.
+
 Exit codes: 0 success, 2 validation error, 3 infeasible or inconsistent data,
 4 numerical failure.  Set GAUSSTAT_LOG=debug for verbose logging.
 """
@@ -10,12 +15,12 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,23 +47,6 @@ from .words import LadderWord, correlation_word
 log = logging.getLogger("gausstat")
 
 
-@dataclass
-class RunConfig:
-    """Knobs shared by all subcommands."""
-
-    tolerance: float = 1e-8
-    fock_cutoff: int | None = None
-    seed: int = 0
-    noise_sigma: dict = field(default_factory=dict)
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
-        if self.fock_cutoff is not None and self.fock_cutoff < 2:
-            raise ValidationError("fock cutoff must be at least 2")
-
-
 def _finite_float(text: str) -> float:
     """A finite float parsed from command-line or CSV text; anything else is a
     ValidationError, which exits 2.  The argparse ``type`` of every float flag."""
@@ -68,6 +56,14 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise ValidationError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A finite positive float, the argparse ``type`` of ``--tol``."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise ValidationError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -94,26 +90,13 @@ def _parse_noise(spec: str | None) -> dict:
     return out
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(tolerance=args.tol, fock_cutoff=args.cutoff, seed=args.seed,
-                     noise_sigma=_parse_noise(getattr(args, "noise", None)),
-                     output_path=args.out)
-
-
-def _file_meta(paths, config: RunConfig) -> dict:
+def _file_meta(paths, **config) -> dict:
+    """Input file hashes, and under ``config`` the settings the command read."""
     hashes = {}
     for p in paths:
         digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()[:16]
         hashes[str(p)] = digest
-    return {
-        "inputs": hashes,
-        "config": {
-            "tolerance": config.tolerance,
-            "fock_cutoff": config.fock_cutoff,
-            "seed": config.seed,
-            "noise_sigma": config.noise_sigma,
-        },
-    }
+    return {"inputs": hashes, "config": config}
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -126,69 +109,65 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
+    noise = _parse_noise(args.noise)
     params = serialize.params_from_json(serialize.load(args.params))
     moments = derive_moments(params)
-    rng = np.random.default_rng(config.seed) if config.noise_sigma else None
-    mset = synthesize_measurements(moments, include_p0=True,
-                                   rng=rng, sigma=config.noise_sigma)
+    rng = np.random.default_rng(args.seed) if noise else None
+    mset = synthesize_measurements(moments, include_p0=True, rng=rng, sigma=noise)
     doc = serialize.measurement_to_json(mset)
-    doc["meta"] = _file_meta([args.params], config)
-    _emit(doc, config.output_path)
+    doc["meta"] = _file_meta([args.params], seed=args.seed, noise_sigma=noise)
+    _emit(doc, args.out)
     return 0
 
 
 def cmd_classify(args) -> int:
-    config = _config_from_args(args)
     mset = serialize.measurement_from_json(serialize.load(args.measurements))
-    verdict = classify(mset, tol=max(config.tolerance, 1e-9))
-    doc = serialize.classification_to_json(verdict,
-                                           meta=_file_meta([args.measurements], config))
-    _emit(doc, config.output_path)
+    verdict = classify(mset, tol=max(args.tol, 1e-9))
+    doc = serialize.classification_to_json(
+        verdict, meta=_file_meta([args.measurements], tolerance=args.tol))
+    _emit(doc, args.out)
     return 0
 
 
 def _read_scan_csv(path):
     rows = []
     sigmas = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"g2", "g3"} <= set(reader.fieldnames):
-            raise ValidationError(f"{path}: scan CSV needs header columns g2,g3")
-        for name in reader.fieldnames:
-            if name not in ("g2", "g3", "sigma_g3"):
-                raise ValidationError(f"{path}: unknown scan CSV column {name!r} "
-                                      "(expected g2, g3 and optionally sigma_g3)")
-        for row in reader:
-            try:
-                if None in row:  # csv.DictReader's key for cells past the header
-                    raise ValidationError("more cells than header columns")
-                rows.append([_finite_float(row["g2"]), _finite_float(row["g3"])])
-                if row.get("sigma_g3"):
-                    sigmas.append(_finite_float(row["sigma_g3"]))
-                    if not sigmas[-1] > 0:
-                        raise ValidationError(f"sigma_g3 must be positive, got {sigmas[-1]!r}")
-            except ValidationError as err:
-                raise ValidationError(f"{path}: line {reader.line_num}: {err}") from err
+    reader = csv.DictReader(io.StringIO(serialize.read_text(path), newline=""))
+    if reader.fieldnames is None or not {"g2", "g3"} <= set(reader.fieldnames):
+        raise ValidationError(f"{path}: scan CSV needs header columns g2,g3")
+    for name in reader.fieldnames:
+        if name not in ("g2", "g3", "sigma_g3"):
+            raise ValidationError(f"{path}: unknown scan CSV column {name!r} "
+                                  "(expected g2, g3 and optionally sigma_g3)")
+    for row in reader:
+        try:
+            if None in row:  # csv.DictReader's key for cells past the header
+                raise ValidationError("more cells than header columns")
+            rows.append([_finite_float(row["g2"]), _finite_float(row["g3"])])
+            if row.get("sigma_g3"):
+                sigmas.append(_finite_float(row["sigma_g3"]))
+                if not sigmas[-1] > 0:
+                    raise ValidationError(f"sigma_g3 must be positive, got {sigmas[-1]!r}")
+        except ValidationError as err:
+            raise ValidationError(f"{path}: line {reader.line_num}: {err}") from err
     if sigmas and len(sigmas) != len(rows):
         raise ValidationError(f"{path}: sigma_g3 must be given for every row or none")
     return np.array(rows), (np.array(sigmas) if sigmas else None)
 
 
 def cmd_reconstruct(args) -> int:
-    config = _config_from_args(args)
     inputs = list(args.measurements)
-    if not inputs and not args.scan:
-        raise ValidationError("reconstruct needs a measurement file or --scan")
     if args.scan:
-        pts, sigmas = _read_scan_csv(args.scan)
+        if inputs or args.sector or args.ref_port:
+            raise ValidationError("--scan reads no measurement file, --sector or --ref-port")
         if args.nbar is None:
             raise ValidationError("--scan needs --nbar")
+        pts, sigmas = _read_scan_csv(args.scan)
         steps = None
         if args.phase_steps:
             steps = [_finite_float(x) for x in args.phase_steps.split(",")]
         result = recon_dst_scan(pts, nbar=args.nbar, sigmas=sigmas, phase_steps=steps,
-                                tol=max(config.tolerance, 1e-8))
+                                tol=max(args.tol, 1e-8))
         doc = {
             "schema": serialize.SCHEMA,
             "type": "scan_reconstruction",
@@ -202,21 +181,25 @@ def cmd_reconstruct(args) -> int:
             "intercept": result.intercept,
             "fit_residual": result.fit_residual,
             "z2_resolved": result.z2_resolved,
-            "meta": _file_meta([args.scan], config),
+            "meta": _file_meta([args.scan], tolerance=args.tol),
         }
-        _emit(doc, config.output_path)
+        _emit(doc, args.out)
         return 0
+    if args.nbar is not None or args.phase_steps is not None:
+        raise ValidationError("--nbar and --phase-steps are read only with --scan")
+    if not inputs:
+        raise ValidationError("reconstruct needs a measurement file or --scan")
     msets = [serialize.measurement_from_json(serialize.load(p)) for p in inputs]
     primary = msets[0]
-    sector = args.sector
+    tol = max(args.tol, 1e-9)
+    sector = args.sector or "auto"
     if sector == "auto":
-        verdict = classify(primary, tol=max(config.tolerance, 1e-9))
+        verdict = classify(primary, tol=tol)
         sector = {"NonDisplaced": "nd", "ThermalLike": "nd", "NonSqueezed": "ns",
                   "CoherentLike": "ns"}.get(verdict.sector)
         if sector is None:
             sector = "dst"
         log.info("auto sector: %s -> %s", verdict.sector, sector)
-    tol = max(config.tolerance, 1e-9)
     if sector == "dst":
         if len(msets) != 2:
             raise ValidationError("--sector dst needs two measurement files: "
@@ -224,20 +207,21 @@ def cmd_reconstruct(args) -> int:
         m_minus, m_ref = msets
         for port, mset in (("zero-mean port", m_minus), ("reference port", m_ref)):
             _require(mset, f"--sector dst: the {port}", "nbar", "g2")
-        rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=args.ref_port, tol=tol)
+        rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=args.ref_port or "orig",
+                                             tol=tol)
+    elif len(msets) > 1 or args.ref_port:
+        raise ValidationError(f"sector {sector} reads one measurement file and no --ref-port")
     elif primary.modes == 1:
         rec = reconstruct_single_mode(primary, sector, tol=tol)
     elif sector == "nd":
         rec = recon_squeezed_thermal_multi(primary, tol=tol)
-    elif sector == "ns":
-        rec = recon_displaced_thermal_multi(primary, tol=tol)
     else:
-        raise ValidationError(f"unknown sector {sector!r}")
-    meta = _file_meta(inputs, config)
+        rec = recon_displaced_thermal_multi(primary, tol=tol)
+    meta = _file_meta(inputs, tolerance=args.tol)
     meta["sector"] = sector
     meta["observable_residual"] = rec.residual
     doc = serialize.reconstruction_to_json(rec, meta=meta)
-    _emit(doc, config.output_path)
+    _emit(doc, args.out)
     return 0
 
 
@@ -295,9 +279,8 @@ def cmd_verify(args) -> int:
     nbar^3, so a small mean photon number can push a converged-looking
     oracle past the budget at the default cutoff.
     """
-    config = _config_from_args(args)
     params = serialize.params_from_json(serialize.load(args.params))
-    ladder = ((config.fock_cutoff,) if config.fock_cutoff
+    ladder = ((args.cutoff,) if args.cutoff is not None
               else VERIFY_LADDERS[min(params.modes, 3)])
     for rung, cutoff in enumerate(ladder, 1):
         try:
@@ -318,7 +301,7 @@ def cmd_verify(args) -> int:
         for mode in range(params.modes):
             dist = fock.photon_number_distribution(rho, mode)
             lines += [f"{mode},{n},{p:.12g}" for n, p in enumerate(dist)]
-        Path(args.photon_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        serialize.write_text(args.photon_csv, "\n".join(lines) + "\n")
     doc = {
         "schema": serialize.SCHEMA,
         "type": "verification",
@@ -330,9 +313,9 @@ def cmd_verify(args) -> int:
         "worst_abs_error": worst,
         "oracle_budget": budget,
         "rows": rows,
-        "meta": _file_meta([args.params], config),
+        "meta": _file_meta([args.params], fock_cutoff=args.cutoff),
     }
-    _emit(doc, config.output_path)
+    _emit(doc, args.out)
     if worst > budget:
         raise NumericalError(f"oracle disagreement {worst:.3e} beyond "
                              f"truncation budget {budget:.3e}")
@@ -340,7 +323,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    config = _config_from_args(args)
     lo, hi = args.g2_min, args.g2_max
     if args.num < 1:
         raise ValidationError("--num must be at least 1")
@@ -351,24 +333,25 @@ def cmd_curves(args) -> int:
     lines = ["g2,g3"]
     lines += [f"{a:.12g},{b:.12g}" for a, b in zip(g2s, g3s)]
     text = "\n".join(lines) + "\n"
-    if config.output_path:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+    if args.out:
+        serialize.write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_bucket(args) -> int:
-    config = _config_from_args(args)
     if args.params:
+        if args.g2b is not None or args.g3b is not None:
+            raise ValidationError("a params file and --g2b/--g3b exclude each other")
         params = serialize.params_from_json(serialize.load(args.params))
         obs = bucket_mod.bucket_correlations(derive_moments(params))
-        meta = _file_meta([args.params], config)
+        meta = _file_meta([args.params])
     else:
         if args.g2b is None or args.g3b is None:
             raise ValidationError("need a params file or both --g2b and --g3b")
         obs = bucket_mod.BucketObservables(args.g2b, args.g3b, float("nan"))
-        meta = _file_meta([], config)
+        meta = _file_meta([])
     verdict = bucket_mod.bucket_bounds_check(obs)
     doc = {
         "schema": serialize.SCHEMA,
@@ -389,54 +372,59 @@ def cmd_bucket(args) -> int:
             "residual": est.residual,
             "assumptions": est.assumptions,
         }
-    _emit(doc, config.output_path)
+    _emit(doc, args.out)
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (unknown flag, bad choice, missing
+    argument) raise ValidationError, so they exit 2 like any other bad input."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every ``main`` call."""
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process and shared by every ``main`` call.
+    Each subcommand declares only the flags it reads."""
+    parser = _Parser(
         prog="gausstat",
         description="Photon-statistics observables, classification and "
                     "reconstruction of multimode Gaussian states")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=_finite_float, default=1e-8, help="numerical tolerance")
-        p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff per mode")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-
     p = sub.add_parser("simulate", help="exact or noisy observables of a state")
     p.add_argument("params", help="GaussianParams JSON file")
     p.add_argument("--noise", default=None,
                    help="per-observable sigmas, e.g. g2=1e-3,g3=2e-3")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed of --noise")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("classify", help="sort measured correlations into sectors")
     p.add_argument("measurements", help="MeasurementSet JSON file")
-    common(p)
+    p.add_argument("--tol", type=_positive_float, default=1e-8, help="numerical tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reconstruct", help="recover state parameters")
     p.add_argument("measurements", nargs="*", help="MeasurementSet JSON file(s)")
-    p.add_argument("--sector", choices=["auto", "nd", "ns", "dst"], default="auto")
-    p.add_argument("--ref-port", choices=["orig", "plus"], default="orig",
-                   help="which reference port the second dst file describes")
+    p.add_argument("--sector", choices=["auto", "nd", "ns", "dst"], default=None,
+                   help="default: auto")
+    p.add_argument("--ref-port", choices=["orig", "plus"], default=None,
+                   help="which reference port the second dst file describes (default: orig)")
     p.add_argument("--scan", default=None, help="phase-scan CSV with g2,g3 columns")
     p.add_argument("--nbar", type=_finite_float, default=None, help="mean photon number for --scan")
     p.add_argument("--phase-steps", default=None,
                    help="comma-separated scan phase increments (resolves the Z2 sign)")
-    common(p)
+    p.add_argument("--tol", type=_positive_float, default=1e-8, help="numerical tolerance")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="closed forms vs the truncated-Fock oracle")
     p.add_argument("params", help="GaussianParams JSON file")
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="Fock cutoff per mode (default: a short ladder)")
     p.add_argument("--photon-csv", default=None,
                    help="also dump per-mode photon-number distributions as CSV")
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("curves", help="reference g2-g3 relation curves as CSV")
@@ -445,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2-min", type=_finite_float, default=1.0)
     p.add_argument("--g2-max", type=_finite_float, default=2.0)
     p.add_argument("--num", type=int, default=51)
-    common(p)
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("bucket", help="bucket correlations, bounds, mode estimate")
@@ -453,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2b", type=_finite_float, default=None)
     p.add_argument("--g3b", type=_finite_float, default=None)
     p.add_argument("--estimate-modes", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_bucket)
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
     return parser
 
 
@@ -465,7 +453,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
-        # a float flag that is not finite raises ValidationError while parsing
+        # a usage error or a float flag that is not finite raises ValidationError
         args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as err:

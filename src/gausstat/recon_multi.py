@@ -115,17 +115,6 @@ def complex_to_real_cov(cov: ComplexCovariance) -> np.ndarray:
     return 0.5 * (vr.real + vr.real.T)
 
 
-def real_to_complex_cov(v: np.ndarray) -> ComplexCovariance:
-    """Inverse of :func:`complex_to_real_cov`."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
-        raise ValidationError("V must be square with even dimension")
-    m = v.shape[0] // 2
-    lam = _ladder_to_quadrature(m)
-    vc = lam.conj().T @ v @ lam
-    return ComplexCovariance(vc[:m, :m], vc[:m, m:])
-
-
 @dataclass(frozen=True)
 class WilliamsonResult:
     """V = S diag(D, D) S^T with S symplectic and D_i = N_i + 1/2."""

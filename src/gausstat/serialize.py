@@ -14,7 +14,7 @@ import numpy as np
 from .classify import Classification, MeasurementSet
 from .errors import ValidationError
 from .recon_single import Ambiguity, ReconstructedState
-from .states import GaussianParams, MomentSummary
+from .states import GaussianParams
 
 SCHEMA = "gausstat/v1"
 
@@ -70,28 +70,6 @@ def params_from_json(doc: dict) -> GaussianParams:
         raise ValidationError(f"gaussian_params document missing field {err}") from err
     except (TypeError, ValueError) as err:
         raise ValidationError(f"malformed gaussian_params document: {err}") from err
-
-
-def moments_to_json(moments: MomentSummary) -> dict:
-    return {
-        "schema": SCHEMA,
-        "type": "moment_summary",
-        "modes": moments.modes,
-        "nbar": [float(v) for v in moments.nbar],
-        "g1": _cmat2j(np.nan_to_num(moments.g1)),
-        "cov": _cmat2j(moments.cov),
-        "alpha": [_c2j(v) for v in moments.alpha],
-    }
-
-
-def moments_from_json(doc: dict) -> MomentSummary:
-    _check_schema(doc, "moment_summary")
-    return MomentSummary(
-        np.array(doc["nbar"], dtype=float),
-        _j2cmat(doc["g1"]),
-        _j2cmat(doc["cov"]),
-        np.array([_j2c(v) for v in doc["alpha"]]),
-    )
 
 
 def measurement_to_json(m: MeasurementSet) -> dict:
@@ -170,23 +148,25 @@ def reconstruction_to_json(rec: ReconstructedState, meta: dict | None = None) ->
     return doc
 
 
-def reconstruction_from_json(doc: dict) -> ReconstructedState:
-    _check_schema(doc, "reconstructed_state")
-    amb = doc.get("ambiguity", {})
-    ambiguity = Ambiguity(
-        global_phase=bool(amb.get("global_phase", True)),
-        z2_reflection=bool(amb.get("z2_reflection", False)),
-        discrete_solutions=tuple(params_from_json(p)
-                                 for p in amb.get("discrete_solutions", [])),
-        notes=tuple(amb.get("notes", ())),
-    )
-    return ReconstructedState(params_from_json(doc["params"]), ambiguity,
-                              residual=float(doc.get("residual", 0.0)))
+def read_text(path) -> str:
+    """The UTF-8 text of a file; a file that cannot be read is a ValidationError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else f"not UTF-8: {err.reason}"
+        raise ValidationError(f"{path}: cannot read ({reason})") from err
+
+
+def write_text(path, text: str) -> None:
+    """Write a file; a path that cannot be written is a ValidationError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise ValidationError(f"{path}: cannot write ({err.strerror})") from err
 
 
 def dump(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load(path) -> dict:
@@ -194,6 +174,6 @@ def load(path) -> dict:
         raise ValidationError(f"{path}: non-finite JSON number {token}")
 
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
+        return json.loads(read_text(path), parse_constant=reject)
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path}: invalid JSON ({err})") from err

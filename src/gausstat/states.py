@@ -359,21 +359,6 @@ def mode_vacuum_probability(moments: MomentSummary, mode: int) -> float:
     return math.exp(-expo) / math.sqrt(delta)
 
 
-def balanced_beamsplitter_duplicate(params: GaussianParams):
-    """Interfere the state with an identical copy on a balanced beam splitter.
-
-    The joint Bogoliubov block L ⊕ L commutes with the 50:50 transformation,
-    so both outputs keep the input covariance structure and are uncorrelated;
-    the displacement concentrates as sqrt(2) alpha in one port and vanishes in
-    the other.  Returns (plus_port, minus_port).
-    """
-    plus = GaussianParams(np.sqrt(2.0) * params.alpha, params.squeeze,
-                          params.rotation, params.thermal)
-    minus = GaussianParams(np.zeros_like(params.alpha), params.squeeze,
-                           params.rotation, params.thermal)
-    return plus, minus
-
-
 def apply_uniform_loss(moments: MomentSummary, eta: float) -> MomentSummary:
     """Uniform linear loss at the moment level: alpha -> sqrt(eta) alpha, cov -> eta cov.
 

@@ -1,9 +1,8 @@
 """Partition combinatorics and closed-form decomposition of ladder-operator moments.
 
 Everything here works on ordered words of creation/annihilation operators.
-Thermal moments of any even word reduce to a sum over pair partitions of
-products of second moments (odd words vanish).  Moments of a general Gaussian
-state of order up to six reduce to first and second moments:
+Moments of a general Gaussian state of order up to six reduce to first and
+second moments:
 
 * order 4:  sum over the 3 pair partitions minus twice the product of the
   four first moments,
@@ -153,39 +152,6 @@ def enumerate_bipartitions_4_2(word: LadderWord) -> list[Bipartition42]:
             psi = tuple(p for p in range(6) if p not in (a, b))
             out.append(Bipartition42(psi, (a, b)))  # type: ignore[arg-type]
     return out
-
-
-def thermal_second_moment(op1: LadderOp, op2: LadderOp, occupations: np.ndarray) -> complex:
-    """Second moment <op1 op2> of an uncorrelated thermal state.
-
-    <a_i† a_j> = δ_ij N_i, <a_i a_j†> = δ_ij (N_i + 1), <aa> = <a†a†> = 0.
-    """
-    if op1.mode != op2.mode or op1.creation == op2.creation:
-        return 0.0 + 0.0j
-    n = float(occupations[op1.mode])
-    if n < 0:
-        raise ValidationError("thermal occupation must be nonnegative")
-    return complex(n) if op1.creation else complex(n + 1.0)
-
-
-def thermal_moment(word: LadderWord, occupations: np.ndarray) -> complex:
-    """Moment of an arbitrary ladder word in an uncorrelated thermal state.
-
-    Odd words vanish; even words are the sum over all pair partitions of
-    products of thermal second moments.
-    """
-    occupations = np.asarray(occupations, dtype=float)
-    if len(word) % 2 == 1:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    for part in enumerate_pair_partitions(word):
-        term = 1.0 + 0.0j
-        for a, b in part.pairs:
-            term *= thermal_second_moment(word.ops[a], word.ops[b], occupations)
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 class MomentTable:

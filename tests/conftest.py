@@ -36,6 +36,21 @@ def scale_params(params, s):
                           params.rotation, s * params.thermal)
 
 
+def balanced_beamsplitter_duplicate(params: GaussianParams):
+    """Interfere the state with an identical copy on a balanced beam splitter.
+
+    The joint Bogoliubov block L ⊕ L commutes with the 50:50 transformation,
+    so both outputs keep the input covariance structure and are uncorrelated;
+    the displacement concentrates as sqrt(2) alpha in one port and vanishes in
+    the other.  Returns (plus_port, minus_port).
+    """
+    plus = GaussianParams(np.sqrt(2.0) * params.alpha, params.squeeze,
+                          params.rotation, params.thermal)
+    minus = GaussianParams(np.zeros_like(params.alpha), params.squeeze,
+                           params.rotation, params.thermal)
+    return plus, minus
+
+
 def assert_no_sign_copies(rec, tol=1e-9):
     """No two listed solutions differ only by alpha -> -alpha, the global phase pi."""
     sols = [rec.params, *rec.ambiguity.discrete_solutions]

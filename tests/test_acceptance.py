@@ -16,6 +16,7 @@ import time
 import numpy as np
 from conftest import (
     assert_no_sign_copies,
+    balanced_beamsplitter_duplicate,
     random_hermitian,
     random_params,
     random_symmetric,
@@ -59,7 +60,6 @@ from gausstat.recon_single import (
 from gausstat.states import (
     GaussianParams,
     apply_uniform_loss,
-    balanced_beamsplitter_duplicate,
     derive_moments,
     g2_tensor,
     g3_tensor,

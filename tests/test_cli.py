@@ -2,15 +2,17 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import balanced_beamsplitter_duplicate
 
 import gausstat
-from gausstat.cli import main
+from gausstat.cli import build_parser, main
 from gausstat.classify import MeasurementSet
 from gausstat.recon_multi import measurement_residual
 from gausstat.serialize import (
@@ -21,12 +23,7 @@ from gausstat.serialize import (
     params_from_json,
     params_to_json,
 )
-from gausstat.states import (
-    GaussianParams,
-    balanced_beamsplitter_duplicate,
-    derive_moments,
-    single_mode_g2_g3,
-)
+from gausstat.states import GaussianParams, derive_moments, single_mode_g2_g3
 
 
 def write_params(tmp_path, params, name="state.json"):
@@ -127,7 +124,8 @@ def cli_inputs(tmp_path):
     scan = tmp_path / "scan.csv"
     scan.write_text("\n".join(rows) + "\n")
     nbar = derive_moments(GaussianParams.single_mode(alpha=0.3, r=0.4, occupation=0.1)).nbar[0]
-    return {"state": state, "meas": meas, "scan": scan, "nbar": repr(float(nbar))}
+    return {"state": state, "meas": meas, "scan": scan, "nbar": repr(float(nbar)),
+            "missing": tmp_path / "missing.json", "nodir": tmp_path / "no-such-dir" / "out"}
 
 
 def _edit_json(path, edit):
@@ -164,14 +162,24 @@ def _edit_scan_cell(path, column, value):
     (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
      lambda f: _edit_scan_cell(f["scan"], "g3", "8.0,1e-3")),
     (["reconstruct"], None),
+    (["classify", "missing"], None),
+    (["verify", "missing"], None),
+    (["reconstruct", "--scan", "missing", "--nbar", "1"], None),
+    (["classify", "meas"], lambda f: f["meas"].write_bytes(b"\xff\xfe{}")),
+    (["curves", "--relation", "eq20", "--out", "nodir"], None),
+    (["simulate", "state", "--out", "nodir"], None),
+    (["verify", "state", "--photon-csv", "nodir"], None),
 ], ids=["classify-tol-nan", "bucket-g2b-nan", "bucket-g2b-inf", "scan-nbar-nan",
         "scan-nbar-inf", "scan-phase-step-nan", "curves-g2-min-nan", "curves-num-negative",
         "params-thermal-string", "params-alpha-string", "params-squeeze-scalar",
         "scan-g3-not-a-number", "scan-g2-nan", "scan-cell-past-header",
-        "reconstruct-without-input"])
+        "reconstruct-without-input", "classify-missing-file", "verify-missing-file",
+        "scan-missing-file", "measurements-not-utf8", "curves-out-no-dir",
+        "simulate-out-no-dir", "photon-csv-no-dir"])
 def test_bad_input_is_a_validation_error(cli_inputs, capfd, argv, corrupt):
-    """Non-finite flags and malformed file content stop where they enter: exit
-    2 with a validation error, and no report, NaN or traceback on stdout."""
+    """Non-finite flags, malformed file content and files that cannot be read
+    or written stop where they enter: exit 2 with a validation error, and no
+    report, NaN or traceback on stdout."""
     if corrupt is not None:
         corrupt(cli_inputs)
     capfd.readouterr()
@@ -218,6 +226,106 @@ def test_unknown_scan_column_is_a_validation_error(cli_inputs, capfd, column, va
     assert out == ""
 
 
+# The flags each subcommand reads; it takes no other.
+SUBCOMMAND_FLAGS = {
+    "simulate": {"--noise", "--seed", "--out"},
+    "classify": {"--tol", "--out"},
+    "reconstruct": {"--sector", "--ref-port", "--scan", "--nbar", "--phase-steps", "--tol",
+                    "--out"},
+    "verify": {"--cutoff", "--photon-csv", "--out"},
+    "curves": {"--relation", "--g2-min", "--g2-max", "--num", "--out"},
+    "bucket": {"--g2b", "--g3b", "--estimate-modes", "--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+    flags = {name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+             for name, sub in action.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "state", "--tol", "1e-3"],
+    ["curves", "--relation", "eq20", "--seed", "3"],
+    ["classify", "meas", "--cutoff", "5"],
+    ["bucket", "--g2b", "1.5", "--g3b", "3", "--cutoff", "9"],
+    ["simulate", "state", "--tol", "1e-3"],
+    ["reconstruct", "meas", "--sector", "nd", "--seed", "1"],
+    ["reconstruct", "meas", "--sector", "nd", "--nbar", "nbar"],
+    ["reconstruct", "meas", "--sector", "nd", "--phase-steps", "1.0"],
+    ["reconstruct", "meas", "--scan", "scan", "--nbar", "nbar"],
+    ["reconstruct", "--scan", "scan", "--nbar", "nbar", "--sector", "auto"],
+    ["reconstruct", "--scan", "scan", "--nbar", "nbar", "--ref-port", "orig"],
+    ["reconstruct", "meas", "meas", "--sector", "nd"],
+    ["reconstruct", "meas", "--sector", "ns", "--ref-port", "orig"],
+    ["bucket", "state", "--g2b", "1.5"],
+    ["bucket", "state", "--g3b", "3"],
+    ["verify", "state", "--cutoff", "0"],
+    ["verify", "state", "--cutoff", "1"],
+    ["classify", "meas", "--tol", "0"],
+    ["classify", "meas", "--tol", "-1e-3"],
+    ["reconstruct", "meas", "--sector", "all"],
+    ["verify"],
+    [],
+], ids=lambda argv: "_".join(argv) or "no-command")
+def test_flag_the_command_would_not_read_exits_2(cli_inputs, capfd, argv):
+    """A flag the subcommand does not take, or would ignore in the mode it runs
+    in, a missing argument and an out-of-range cutoff or tolerance exit 2 with
+    a validation error, from an in-process call too, and write no report."""
+    capfd.readouterr()
+    assert main([str(cli_inputs.get(a, a)) for a in argv]) == 2
+    out, err = capfd.readouterr()
+    assert "validation error" in err
+    assert out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--help"])
+    assert stop.value.code == 0
+    assert "--cutoff" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["simulate", "state", "--seed", "7", "--noise", "g2=1e-3"],
+     {"seed": 7, "noise_sigma": {"g2": 1e-3}}),
+    (["simulate", "state"], {"seed": 0, "noise_sigma": {}}),
+    (["classify", "meas", "--tol", "1e-6"], {"tolerance": 1e-6}),
+    (["reconstruct", "--scan", "scan", "--nbar", "nbar"], {"tolerance": 1e-8}),
+    (["verify", "state", "--cutoff", "50"], {"fock_cutoff": 50}),
+    (["verify", "state"], {"fock_cutoff": None}),
+    (["bucket", "state"], {}),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
+def test_meta_config_holds_only_the_flags_read(cli_inputs, tmp_path, argv, config):
+    out = tmp_path / "report.json"
+    assert main([str(cli_inputs.get(a, a)) for a in argv] + ["--out", str(out)]) == 0
+    assert load(out)["meta"]["config"] == config
+
+
+def _readme_command_line():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_line_matches_the_parser():
+    """Every `gausstat ...` example in README parses, and the README's flag
+    table lists the flags each subcommand takes."""
+    section = _readme_command_line()
+    examples = [line for line in section.split("```")[1].splitlines()
+                if line.startswith("gausstat ")]
+    assert {shlex.split(line)[1] for line in examples} == set(SUBCOMMAND_FLAGS)
+    for line in examples:
+        build_parser().parse_args(shlex.split(line)[1:])
+    table = {}
+    for row in section.splitlines():
+        cells = row.split("|")
+        if len(cells) == 4 and cells[1].strip().strip("`") in SUBCOMMAND_FLAGS:
+            table[cells[1].strip().strip("`")] = {f.strip().strip("`")
+                                                  for f in cells[2].split(",")}
+    assert table == SUBCOMMAND_FLAGS
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     env = dict(os.environ, PYTHONPATH=str(Path(gausstat.__file__).parents[1]))
     code = "import sys, gausstat.cli; print('scipy.optimize' in sys.modules)"
@@ -255,13 +363,14 @@ report.append(["import gausstat.cli", 0, loaded()])
 import numpy as np
 from gausstat.cli import main
 from gausstat.serialize import dump, params_to_json
-from gausstat.states import GaussianParams, balanced_beamsplitter_duplicate
+from gausstat.states import GaussianParams
 
 tmp = Path(sys.argv[1])
 z2 = np.array([[0.3, 0.1], [0.1, 0.2]], dtype=complex)
 phi2 = np.array([[0.0, 0.4], [0.4, 0.0]])
 two_port = GaussianParams(np.array([0.4, 0.3j]), z2, phi2, np.array([0.1, 0.3]))
-_, minus = balanced_beamsplitter_duplicate(two_port)
+# the zero-mean port of a balanced beam splitter fed with two copies
+minus = GaussianParams(np.zeros(2), z2, phi2, np.array([0.1, 0.3]))
 states = {
     "squeezed": GaussianParams.single_mode(r=0.5, occupation=0.2),
     "displaced": GaussianParams.single_mode(alpha=0.7, occupation=0.2),

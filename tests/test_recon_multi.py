@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     assert_no_sign_copies,
+    balanced_beamsplitter_duplicate,
     random_hermitian,
     random_params,
     random_symmetric,
@@ -21,7 +22,6 @@ from gausstat.recon_multi import (
     complex_to_real_cov,
     measurement_residual,
     params_from_covariance,
-    real_to_complex_cov,
     recon_displaced_squeezed_multi,
     recon_displaced_thermal_multi,
     recon_squeezed_thermal_multi,
@@ -33,7 +33,6 @@ from gausstat.recon_multi import (
 from gausstat.recon_single import recon_squeezed_thermal
 from gausstat.states import (
     GaussianParams,
-    balanced_beamsplitter_duplicate,
     bogoliubov_map,
     derive_moments,
 )
@@ -56,11 +55,17 @@ class TestConversions:
         assert np.allclose(v, np.diag([np.exp(-0.6) / 2, np.exp(0.6) / 2]), atol=1e-12)
 
     def test_round_trip_identity(self, rng):
+        # V = Lambda V_c Lambda^H with (x, p) = Lambda (a, a†), so
+        # Lambda^H V Lambda gives back the blocks A and B
         cov, _ = random_state_covariance(rng, 3)
         v = complex_to_real_cov(cov)
-        back = real_to_complex_cov(v)
-        assert np.allclose(back.A, cov.A, atol=1e-12)
-        assert np.allclose(back.B, cov.B, atol=1e-12)
+        eye = np.eye(3)
+        lam = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2.0)
+        v_c = np.block([[cov.A, cov.B], [cov.B.conj(), cov.A.conj()]])
+        assert np.allclose(v, lam @ v_c @ lam.conj().T, atol=1e-12)
+        back = lam.conj().T @ v @ lam
+        assert np.allclose(back[:3, :3], cov.A, atol=1e-12)
+        assert np.allclose(back[:3, 3:], cov.B, atol=1e-12)
 
     def test_invalid_blocks_rejected(self):
         with pytest.raises(ValidationError):

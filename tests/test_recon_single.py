@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import balanced_beamsplitter_duplicate
 
 from gausstat.classify import MeasurementSet, synthesize_measurements
 from gausstat.errors import (
@@ -20,7 +21,6 @@ from gausstat.recon_single import (
 )
 from gausstat.states import (
     GaussianParams,
-    balanced_beamsplitter_duplicate,
     derive_moments,
     g2_tensor,
     g3_value,

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_params, random_symmetric
+from conftest import (
+    balanced_beamsplitter_duplicate,
+    random_hermitian,
+    random_params,
+    random_symmetric,
+)
 
 from gausstat.errors import NumericalError, UndefinedCorrelationError, ValidationError
 from gausstat.fock import build_density, moment_bruteforce, vacuum_overlap
@@ -11,7 +16,6 @@ from gausstat.states import (
     GaussianParams,
     MomentSummary,
     apply_uniform_loss,
-    balanced_beamsplitter_duplicate,
     bogoliubov_map,
     derive_moments,
     g2_tensor,

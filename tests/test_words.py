@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausstat.errors import UnsupportedOrderError
+from gausstat.errors import UnsupportedOrderError, ValidationError
 from gausstat.states import GaussianParams, derive_moments
 from gausstat.words import (
     LadderOp,
@@ -14,8 +14,6 @@ from gausstat.words import (
     enumerate_bipartitions_4_2,
     enumerate_pair_partitions,
     gaussian_moment,
-    thermal_moment,
-    thermal_second_moment,
 )
 
 W4 = LadderWord.from_spec("0+ 1+ 0- 1-")
@@ -65,6 +63,40 @@ class TestPartitions:
         a = [p.pairs for p in enumerate_pair_partitions(W6)]
         b = [p.pairs for p in enumerate_pair_partitions(W6)]
         assert a == b
+
+
+def thermal_second_moment(op1: LadderOp, op2: LadderOp, occupations: np.ndarray) -> complex:
+    """Second moment <op1 op2> of an uncorrelated thermal state.
+
+    <a_i† a_j> = δ_ij N_i, <a_i a_j†> = δ_ij (N_i + 1), <aa> = <a†a†> = 0.
+    """
+    if op1.mode != op2.mode or op1.creation == op2.creation:
+        return 0.0 + 0.0j
+    n = float(occupations[op1.mode])
+    if n < 0:
+        raise ValidationError("thermal occupation must be nonnegative")
+    return complex(n) if op1.creation else complex(n + 1.0)
+
+
+def thermal_moment(word: LadderWord, occupations: np.ndarray) -> complex:
+    """Moment of an arbitrary ladder word in an uncorrelated thermal state, the
+    reference for ``gaussian_moment`` at thermal parameters.
+
+    Odd words vanish; even words are the sum over all pair partitions of
+    products of thermal second moments.
+    """
+    occupations = np.asarray(occupations, dtype=float)
+    if len(word) % 2 == 1:
+        return 0.0 + 0.0j
+    total = 0.0 + 0.0j
+    for part in enumerate_pair_partitions(word):
+        term = 1.0 + 0.0j
+        for a, b in part.pairs:
+            term *= thermal_second_moment(word.ops[a], word.ops[b], occupations)
+            if term == 0:
+                break
+        total += term
+    return total
 
 
 class TestThermalMoments:
