@@ -16,7 +16,6 @@ import csv
 import functools
 import hashlib
 import io
-import json
 import logging
 import math
 import os
@@ -104,8 +103,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
         serialize.dump(doc, out_path)
         log.info("wrote %s", out_path)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(serialize.dumps(doc) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -193,16 +191,18 @@ def cmd_reconstruct(args) -> int:
     primary = msets[0]
     tol = max(args.tol, 1e-9)
     sector = args.sector or "auto"
+    reason = "--sector dst"
     if sector == "auto":
         verdict = classify(primary, tol=tol)
         sector = {"NonDisplaced": "nd", "ThermalLike": "nd", "NonSqueezed": "ns",
                   "CoherentLike": "ns"}.get(verdict.sector)
         if sector is None:
             sector = "dst"
+            reason = f"sector auto chose dst from the verdict {verdict.sector}; dst"
         log.info("auto sector: %s -> %s", verdict.sector, sector)
     if sector == "dst":
         if len(msets) != 2:
-            raise ValidationError("--sector dst needs two measurement files: "
+            raise ValidationError(f"{reason} needs two measurement files: "
                                   "zero-mean port and reference port")
         m_minus, m_ref = msets
         for port, mset in (("zero-mean port", m_minus), ("reference port", m_ref)):

@@ -2,11 +2,18 @@
 
 Complex numbers are stored as [re, im] pairs, matrices as row-major nested
 lists.  Every document carries ``"schema": "gausstat/v1"``.
+
+Every report and ``--out`` file is 2-space-indented, key-sorted JSON: byte for
+byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, plus a newline.
+``dumps`` builds that text by joining strings, since the stdlib encodes
+indented output token by token in pure Python.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -165,15 +172,135 @@ def write_text(path, text: str) -> None:
         raise ValidationError(f"{path}: cannot write ({err.strerror})") from err
 
 
+_INF = float("inf")
+
+
+def _float(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A dict key as the stdlib converts it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _dict(d: dict, nl: str) -> str:
+    if not d:
+        return "{}"
+    inner = nl + "  "
+    return ("{" + ",".join([inner + _quote(_key(k)) + ": " + _value(v, inner)
+                            for k, v in sorted(d.items())]) + nl + "}")
+
+
+def _texts(values, nl: str) -> list:
+    """The JSON text of each of a non-empty sequence's values, at indent ``nl``.
+    All floats or all plain ints go through one map.  The items of non-empty
+    lists are encoded as one sequence; records that share one set of str keys
+    have their keys sorted and quoted once, and each key's values encoded as
+    one sequence."""
+    head = values[0]
+    try:
+        if isinstance(head, float):
+            texts = list(map(float.__repr__, values))
+            if "n" in "".join(texts):  # a nan or inf repr
+                texts = list(map(_float, values))
+            return texts
+        if type(head) is int and bool not in map(type, values):
+            return list(map(int.__repr__, values))
+    except TypeError:  # a value of another type: encode one by one
+        pass
+    if type(head) is list and all(type(v) is list and v for v in values):
+        # non-empty lists: their items encoded as one sequence, then regrouped
+        inner = nl + "  "
+        sep = "," + inner
+        flat = iter(_texts([x for v in values for x in v], inner))
+        return ["[" + inner + sep.join(islice(flat, len(v))) + nl + "]" for v in values]
+    if type(head) is dict and head:
+        keys = head.keys()
+        if (all(type(k) is str for k in keys)
+                and all(type(d) is dict and d.keys() == keys for d in values)):
+            inner = nl + "  "
+            columns = [map((inner + _quote(k) + ": ").__add__,
+                           _texts([d[k] for d in values], inner))
+                       for k in sorted(keys)]
+            return ["{" + body + nl + "}" for body in map(",".join, zip(*columns))]
+    return [_value(v, nl) for v in values]
+
+
+def _list(items, nl: str) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(_texts(items, inner)) + nl + "]"
+
+
+def _value(o, nl: str) -> str:
+    """``o`` as indented JSON; ``nl`` is the newline and indent of its own line."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _list(o, nl)
+    if isinstance(o, dict):
+        return _dict(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def dumps(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, built by joining
+    strings: the same tokens for NaN and infinities, ASCII escapes, key
+    conversion and TypeError for a value or key of an unsupported type.  With
+    several unsupported values the error may name another one, and there is no
+    circular-reference check: a report never refers to itself."""
+    return _value(doc, "\n")
+
+
 def dump(doc: dict, path) -> None:
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, dumps(doc) + "\n")
+
+
+_JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
 
 
 def load(path) -> dict:
+    """A JSON file whose top-level value is an object; anything else, and
+    invalid or non-finite JSON, is a ValidationError naming the file."""
     def reject(token):
         raise ValidationError(f"{path}: non-finite JSON number {token}")
 
     try:
-        return json.loads(read_text(path), parse_constant=reject)
+        doc = json.loads(read_text(path), parse_constant=reject)
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path}: invalid JSON ({err})") from err
+    if not isinstance(doc, dict):
+        kind = _JSON_KINDS.get(type(doc), "a number")
+        raise ValidationError(f"{path}: expected a JSON object, got {kind}")
+    return doc

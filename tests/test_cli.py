@@ -226,6 +226,65 @@ def test_unknown_scan_column_is_a_validation_error(cli_inputs, capfd, column, va
     assert out == ""
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"state"', "3", "null"],
+                         ids=["array", "string", "number", "null"])
+@pytest.mark.parametrize("command", ["simulate", "classify", "reconstruct", "verify", "bucket"])
+def test_non_object_json_is_a_validation_error(tmp_path, capfd, command, text):
+    """Every input document is a JSON object; any other top-level value exits 2
+    with a validation error naming the file."""
+    path = tmp_path / "doc.json"
+    path.write_text(text + "\n")
+    capfd.readouterr()
+    assert run(command, path) == 2
+    out, err = capfd.readouterr()
+    assert f"validation error: {path}: expected a JSON object" in err
+    assert out == ""
+
+
+def test_auto_dst_on_one_file_says_auto_chose_it(cli_inputs, capfd):
+    """One displaced-squeezed file and no --sector: the message says the sector
+    came from auto's verdict and what dst needs, and names no flag."""
+    capfd.readouterr()
+    assert run("reconstruct", cli_inputs["meas"]) == 2
+    out, err = capfd.readouterr()
+    assert ("validation error: sector auto chose dst from the verdict "
+            "DisplacedSqueezedConsistent; dst needs two measurement files: "
+            "zero-mean port and reference port") in err
+    assert "--sector" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "state"],
+    ["simulate", "state", "--noise", "g2=1e-3,g3=1e-3", "--seed", "3"],
+    ["classify", "meas"],
+    ["classify", "nd_meas"],
+    ["reconstruct", "nd_meas"],
+    ["reconstruct", "--scan", "scan", "--nbar", "nbar"],
+    ["verify", "state"],
+    ["bucket", "state"],
+    ["bucket", "--g2b", "7", "--g3b", "51", "--estimate-modes"],
+], ids=lambda argv: "_".join(argv))
+def test_reports_are_indented_key_sorted_json(cli_inputs, tmp_path, capsys, argv):
+    """Every JSON report, on stdout and in the --out file, is byte for byte what
+    json.dumps(doc, indent=2, sort_keys=True) writes, plus a newline.  (curves
+    writes CSV.)"""
+    nd_state = write_params(tmp_path, GaussianParams.single_mode(r=0.5, occupation=0.2),
+                            "nd_state.json")
+    assert run("simulate", nd_state, "--out", tmp_path / "nd_meas.json") == 0
+    files = dict(cli_inputs, nd_meas=tmp_path / "nd_meas.json")
+    argv = [str(files.get(a, a)) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+    assert written == json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n"
+    assert written == stdout
+
+
 # The flags each subcommand reads; it takes no other.
 SUBCOMMAND_FLAGS = {
     "simulate": {"--noise", "--seed", "--out"},

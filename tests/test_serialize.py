@@ -1,10 +1,12 @@
-"""JSON schema round-trips."""
+"""JSON schema round-trips and the report writer."""
 
 import json
 
 import numpy as np
 import pytest
 from conftest import random_params
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausstat.classify import classify, synthesize_measurements
 from gausstat.errors import ValidationError
@@ -20,6 +22,7 @@ from gausstat.serialize import (
     params_to_json,
     reconstruction_to_json,
     dump,
+    dumps,
 )
 from gausstat.states import GaussianParams, derive_moments
 
@@ -142,3 +145,75 @@ def test_phase_system_round_trip():
     doc = phase_solutions_to_json(solve_displacement_phases(back), ["note"])
     assert len(doc["solutions"]) == 2
     assert doc["degeneracy_notes"] == ["note"]
+
+
+# --- the report writer against the stdlib's indented, key-sorted encoder ---
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1]
+floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS),
+                   st.floats().map(np.float64))
+ints = st.one_of(st.integers(), st.integers(-10**40, 10**40))
+texts = st.one_of(st.text(), st.sampled_from(['"', '\\"q\\"', "\x00\x1f\n\t", "é€😀", ""]))
+scalars = st.one_of(st.none(), st.booleans(), ints, floats, texts)
+
+
+def _containers(children):
+    record_keys = st.lists(texts, min_size=1, max_size=4, unique=True)
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(floats, max_size=6),
+        st.lists(ints, max_size=6),
+        st.dictionaries(texts, children, max_size=4),
+        st.dictionaries(st.one_of(ints, floats, st.booleans()), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+        # records that share one key set, as the g3 entries and verify rows do
+        record_keys.flatmap(lambda keys: st.lists(
+            st.fixed_dictionaries({k: children for k in keys}), max_size=4)),
+    )
+
+
+documents = st.recursive(scalars, _containers, max_leaves=40)
+
+
+def _stdlib(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents)
+@example([{1: 0}, {True: 0}, {1.0: 0}])
+@example([{"a": 1, "b": [2, True]}, {"b": [], "a": {}}, {"a": -0.0, "b": [float("nan")]}])
+@example([[1, 2], [True], [1.5, float("inf")], [np.float64(2.5)], ["x", None]])
+@example({"g3": [{"modes": [0, 1, 2], "value": 1.25}], "g2": [[1.0, 2.0], [2.0, 1.0]]})
+def test_dumps_equals_stdlib_indented_sorted_json(doc):
+    try:
+        expected = _stdlib(doc)
+    except TypeError:  # keys of types that do not sort against each other
+        with pytest.raises(TypeError):
+            dumps(doc)
+        return
+    assert dumps(doc) == expected
+
+
+@pytest.mark.parametrize("bad", [np.bool_(True), np.int64(3), 1j, {1, 2}],
+                         ids=["numpy.bool_", "numpy.int64", "complex", "set"])
+@pytest.mark.parametrize("place", [
+    lambda v: v, lambda v: [v], lambda v: [1.0, v], lambda v: [1, v], lambda v: [[1], [v]],
+    lambda v: {"k": v}, lambda v: [{"k": 1}, {"k": v}],
+], ids=["top", "list", "float-list", "int-list", "nested-list", "dict", "records"])
+def test_dumps_rejects_what_the_stdlib_rejects(bad, place):
+    doc = place(bad)
+    with pytest.raises(TypeError) as stdlib_err:
+        _stdlib(doc)
+    with pytest.raises(TypeError) as err:
+        dumps(doc)
+    assert str(err.value) == str(stdlib_err.value)
+
+
+def test_dumps_rejects_unsupported_keys():
+    for doc in ({(1, 2): 0}, {"a": 0, 1: 0}):
+        with pytest.raises(TypeError):
+            _stdlib(doc)
+        with pytest.raises(TypeError):
+            dumps(doc)
