@@ -183,6 +183,9 @@ class Classification:
     residuals: tuple[RelationResidual, ...]
     notes: tuple[str, ...]
     witness: dict | None = None
+    # per multimode hypothesis, the solutions its phase solver returned, best g3
+    # score first (none when gated out or unsolvable); not in repr, == or JSON
+    phase_solutions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def residual(self, relation: str) -> float:
         for r in self.residuals:
@@ -509,9 +512,6 @@ def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
     return residuals
 
 
-_SOLVERS = {DISPLACEMENT: solve_displacement_phases, COVARIANCE: solve_covariance_phases}
-
-
 def _sector_hypothesis(m: MeasurementSet, label: str, kind: str, extract, blocks,
                        diag_g3: np.ndarray, tol_rel: float, residuals: list, notes: list):
     """The steps both sector hypotheses share, after their pre-gate passed.
@@ -521,24 +521,25 @@ def _sector_hypothesis(m: MeasurementSet, label: str, kind: str, extract, blocks
     (``_g3_misfits``); ``blocks(solution)`` gives the solution's phases and
     the pair (c, b) of its blocks.  Residuals and notes are appended in
     place.  Returns (passed, the InsufficientDataError that blocked the test
-    or None, the witness or None); the best-scoring solution heads the
-    witness.
+    or None, the witness or None, the solutions, best-scoring first).
     """
     try:
         c = extract(m)
     except InsufficientDataError as err:
         notes.append(f"{label} test blocked: {err}")
-        return False, err, None
+        return False, err, None, []
     excess = _cosine_excess(c)
     if excess > tol_rel:
         notes.append(f"extracted {kind} cosine exceeds 1 by {excess:.3e}")
         residuals.append(RelationResidual(f"{label} cosine range", excess, tol_rel))
-        return False, None, None
+        return False, None, None, []
     system, stats = PhaseSystem(kind, m.g1_phase, np.clip(c, -1, 1)), SearchStats()
-    solutions = _SOLVERS[kind](system, tol=max(10 * tol_rel, 1e-8), stats=stats)
+    # looked up by name at each call, so a tracer that wraps the solvers sees them
+    solve = solve_displacement_phases if kind == DISPLACEMENT else solve_covariance_phases
+    solutions = solve(system, tol=max(10 * tol_rel, 1e-8), stats=stats)
     if not solutions:
         notes.append(f"{kind}-phase system has no solution")
-        return False, None, None
+        return False, None, None, []
     phases, pairs = zip(*(blocks(s) for s in solutions))
     worsts = _g3_misfits(m, diag_g3, pairs)
     best = int(np.argmin(worsts))
@@ -548,7 +549,7 @@ def _sector_hypothesis(m: MeasurementSet, label: str, kind: str, extract, blocks
                "n_phase_solutions": len(solutions),
                "degeneracy_notes": degeneracy_report(system, solutions),
                "phase_search": asdict(stats)}
-    return worsts[best] <= tol_rel, None, witness
+    return worsts[best] <= tol_rel, None, witness, solutions
 
 
 def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
@@ -572,11 +573,11 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
         ns_res = float(np.abs(g2 - pred)[np.triu_indices(mm, 1)].max())
     residuals.append(RelationResidual("non-squeezed g2/g1 relation (all pairs)",
                                       ns_res, tol_rel))
-    ns_ok, ns_blocked, ns_witness = False, None, None
+    ns_ok, ns_blocked, ns_witness, ns_solutions = False, None, None, []
     if ns_res <= tol_rel:
         root_a = np.sqrt(_sqrt_clip(2.0 - diag))
         no_cov = np.zeros((mm, mm), dtype=complex)
-        ns_ok, ns_blocked, ns_witness = _sector_hypothesis(
+        ns_ok, ns_blocked, ns_witness, ns_solutions = _sector_hypothesis(
             m, "non-squeezed", DISPLACEMENT, _extract_ns_cosines,
             lambda s: (s.phases, (no_cov, root_a * np.exp(1j * s.phases))),
             _ns_curve(diag), tol_rel, residuals, notes)
@@ -589,10 +590,10 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
     if not nd_gate:
         notes.append("covariance moduli would be imaginary: incompatible with zero displacement")
     residuals.append(RelationResidual("non-displaced modulus positivity", nd_res, tol_rel))
-    nd_ok, nd_blocked, nd_witness = False, None, None
+    nd_ok, nd_blocked, nd_witness, nd_solutions = False, None, None, []
     if nd_gate:
         moduli, no_disp = _mirrored(_sqrt_clip(q)), np.zeros(mm, dtype=complex)
-        nd_ok, nd_blocked, nd_witness = _sector_hypothesis(
+        nd_ok, nd_blocked, nd_witness, nd_solutions = _sector_hypothesis(
             m, "non-displaced", COVARIANCE, _extract_nd_cosines,
             lambda s: (s.theta, (moduli * np.exp(1j * s.theta), no_disp)),
             _nd_line(diag), tol_rel, residuals, notes)
@@ -617,7 +618,8 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
                      "(reconstructing that sector needs two-port beam-splitter data)")
         residuals += _marginal_feasibility(m, tol, notes)
     witness = {NON_SQUEEZED: ns_witness, NON_DISPLACED: nd_witness}.get(sector)
-    return Classification(sector, tuple(residuals), tuple(notes), witness)
+    return Classification(sector, tuple(residuals), tuple(notes), witness,
+                          {NON_SQUEEZED: ns_solutions, NON_DISPLACED: nd_solutions})
 
 
 def classify(m: MeasurementSet, tol: float = 1e-6) -> Classification:

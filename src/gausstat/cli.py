@@ -1,9 +1,10 @@
 """Command-line front end: simulate, classify, reconstruct, verify, curves, bucket.
 
 Each subcommand declares only the flags it reads, and a report's
-``meta.config`` records only those.  An unknown flag, a flag the command
-would ignore in the mode it runs in, and a file that cannot be read or
-written are validation errors.
+``meta.config`` records only those; ``meta.inputs`` holds a sha256 prefix of
+the bytes of each input file, taken as it is read.  An unknown flag, a flag
+the command would ignore in the mode it runs in, and a file that cannot be
+read or written are validation errors.
 
 Exit codes: 0 success, 2 validation error, 3 infeasible or inconsistent data,
 4 numerical failure.  Set GAUSSTAT_LOG=debug for verbose logging.
@@ -14,13 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import logging
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -89,15 +88,6 @@ def _parse_noise(spec: str | None) -> dict:
     return out
 
 
-def _file_meta(paths, **config) -> dict:
-    """Input file hashes, and under ``config`` the settings the command read."""
-    hashes = {}
-    for p in paths:
-        digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()[:16]
-        hashes[str(p)] = digest
-    return {"inputs": hashes, "config": config}
-
-
 def _emit(doc: dict, out_path: str | None) -> None:
     if out_path:
         serialize.dump(doc, out_path)
@@ -108,29 +98,31 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def cmd_simulate(args) -> int:
     noise = _parse_noise(args.noise)
-    params = serialize.params_from_json(serialize.load(args.params))
+    digests = {}
+    params = serialize.params_from_json(serialize.load(args.params, digests))
     moments = derive_moments(params)
     rng = np.random.default_rng(args.seed) if noise else None
     mset = synthesize_measurements(moments, include_p0=True, rng=rng, sigma=noise)
     doc = serialize.measurement_to_json(mset)
-    doc["meta"] = _file_meta([args.params], seed=args.seed, noise_sigma=noise)
+    doc["meta"] = {"inputs": digests, "config": {"seed": args.seed, "noise_sigma": noise}}
     _emit(doc, args.out)
     return 0
 
 
 def cmd_classify(args) -> int:
-    mset = serialize.measurement_from_json(serialize.load(args.measurements))
+    digests = {}
+    mset = serialize.measurement_from_json(serialize.load(args.measurements, digests))
     verdict = classify(mset, tol=max(args.tol, 1e-9))
     doc = serialize.classification_to_json(
-        verdict, meta=_file_meta([args.measurements], tolerance=args.tol))
+        verdict, meta={"inputs": digests, "config": {"tolerance": args.tol}})
     _emit(doc, args.out)
     return 0
 
 
-def _read_scan_csv(path):
+def _read_scan_csv(path, digests: dict):
     rows = []
     sigmas = []
-    reader = csv.DictReader(io.StringIO(serialize.read_text(path), newline=""))
+    reader = csv.DictReader(io.StringIO(serialize.read_text(path, digests), newline=""))
     if reader.fieldnames is None or not {"g2", "g3"} <= set(reader.fieldnames):
         raise ValidationError(f"{path}: scan CSV needs header columns g2,g3")
     for name in reader.fieldnames:
@@ -154,13 +146,13 @@ def _read_scan_csv(path):
 
 
 def cmd_reconstruct(args) -> int:
-    inputs = list(args.measurements)
+    inputs, digests = list(args.measurements), {}
     if args.scan:
         if inputs or args.sector or args.ref_port:
             raise ValidationError("--scan reads no measurement file, --sector or --ref-port")
         if args.nbar is None:
             raise ValidationError("--scan needs --nbar")
-        pts, sigmas = _read_scan_csv(args.scan)
+        pts, sigmas = _read_scan_csv(args.scan, digests)
         steps = None
         if args.phase_steps:
             steps = [_finite_float(x) for x in args.phase_steps.split(",")]
@@ -179,7 +171,7 @@ def cmd_reconstruct(args) -> int:
             "intercept": result.intercept,
             "fit_residual": result.fit_residual,
             "z2_resolved": result.z2_resolved,
-            "meta": _file_meta([args.scan], tolerance=args.tol),
+            "meta": {"inputs": digests, "config": {"tolerance": args.tol}},
         }
         _emit(doc, args.out)
         return 0
@@ -187,11 +179,12 @@ def cmd_reconstruct(args) -> int:
         raise ValidationError("--nbar and --phase-steps are read only with --scan")
     if not inputs:
         raise ValidationError("reconstruct needs a measurement file or --scan")
-    msets = [serialize.measurement_from_json(serialize.load(p)) for p in inputs]
+    msets = [serialize.measurement_from_json(serialize.load(p, digests)) for p in inputs]
     primary = msets[0]
     tol = max(args.tol, 1e-9)
     sector = args.sector or "auto"
     reason = "--sector dst"
+    verdict = None
     if sector == "auto":
         verdict = classify(primary, tol=tol)
         sector = {"NonDisplaced": "nd", "ThermalLike": "nd", "NonSqueezed": "ns",
@@ -213,13 +206,14 @@ def cmd_reconstruct(args) -> int:
         raise ValidationError(f"sector {sector} reads one measurement file and no --ref-port")
     elif primary.modes == 1:
         rec = reconstruct_single_mode(primary, sector, tol=tol)
-    elif sector == "nd":
-        rec = recon_squeezed_thermal_multi(primary, tol=tol)
     else:
-        rec = recon_displaced_thermal_multi(primary, tol=tol)
-    meta = _file_meta(inputs, tolerance=args.tol)
-    meta["sector"] = sector
-    meta["observable_residual"] = rec.residual
+        # the reconstruction builds on the phase solutions of the classification
+        if verdict is None:
+            verdict = classify(primary, tol=tol)
+        recon = recon_squeezed_thermal_multi if sector == "nd" else recon_displaced_thermal_multi
+        rec = recon(primary, verdict, tol=tol)
+    meta = {"inputs": digests, "config": {"tolerance": args.tol}, "sector": sector,
+            "observable_residual": rec.residual}
     doc = serialize.reconstruction_to_json(rec, meta=meta)
     _emit(doc, args.out)
     return 0
@@ -279,7 +273,8 @@ def cmd_verify(args) -> int:
     nbar^3, so a small mean photon number can push a converged-looking
     oracle past the budget at the default cutoff.
     """
-    params = serialize.params_from_json(serialize.load(args.params))
+    digests = {}
+    params = serialize.params_from_json(serialize.load(args.params, digests))
     ladder = ((args.cutoff,) if args.cutoff is not None
               else VERIFY_LADDERS[min(params.modes, 3)])
     for rung, cutoff in enumerate(ladder, 1):
@@ -313,7 +308,7 @@ def cmd_verify(args) -> int:
         "worst_abs_error": worst,
         "oracle_budget": budget,
         "rows": rows,
-        "meta": _file_meta([args.params], fock_cutoff=args.cutoff),
+        "meta": {"inputs": digests, "config": {"fock_cutoff": args.cutoff}},
     }
     _emit(doc, args.out)
     if worst > budget:
@@ -326,7 +321,7 @@ def cmd_curves(args) -> int:
     lo, hi = args.g2_min, args.g2_max
     if args.num < 1:
         raise ValidationError("--num must be at least 1")
-    if args.relation == "eq21" and hi > 2.0:
+    if args.relation == "eq21" and max(lo, hi) > 2.0:
         raise ValidationError("the non-squeezed relation is defined for g2 <= 2")
     g2s = np.linspace(lo, hi, args.num)
     g3s = _nd_line(g2s) if args.relation == "eq20" else _ns_curve(g2s)
@@ -341,17 +336,16 @@ def cmd_curves(args) -> int:
 
 
 def cmd_bucket(args) -> int:
+    digests = {}
     if args.params:
         if args.g2b is not None or args.g3b is not None:
             raise ValidationError("a params file and --g2b/--g3b exclude each other")
-        params = serialize.params_from_json(serialize.load(args.params))
+        params = serialize.params_from_json(serialize.load(args.params, digests))
         obs = bucket_mod.bucket_correlations(derive_moments(params))
-        meta = _file_meta([args.params])
     else:
         if args.g2b is None or args.g3b is None:
             raise ValidationError("need a params file or both --g2b and --g3b")
         obs = bucket_mod.BucketObservables(args.g2b, args.g3b, float("nan"))
-        meta = _file_meta([])
     verdict = bucket_mod.bucket_bounds_check(obs)
     doc = {
         "schema": serialize.SCHEMA,
@@ -361,7 +355,7 @@ def cmd_bucket(args) -> int:
         "total_nbar": obs.total_nbar,
         "verdict": verdict.verdict,
         "caveat": verdict.caveat,
-        "meta": meta,
+        "meta": {"inputs": digests, "config": {}},
     }
     if args.estimate_modes:
         est = bucket_mod.pure_squeezer_mode_estimate(obs.g2_b, obs.g3_b)

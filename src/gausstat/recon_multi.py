@@ -1,6 +1,8 @@
 """Multimode reconstruction: spectral route for displaced thermal states,
 Williamson route for squeezed thermal states, beam-splitter reduction for the
 general displaced squeezed case (at every mode count, one mode included).
+The first two take ``classify``'s verdict and build their candidates from the
+phase solutions it found; they solve no phase system of their own.
 
 Quadrature convention: x = (a + a†)/sqrt(2), p = (a - a†)/(i sqrt(2)),
 ordering (x_1..x_M, p_1..p_M), vacuum variance 1/2, symplectic form
@@ -25,33 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (
-    NON_DISPLACED,
-    THERMAL_LIKE,
-    MeasurementSet,
-    classify,
-    _covariance_q,
-    _extract_nd_cosines,
-    _extract_ns_cosines,
-    _require,
-)
+from .classify import (EVIDENCE_CAVEAT, NON_DISPLACED, NON_SQUEEZED, THERMAL_LIKE,
+                       Classification, MeasurementSet, classify, _covariance_q, _require)
 from .errors import (
     InconsistentDataError,
     NumericalError,
     SectorMismatchError,
     ValidationError,
 )
-from .phases import (
-    COVARIANCE,
-    DISPLACEMENT,
-    PhaseSystem,
-    SearchStats,
-    _depth_first,
-    _padded,
-    solve_covariance_phases,
-    solve_displacement_phases,
-    wrap_angle,
-)
+from .phases import SearchStats, _depth_first, _padded, wrap_angle
 from .recon_single import Ambiguity, ReconstructedState
 from .states import (
     GaussianParams,
@@ -265,12 +249,27 @@ def _ranked(candidates: list, tol: float, notes: list, kind: str | None = None):
     return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
 
 
-def recon_displaced_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> ReconstructedState:
+def _classified_phases(verdict: Classification, sector: str, label: str, kind: str) -> list:
+    """The phase solutions ``classify`` found for a sector; none is a
+    SectorMismatchError citing the sector's failing residuals and the notes."""
+    if verdict.phase_solutions.get(sector):
+        return verdict.phase_solutions[sector]
+    why = [f"{r.relation} {r.residual:.3e} > {r.tolerance:.3e}" for r in verdict.residuals
+           if r.relation.startswith(label) and not r.passed]
+    why += [note for note in verdict.notes if note != EVIDENCE_CAVEAT]
+    raise SectorMismatchError(f"data incompatible with a {label} state: classify found no "
+                              f"{kind}-phase solution ({'; '.join([verdict.sector] + why)})")
+
+
+def recon_displaced_thermal_multi(m: MeasurementSet, verdict: Classification,
+                                  tol: float = 1e-7) -> ReconstructedState:
     """Displacements, thermal occupations and mode rotation of a non-squeezed state.
 
-    Moduli from the diagonal g2, phases from the two-matching-index g3 system,
-    then the hermitian matrix sqrt(nbar_i nbar_j) g1_ij - alpha_i* alpha_j is
-    diagonalized: eigenvalues are the occupations, eigenvectors the rotation.
+    ``verdict`` is ``classify(m, ...)``.  Moduli come from the diagonal g2 and
+    phases from the displacement-phase solutions of its non-squeezed
+    hypothesis; then the hermitian matrix sqrt(nbar_i nbar_j) g1_ij -
+    alpha_i* alpha_j is diagonalized: eigenvalues are the occupations,
+    eigenvectors the rotation.
     """
     _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs", "g1_phase")
     mm = m.modes
@@ -286,17 +285,13 @@ def recon_displaced_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recon
                                      "global displacement phase fixed by phi_1 = 0",))
         return ReconstructedState(params, ambiguity,
                                   residual=float(measurement_residual(params, m)))
-    c = _extract_ns_cosines(m)
-    solutions = solve_displacement_phases(
-        PhaseSystem(DISPLACEMENT, m.g1_phase, c), tol=max(100 * tol, 1e-8))
-    if not solutions:
-        raise SectorMismatchError("displacement-phase system unsolvable: "
-                                  "data incompatible with a non-squeezed state")
+    phase_sets = [np.zeros(1)] if mm == 1 else [s.phases for s in _classified_phases(
+        verdict, NON_SQUEEZED, "non-squeezed", "displacement")]
     candidates = []
     g1 = m.g1_complex()
     root = np.sqrt(np.outer(m.nbar, m.nbar))
-    for sol in solutions:
-        alpha = alpha_abs * np.exp(1j * sol.phases)
+    for phases in phase_sets:
+        alpha = alpha_abs * np.exp(1j * phases)
         h = (root * g1 - np.outer(alpha.conj(), alpha)).T  # K_ji = G_ij - conj(a_i) a_j
         h = 0.5 * (h + h.conj().T)
         occupations, vecs = np.linalg.eigh(h)
@@ -314,34 +309,31 @@ def recon_displaced_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> Recon
     return _ranked(candidates, tol, notes, kind="phase")
 
 
-def recon_squeezed_thermal_multi(m: MeasurementSet, tol: float = 1e-7) -> ReconstructedState:
+def recon_squeezed_thermal_multi(m: MeasurementSet, verdict: Classification,
+                                 tol: float = 1e-7) -> ReconstructedState:
     """Squeeze matrix, rotation and occupations of a non-displaced state.
 
-    Covariance moduli from g2/g1, phases from the covariance phase system,
-    then Williamson on the assembled covariance matrix.
+    ``verdict`` is ``classify(m, ...)``.  Covariance moduli come from g2/g1,
+    clipped at 0 as classify clips them, and phases from the covariance-phase
+    solutions of its non-displaced hypothesis; then Williamson runs on the
+    assembled covariance matrix.
     """
     _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs")
     mm = m.modes
     root = np.sqrt(np.outer(m.nbar, m.nbar))
     q = _covariance_q(m)
-    if q.min() < -100 * tol:
-        raise InconsistentDataError(
-            f"g2_ij - |g1_ij|^2 - 1 = {q.min():.3e} < 0: covariance moduli undefined")
-    cov_abs = root * np.sqrt(np.clip(q, 0.0, None))
-    if mm == 1:
-        solutions = [None]
+    if mm == 1:  # no phase system, and classify_single_mode has no modulus gate
+        if q.min() < -100 * tol:
+            raise InconsistentDataError(
+                f"g2_ij - |g1_ij|^2 - 1 = {q.min():.3e} < 0: covariance moduli undefined")
+        thetas = [np.full((1, 1), np.pi)]
     else:
-        _require(m, "multimode reconstruction", "g1_phase")
-        c = _extract_nd_cosines(m)
-        solutions = solve_covariance_phases(
-            PhaseSystem(COVARIANCE, m.g1_phase, c), tol=max(100 * tol, 1e-8))
-        if not solutions:
-            raise SectorMismatchError("covariance-phase system unsolvable: "
-                                      "data incompatible with a non-displaced state")
+        thetas = [s.theta for s in _classified_phases(verdict, NON_DISPLACED,
+                                                      "non-displaced", "covariance")]
+    cov_abs = root * np.sqrt(np.clip(q, 0.0, None))
     g1 = m.g1_complex()
     candidates = []
-    for sol in solutions:
-        theta = sol.theta if sol is not None else np.full((1, 1), np.pi)
+    for theta in thetas:
         cov = cov_abs * np.exp(1j * theta)
         coherence = root * g1
         a_block = coherence.conj() + 0.5 * np.eye(mm)
@@ -386,7 +378,7 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
     if verdict.sector not in (NON_DISPLACED, THERMAL_LIKE):
         raise SectorMismatchError(
             f"zero-mean port classifies as {verdict.sector}, not NonDisplaced")
-    base = recon_squeezed_thermal_multi(m_minus, tol=tol)
+    base = recon_squeezed_thermal_multi(m_minus, verdict, tol=tol)
     cov_solutions = (base.params,) + base.ambiguity.discrete_solutions
     if m_ref.nbar is None or m_ref.g2 is None:
         raise ValidationError("reference port needs nbar and g2")

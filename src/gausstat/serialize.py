@@ -11,6 +11,7 @@ indented output token by token in pure Python.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
@@ -155,13 +156,18 @@ def reconstruction_to_json(rec: ReconstructedState, meta: dict | None = None) ->
     return doc
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of a file; a file that cannot be read is a ValidationError."""
+def read_text(path, digests: dict | None = None) -> str:
+    """The UTF-8 text of a file; a file that cannot be read is a ValidationError.
+    With ``digests``, the sha256 prefix of the bytes read is stored under str(path)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         reason = err.strerror if isinstance(err, OSError) else f"not UTF-8: {err.reason}"
         raise ValidationError(f"{path}: cannot read ({reason})") from err
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()[:16]
+    return text
 
 
 def write_text(path, text: str) -> None:
@@ -290,14 +296,14 @@ def dump(doc: dict, path) -> None:
 _JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
 
 
-def load(path) -> dict:
+def load(path, digests: dict | None = None) -> dict:
     """A JSON file whose top-level value is an object; anything else, and
     invalid or non-finite JSON, is a ValidationError naming the file."""
     def reject(token):
         raise ValidationError(f"{path}: non-finite JSON number {token}")
 
     try:
-        doc = json.loads(read_text(path), parse_constant=reject)
+        doc = json.loads(read_text(path, digests), parse_constant=reject)
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(doc, dict):

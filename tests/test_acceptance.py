@@ -261,12 +261,12 @@ def test_criterion_4_reconstruction_round_trips():
     for _ in range(3):
         params = dt_params(3)
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_displaced_thermal_multi(m)
+        rec = recon_displaced_thermal_multi(m, classify(m, 1e-7))
         assert measurement_residual(rec.params, m) < 1e-8
         assert np.abs(np.abs(rec.params.alpha) - np.abs(params.alpha)).max() < 1e-7
         assert np.abs(np.sort(rec.params.thermal) - np.sort(params.thermal)).max() < 1e-7
     m2 = synthesize_measurements(derive_moments(dt_params(2)))
-    rec2 = recon_displaced_thermal_multi(m2)
+    rec2 = recon_displaced_thermal_multi(m2, classify(m2, 1e-7))
     assert 1 + len(rec2.ambiguity.discrete_solutions) == 2
     for alt in rec2.ambiguity.discrete_solutions:
         assert measurement_residual(alt, m2) < 1e-8
@@ -281,13 +281,13 @@ def test_criterion_4_reconstruction_round_trips():
     for _ in range(3):
         params = st_params(3)
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_squeezed_thermal_multi(m)
+        rec = recon_squeezed_thermal_multi(m, classify(m, 1e-7))
         assert measurement_residual(rec.params, m) < 1e-8
         assert np.abs(np.sort(rec.params.thermal) - np.sort(params.thermal)).max() < 1e-7
         mom_t, mom_r = derive_moments(params), derive_moments(rec.params)
         assert np.abs(np.abs(mom_r.cov) - np.abs(mom_t.cov)).max() < 1e-7
     m2 = synthesize_measurements(derive_moments(st_params(2)))
-    rec2 = recon_squeezed_thermal_multi(m2)
+    rec2 = recon_squeezed_thermal_multi(m2, classify(m2, 1e-7))
     assert 1 + len(rec2.ambiguity.discrete_solutions) == 4
     for alt in rec2.ambiguity.discrete_solutions:
         assert measurement_residual(alt, m2) < 1e-7

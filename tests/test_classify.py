@@ -1,5 +1,6 @@
 """Sector classification from correlation data."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -31,6 +32,7 @@ from gausstat.classify import (
     _tolerance,
 )
 from gausstat.errors import InsufficientDataError, ValidationError
+from gausstat.serialize import classification_to_json
 from gausstat.states import (
     GaussianParams,
     apply_uniform_loss,
@@ -457,6 +459,22 @@ class TestMultimode:
         assert cls.sector == NON_DISPLACED
         # exhaustive enumeration explores 4^9 = 262144 branches here
         assert cls.witness["phase_search"]["explored"] <= 4 * 10 * 10
+
+
+def test_phase_solutions_ride_along_outside_repr_equality_and_json():
+    """The verdict carries each multimode hypothesis's phase solutions, best g3
+    score first, for reconstruction to build on; repr, equality and the JSON
+    report leave them out."""
+    params = squeezed_thermal_params(np.random.default_rng(5), 3)
+    verdict = classify(synthesize_measurements(derive_moments(params)), tol=1e-8)
+    assert verdict.sector == NON_DISPLACED
+    assert verdict.phase_solutions[NON_SQUEEZED] == []  # gated out: a diagonal g2 exceeds 2
+    solutions = verdict.phase_solutions[NON_DISPLACED]
+    assert len(solutions) == verdict.witness["n_phase_solutions"]
+    assert solutions[0].theta.tolist() == verdict.witness["covariance_phases"]
+    assert "phase_solutions=" not in repr(verdict)
+    assert dataclasses.replace(verdict, phase_solutions={}) == verdict
+    assert '"phase_solutions"' not in json.dumps(classification_to_json(verdict))
 
 
 @pytest.mark.xfail(strict=True, reason="a barely displaced mode (a_i = sqrt(2 - g2_ii) near 0) "

@@ -1,5 +1,7 @@
 """End-to-end CLI pipelines."""
 
+import hashlib
+import io
 import json
 import os
 import shlex
@@ -251,6 +253,92 @@ def test_auto_dst_on_one_file_says_auto_chose_it(cli_inputs, capfd):
             "DisplacedSqueezedConsistent; dst needs two measurement files: "
             "zero-mean port and reference port") in err
     assert "--sector" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "state"], ["classify", "meas"],
+                                  ["reconstruct", "--scan", "scan", "--nbar", "nbar"]],
+                         ids=["params", "measurements", "scan-csv"])
+def test_input_digest_is_of_the_raw_bytes_read_once(cli_inputs, tmp_path, monkeypatch, argv):
+    """meta.inputs holds the sha256 prefix of the file's raw bytes, CRLF line
+    ends included, and the file is opened once: the digest comes from the
+    bytes that were parsed."""
+    name = argv[1] if argv[0] != "reconstruct" else argv[2]
+    path = cli_inputs[name]
+    lf = tmp_path / "lf.json"
+    assert run(*[cli_inputs.get(a, a) for a in argv], "--out", lf) == 0
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    opened, real_open = [], io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    crlf = tmp_path / "crlf.json"
+    assert run(*[cli_inputs.get(a, a) for a in argv], "--out", crlf) == 0
+    assert opened.count(str(path)) == 1
+    doc_lf, doc_crlf = load(lf), load(crlf)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert doc_crlf.pop("meta")["inputs"] == {str(path): digest}
+    assert doc_lf.pop("meta")["inputs"][str(path)] != digest
+    assert doc_crlf == doc_lf
+
+
+def _noisy_sector_file(tmp_path, sector, modes, seed, sigma):
+    """Seeded noisy measurements of a non-displaced or non-squeezed state."""
+    from conftest import random_hermitian, random_symmetric
+
+    rng = np.random.default_rng([seed, modes, 19])
+    phi = random_hermitian(rng, modes, rng.uniform(0.3, 1.0))
+    occ = rng.uniform(0.05, 0.5, modes)
+    if sector == "nd":
+        z = random_symmetric(rng, modes, rng.uniform(0.2, 0.7))
+        params = GaussianParams(np.zeros(modes), z, phi, occ)
+    else:
+        alpha = rng.uniform(0.3, 0.8, modes) * np.exp(1j * rng.uniform(-np.pi, np.pi, modes))
+        params = GaussianParams(alpha, np.zeros((modes, modes)), phi, occ)
+    state = write_params(tmp_path, params, f"{sector}{modes}_{seed}_{sigma}_state.json")
+    meas = tmp_path / f"{sector}{modes}_{seed}_{sigma}.json"
+    assert run("simulate", state, "--noise", f"g2={sigma},g3={sigma}", "--seed", seed,
+               "--out", meas) == 0
+    return meas
+
+
+@pytest.mark.parametrize("sigma", ["1e-6", "1e-4", "1e-3"])
+@pytest.mark.parametrize("modes", [2, 3, 4])
+@pytest.mark.parametrize("sector", ["nd", "ns"])
+def test_reconstruct_agrees_with_classify_on_noisy_data(tmp_path, sector, modes, sigma):
+    """Whenever classify reports NonDisplaced or NonSqueezed, reconstruct with
+    the default sector exits 0 in that sector: it builds on the phase solutions
+    that classify found."""
+    accepted = 0
+    for seed in range(6):
+        meas = _noisy_sector_file(tmp_path, sector, modes, seed, sigma)
+        report, rec = tmp_path / "report.json", tmp_path / "rec.json"
+        assert run("classify", meas, "--out", report) == 0
+        verdict = load(report)["sector"]
+        if verdict not in ("NonDisplaced", "NonSqueezed"):
+            continue
+        accepted += 1
+        assert run("reconstruct", meas, "--out", rec) == 0, (seed, verdict)
+        assert load(rec)["meta"]["sector"] == {"NonDisplaced": "nd", "NonSqueezed": "ns"}[verdict]
+    assert accepted > 0
+
+
+def test_explicit_sector_applies_classify_gates(tmp_path, capfd):
+    """--sector ns on squeezed data, whose non-squeezed pre-gate fails, exits 3,
+    and the message carries classify's note."""
+    params = GaussianParams(np.zeros(3), np.array([[0.4, 0.1, 0.0], [0.1, 0.3, 0.05],
+                                                   [0.0, 0.05, 0.2]], dtype=complex),
+                            np.zeros((3, 3)), np.array([0.1, 0.2, 0.3]))
+    meas = tmp_path / "meas.json"
+    assert run("simulate", write_params(tmp_path, params), "--out", meas) == 0
+    capfd.readouterr()
+    assert run("reconstruct", meas, "--sector", "ns") == 3
+    out, err = capfd.readouterr()
+    assert "infeasible: data incompatible with a non-squeezed state" in err
+    assert "a diagonal g2 exceeds 2: incompatible with zero squeezing" in err
     assert out == ""
 
 
@@ -813,6 +901,12 @@ class TestVerifyCurvesBucket:
         assert outp[0] == "g2,g3"
         g2, g3 = map(float, outp[1].split(","))
         assert (g2, g3) == (3.0, 15.0)
+
+    @pytest.mark.parametrize("lo,hi", [("1.5", "2.5"), ("2.5", "1.5"), ("2.5", "2.5")])
+    def test_curves_eq21_rejects_an_endpoint_above_2(self, capsys, lo, hi):
+        # the non-squeezed curve has no value above g2 = 2, in either order
+        assert run("curves", "--relation", "eq21", "--g2-min", lo, "--g2-max", hi) == 2
+        assert capsys.readouterr().out == ""
 
     def test_curves_eq21_rejects_high_g2(self):
         assert run("curves", "--relation", "eq21", "--g2-max", "3") == 2

@@ -14,7 +14,7 @@ from conftest import (
 from scipy.linalg import block_diag, expm, logm, schur, sqrtm
 
 from gausstat import recon_multi
-from gausstat.classify import synthesize_measurements
+from gausstat.classify import classify, synthesize_measurements
 from gausstat.errors import InconsistentDataError, SectorMismatchError, ValidationError
 from gausstat.phases import SearchStats
 from gausstat.recon_multi import (
@@ -142,7 +142,7 @@ class TestDisplacedThermalMulti:
     def test_three_mode_round_trip(self, rng):
         params = self.make(rng, 3)
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_displaced_thermal_multi(m)
+        rec = recon_displaced_thermal_multi(m, classify(m, 1e-7))
         assert rec.residual < 1e-7
         assert measurement_residual(rec.params, m) < 1e-7
         assert np.allclose(np.abs(rec.params.alpha), np.abs(params.alpha), atol=1e-7)
@@ -151,7 +151,7 @@ class TestDisplacedThermalMulti:
     def test_two_mode_keeps_z2_pair(self, rng):
         params = self.make(rng, 2)
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_displaced_thermal_multi(m)
+        rec = recon_displaced_thermal_multi(m, classify(m, 1e-7))
         assert len(rec.ambiguity.discrete_solutions) == 1  # two solutions in total
         for alt in rec.ambiguity.discrete_solutions:
             assert measurement_residual(alt, m) < 1e-7
@@ -161,7 +161,7 @@ class TestDisplacedThermalMulti:
         alpha = amp * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
         params = GaussianParams(alpha, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3))
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_displaced_thermal_multi(m)
+        rec = recon_displaced_thermal_multi(m, classify(m, 1e-7))
         assert measurement_residual(rec.params, m) < 1e-7
         assert rec.params.thermal.max() < 1e-7
 
@@ -176,7 +176,7 @@ class TestSqueezedThermalMulti:
     def test_single_mode_reduction_matches_closed_form(self, rng):
         params = GaussianParams.single_mode(r=0.5, occupation=0.2)
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_squeezed_thermal_multi(m)
+        rec = recon_squeezed_thermal_multi(m, classify(m, 1e-7))
         r_cf, occ_cf = recon_squeezed_thermal(float(m.g2[0, 0]), float(m.nbar[0]))
         assert abs(rec.params.squeeze[0, 0]) == pytest.approx(r_cf, abs=1e-8)
         assert rec.params.thermal[0] == pytest.approx(occ_cf, abs=1e-8)
@@ -184,7 +184,7 @@ class TestSqueezedThermalMulti:
     def test_three_mode_round_trip(self, rng):
         params = self.make(rng, 3)
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_squeezed_thermal_multi(m)
+        rec = recon_squeezed_thermal_multi(m, classify(m, 1e-7))
         assert rec.residual < 1e-7
         assert measurement_residual(rec.params, m) < 1e-7
         assert np.allclose(np.sort(rec.params.thermal), np.sort(params.thermal), atol=1e-8)
@@ -192,7 +192,7 @@ class TestSqueezedThermalMulti:
     def test_two_mode_fourfold_ambiguity(self, rng):
         params = self.make(rng, 2)
         m = synthesize_measurements(derive_moments(params))
-        rec = recon_squeezed_thermal_multi(m)
+        rec = recon_squeezed_thermal_multi(m, classify(m, 1e-7))
         total = 1 + len(rec.ambiguity.discrete_solutions)
         assert total == 4
         for alt in rec.ambiguity.discrete_solutions:
@@ -357,16 +357,28 @@ def test_williamson_degenerate_occupations(rng):
     assert res.degenerate
 
 
-@pytest.mark.xfail(raises=SectorMismatchError, strict=True,
-                   reason="a covariance-phase cosine within about 1e-6 of +-1 loses the "
-                          "solution at an absolute tolerance")
-def test_near_unit_cosine_squeezed_thermal_reconstructs():
+def _near_unit_cosine_measurements():
     z = np.array([[0.3, 0.1, 0.05], [0.1, 0.25, 0.08], [0.05, 0.08, 0.2]], dtype=complex)
     phi = np.zeros((3, 3))
     phi[0, 2] = phi[2, 0] = 3e-4
     params = GaussianParams(np.zeros(3), z, phi, np.array([0.1, 0.2, 0.3]))
-    m = synthesize_measurements(derive_moments(params))
-    rec = recon_squeezed_thermal_multi(m, tol=1e-8)
+    return synthesize_measurements(derive_moments(params))
+
+
+def test_near_unit_cosine_squeezed_thermal_reconstructs():
+    # at the CLI's default tolerance classify finds the covariance phases, and
+    # the reconstruction builds on them
+    m = _near_unit_cosine_measurements()
+    rec = recon_squeezed_thermal_multi(m, classify(m, 1e-8), tol=1e-8)
+    assert measurement_residual(rec.params, m) < 1e-6
+
+
+@pytest.mark.xfail(raises=SectorMismatchError, strict=True,
+                   reason="a covariance-phase cosine within about 1e-6 of +-1 loses the "
+                          "solution at an absolute tolerance")
+def test_near_unit_cosine_squeezed_thermal_reconstructs_at_tol_1e_7():
+    m = _near_unit_cosine_measurements()
+    rec = recon_squeezed_thermal_multi(m, classify(m, 1e-7), tol=1e-7)
     assert measurement_residual(rec.params, m) < 1e-6
 
 
@@ -636,15 +648,17 @@ class TestNumpyPathVsScipyReference:
     def test_squeezed_thermal_reconstruction(self, reference_path, modes):
         params = TestSqueezedThermalMulti().make(np.random.default_rng(16 + modes), modes)
         m = synthesize_measurements(derive_moments(params))
-        assert_same_solution_sets(recon_squeezed_thermal_multi(m),
-                                  reference_path(recon_squeezed_thermal_multi, m))
+        verdict = classify(m, 1e-7)
+        assert_same_solution_sets(recon_squeezed_thermal_multi(m, verdict),
+                                  reference_path(recon_squeezed_thermal_multi, m, verdict))
 
     @pytest.mark.parametrize("modes", [2, 3, 4])
     def test_displaced_thermal_reconstruction(self, reference_path, modes):
         params = TestDisplacedThermalMulti().make(np.random.default_rng(20 + modes), modes)
         m = synthesize_measurements(derive_moments(params))
-        assert_same_solution_sets(recon_displaced_thermal_multi(m),
-                                  reference_path(recon_displaced_thermal_multi, m))
+        verdict = classify(m, 1e-7)
+        assert_same_solution_sets(recon_displaced_thermal_multi(m, verdict),
+                                  reference_path(recon_displaced_thermal_multi, m, verdict))
 
     @pytest.mark.parametrize("ref_port", ["orig", "plus"])
     @pytest.mark.parametrize("modes", [2, 3])
