@@ -39,7 +39,13 @@ from .recon_multi import (
     recon_squeezed_thermal_multi,
 )
 from .recon_single import recon_dst_scan, reconstruct_single_mode
-from .states import derive_moments, g2_tensor, g3_tensor, mode_vacuum_probability
+from .states import (
+    _require_occupied,
+    derive_moments,
+    g2_tensor,
+    g3_tensor,
+    mode_vacuum_probability,
+)
 from .words import LadderWord, correlation_word
 
 log = logging.getLogger("gausstat")
@@ -225,9 +231,8 @@ VERIFY_LADDERS = {1: (50, 64, 80), 2: (20, 24, 28), 3: (8, 10, 12)}
 VERIFY_CUTOFFS = {m: ladder[0] for m, ladder in VERIFY_LADDERS.items()}
 
 
-def _verify_rows(params, rho) -> list[dict]:
+def _verify_rows(moments, rho) -> list[dict]:
     """Closed form against oracle value, one row per observable."""
-    moments = derive_moments(params)
     rows = []
 
     def add(name, closed, direct):
@@ -235,7 +240,7 @@ def _verify_rows(params, rho) -> list[dict]:
                      "oracle": float(np.real(direct)),
                      "abs_error": float(abs(closed - direct))})
 
-    m = params.modes
+    m = moments.modes
     for i in range(m):
         add(f"nbar_{i}", moments.nbar[i],
             fock.moment_bruteforce(rho, LadderWord.from_spec(f"{i}+ {i}-")))
@@ -271,10 +276,14 @@ def cmd_verify(args) -> int:
     TruncationError, the oracle is rebuilt at the next, and the output
     reports the cutoff it settled on.  A g3 row divides by
     nbar^3, so a small mean photon number can push a converged-looking
-    oracle past the budget at the default cutoff.
+    oracle past the budget at the default cutoff.  Every normalized row
+    divides by the mean photon numbers, so a state with an empty mode is
+    rejected before the first build.
     """
     digests = {}
     params = serialize.params_from_json(serialize.load(args.params, digests))
+    moments = derive_moments(params)
+    _require_occupied(moments, range(params.modes))
     ladder = ((args.cutoff,) if args.cutoff is not None
               else VERIFY_LADDERS[min(params.modes, 3)])
     for rung, cutoff in enumerate(ladder, 1):
@@ -284,7 +293,7 @@ def cmd_verify(args) -> int:
             if rung == len(ladder):
                 raise
             continue
-        rows = _verify_rows(params, rho)
+        rows = _verify_rows(moments, rho)
         worst = max(row["abs_error"] for row in rows)
         # sixth-order moments amplify boundary occupancy by up to ~3e4
         # (measured, including the 1/nbar^3 normalization of the g3 rows)

@@ -26,29 +26,42 @@ No unitary is formed on the full space:
   Kronecker product of d x d factors, each applied along its mode's axis.
   Each factor's generator is bipartite too, between even and odd n.
 
-A thermal column |n> stays in its total-number block through R and in its
-parity block through S.  So W's columns are kept in block order, each
-block's exponential acts on the columns held in that block only, and a
-block that holds none is skipped before its generator is built.
+A thermal column |n> stays in its total-number block through R, and that
+block lies on one side of its parity block.  Number blocks are ordered by
+side (N = 0, 2, 1, 3 mod 4), then by ascending N, and W's columns follow
+them.  So each block's exponential acts on the columns held in that block
+only, a block that holds none is skipped before its generator is built, and
+each parity block's columns are two contiguous ranges, one per side.
 
 Every block G is anti-hermitian, so 1j*G is hermitian.  For R, eigh gives
 1j*G = V diag(w) V^H with real w and unitary V, and exp(G) =
-V diag(e^{-iw}) V^H.  For S and D, 1j*G = [[0, B], [B^H, 0]] on the two
-sides, and one thin SVD B = U diag(s) V^H of the half gives exp(G) in
-closed form (``_expm_bipartite``): cos s on each side and -1j sin s
-across.  Both are unitary to rounding, whatever the norm of G.
+V diag(e^{-iw}) V^H; R's input is the thermal seed, so V^H of a column is a
+scaled row of V.  For S and D, 1j*G = [[0, B], [B^H, 0]] on the two sides,
+and one eigh of the Gram matrix of the half's smaller side,
+B B^H = U diag(lam) U^H with C = B^H U on the other side, gives exp(G)
+through the entire functions cos sqrt(lam), sinc sqrt(lam) and
+(cos sqrt(lam) - 1) / lam = -sinc^2(sqrt(lam) / 2) / 2
+(``_expm_bipartite``), so nothing divides by a singular value.  Each range
+of columns lies on one side, and exp(G) acts on it from that side: three
+products per range, and none on the all-zero other side.  Both ways are
+unitary to rounding, whatever the norm of G.
 Truncated generators of D and S are still anti-hermitian, so those factors
 remain exactly unitary and the trace deficit alone cannot detect their
 truncation error; the builder therefore also records the occupancy of the top
-Fock levels of every mode, which is what actually controls convergence.
+Fock levels of every mode, which is what actually controls convergence.  The
+gate reads the top _TAIL_LEVELS = 2 levels, so a cutoff must exceed 2.
 
 Ladder operators are never formed as matrices.  A word of them acts by
-index arithmetic on the Fock digits of the basis states (``_word_action``):
-it maps each basis state it does not annihilate to one other, with a weight.
-Each generator is scattered from these maps straight into the blocks it
-keeps, at block-local places cached per (modes, cutoff)
-(``_number_blocks``); of the squeeze, only the A <- B quarter of each
-parity block.  No generator exists on the full space.
+index arithmetic on the Fock digits of the basis states (``_word_action``,
+cached per word, modes and cutoff): it maps each basis state it does not
+annihilate to one other, with a weight.  Each generator is scattered from
+these maps straight into the blocks it keeps, at block-local places cached
+per (modes, cutoff) (``_number_blocks``); of the squeeze, only the A <- B
+quarter of each parity block.  No generator exists on the full space.  A
+side lists its number blocks in turn, and the squeeze maps each number block
+to its neighbours on the other side only, so past _RUN columns the Gram
+matrix, C and the first product of each range skip, run by run of columns,
+the rows that hold no entry (``_column_runs``).
 
 rho itself is never formed.  The build keeps W and its row populations
 sum_c |W[s, c]|^2, the diagonal of rho, and reads from them everything the
@@ -62,15 +75,15 @@ band is computed once per density and shift (``TruncatedDensity.band``).
 Dense matrices only; this is an oracle, not a production path.  With
 U = 16 dim^2 bytes, one dense complex matrix, a build holds W (dim x k with
 k <= dim, up to U) and, at any time, the temporaries of one block's
-exponential or one displacement step.  The largest eigenproblem is the SVD
-of a squeeze half, about dim/4 x dim/4 (432 x 432 at (M, cutoff) =
-(3, 12)), U/16 per matrix of its size: the half, the SVD's copy of it, U,
-V^H and the SVD's workspace.  A rotation number block is smaller still (108
-states at (3, 12)).  The products with a parity block's columns hold up to
-six matrices of one side by those columns, U/8 each for a fully mixed
+exponential or one displacement step.  The largest eigenproblem is the Gram
+eigh of the smaller side of a squeeze half, about dim/4 x dim/4 (432 x 432
+at (M, cutoff) = (3, 12)), U/16 per matrix of its size: the half, the Gram
+matrix, U, C and eigh's workspace.  A rotation number block is smaller
+still (108 states at (3, 12)).  The products with one range of columns hold
+up to six matrices of one side by that range, U/16 each for a fully mixed
 state.  A displacement step writes one new W, so it sets the peak at about
-2 U: a fully mixed state at (3, 12) peaks at 2.01 U under tracemalloc, and
-its max RSS grows by 2.0 U.  That is 0.5 GB at MAX_DIMENSION = 4096, and
+2 U: a fully mixed state at (3, 12) peaks at 2.00 U under tracemalloc, and
+its max RSS grows by 1.85 U.  That is 0.5 GB at MAX_DIMENSION = 4096, and
 2.1 GB at 8192, which stays refused.
 """
 
@@ -89,6 +102,8 @@ DEFAULT_CUTOFFS = {1: 25, 2: 12, 3: 8}
 MAX_MODES = 3
 MAX_DIMENSION = 4096
 _TAIL_LEVELS = 2
+# columns per run in the products that skip rows without entries
+_RUN = 64
 # the lightest thermal columns go while their weight times (M (d - 1))^3 stays below this
 _DROP_TOL = 1e-16
 
@@ -132,28 +147,34 @@ def _fock_digits(modes: int, cutoff: int) -> np.ndarray:
 def _number_blocks(modes: int, cutoff: int):
     """The Fock basis grouped by its total photon number N, as (number,
     sides).  Each grouping is (blocks, label, local): the basis indices of
-    each block, ascending, and for every basis state s its block label[s]
-    and its place local[s] in that block.
+    each block, and for every basis state s its block label[s] and its
+    place local[s] in that block.
 
-    Number blocks come even N first.  ``sides`` splits each parity block in
+    Number blocks come by side (N = 0, 2, 1, 3 mod 4), then by ascending N,
+    each in ascending basis order.  ``sides`` splits each parity block in
     two: parity p is side 2p (N = p mod 4, side A) and side 2p + 1
-    (N = p + 2 mod 4, side B), so both labels order the parity blocks alike.
-    A term that moves N by two maps each side of its parity block to the
-    other."""
+    (N = p + 2 mod 4, side B), each the concatenation of its number blocks.
+    So columns in number-block order are in side order too, and each parity
+    block's columns are two contiguous ranges, one per side.  A term that
+    moves N by two maps each side of its parity block to the other, and a
+    number block to the neighbouring ones on the other side."""
     total = _fock_digits(modes, cutoff).sum(axis=0)
+    n = np.arange(total.max() + 1)
+    side = n % 2 * 2 + n // 2 % 2
+    rank = np.empty_like(n)
+    rank[np.lexsort((n, side))] = n
+    order = np.argsort(rank[total], kind="stable")
 
     def grouping(label, count):
         label.flags.writeable = False
-        blocks = tuple(np.flatnonzero(label == b) for b in range(count))
+        blocks = tuple(order[label[order] == b] for b in range(count))
         local = np.empty_like(label)
         for idx in blocks:
             local[idx] = np.arange(idx.size)
         local.flags.writeable = False
         return blocks, label, local
 
-    evens = total.max() // 2 + 1
-    return (grouping(total % 2 * evens + total // 2, total.max() + 1),
-            grouping(total % 2 * 2 + total // 2 % 2, 4))
+    return grouping(rank[total], n.size), grouping(side[total], 4)
 
 
 @lru_cache(maxsize=8)
@@ -176,11 +197,13 @@ def _ladder_steps(modes: int, cutoff: int):
     return tuple(steps)
 
 
+@lru_cache(maxsize=256)
 def _word_action(ops, modes: int, cutoff: int):
     """(src, dst, weight) with O|src> = weight |dst> for the truncated product
     O of the ladder operators ``ops`` (leftmost first); basis states that O
     annihilates are left out.  Each operator, rightmost first, moves one Fock
-    digit by one and multiplies by sqrt(n) (a) or sqrt(n + 1) (a†)."""
+    digit by one and multiplies by sqrt(n) (a) or sqrt(n + 1) (a†).  Cached
+    per (ops, modes, cutoff) as read-only arrays."""
     steps = _ladder_steps(modes, cutoff)
     dim = cutoff**modes
     dst = np.arange(dim)
@@ -190,7 +213,10 @@ def _word_action(ops, modes: int, cutoff: int):
         weight = weight * factor[dst]
         dst = nxt[dst]
     src = np.flatnonzero(dst < dim)
-    return src, dst[src], weight[src]
+    action = src, dst[src], weight[src]
+    for arr in action:
+        arr.flags.writeable = False
+    return action
 
 
 def _thermal_columns(occupations: np.ndarray, cutoff: int, label: np.ndarray):
@@ -232,14 +258,14 @@ def _rotate(w: np.ndarray, phi: np.ndarray, seeds: np.ndarray, modes: int, cutof
     """w <- exp(G) w in place for the rotation generator
     G = sum_ij 1j phi_ij a_i† a_j, which keeps the total photon number.
 
-    Column c of w is zero outside the number block of its seed state
-    ``seeds[c]``, and the columns come in block order.  So each block's
-    exponential acts on its own columns only, and a block that holds none
-    is skipped before its generator is built.  Each word's entries are
-    scattered straight into the block they lie in, at their block-local
-    places, and exp(G) = V diag(e^{-iw}) V^H from eigh of the hermitian
-    1j*G.  A diagonal phi is skipped: it multiplies each thermal column |n>
-    by a phase, which W W^H cancels."""
+    w is the thermal seed: column c is w[seeds[c], c] |seeds[c]>, and the
+    columns come in block order.  So each block's exponential acts on its
+    own columns only, and a block that holds none is skipped before its
+    generator is built.  Each word's entries are scattered straight into the
+    block they lie in, at their block-local places, and exp(G) =
+    V diag(e^{-iw}) V^H from eigh of the hermitian 1j*G; V^H of a seed
+    column is a row of V, conjugated and scaled.  A diagonal phi is skipped:
+    it multiplies each thermal column |n> by a phase, which W W^H cancels."""
     if not np.any(phi - np.diag(np.diag(phi))):
         return
     terms = [(1j * phi[i, j], (LadderOp(i, True), LadderOp(j, False)))
@@ -263,38 +289,95 @@ def _rotate(w: np.ndarray, phi: np.ndarray, seeds: np.ndarray, modes: int, cutof
         gen *= 1j
         evals, vecs = np.linalg.eigh(gen)
         del gen
-        # V^H x as conj(V^T conj(x)), which copies no block-sized matrix
-        coeffs = (vecs.T @ w[idx, c0:c1].conj()).conj()
-        coeffs *= np.exp(-1j * evals)[:, None]
+        seed = seeds[c0:c1]
+        coeffs = (vecs[local[seed]] * np.exp(1j * evals)).conj().T
+        coeffs *= w[seed, np.arange(c0, c1)]
         w[idx, c0:c1] = vecs @ coeffs
 
 
-def _expm_bipartite(half: np.ndarray, xa: np.ndarray, xb: np.ndarray):
-    """(ya, yb) = exp(G) x on sides A and B, for x given by its rows xa on
-    side A and xb on side B, and the anti-hermitian G with
-    1j*G = [[0, half], [half^H, 0]].
+def _column_runs(x: np.ndarray):
+    """(c0, c1, r0, r1) for each run c0:c1 of up to _RUN consecutive columns
+    of x that holds a nonzero entry: rows r0:r1 hold all of them."""
+    rows, cols = x.shape
+    nonzero = x != 0
+    starts = np.arange(0, cols, _RUN)
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), rows)
+    last = np.where(first < rows, rows - nonzero[::-1].argmax(axis=0), 0)
+    r0 = np.minimum.reduceat(first, starts)
+    r1 = np.maximum.reduceat(last, starts)
+    return [(c0, min(c0 + _RUN, cols), a, b)
+            for c0, a, b in zip(starts.tolist(), r0.tolist(), r1.tolist()) if a < b]
 
-    With the thin SVD half = U S V^H,
 
-        ya = xa + U [(cos S - 1) U^H xa - 1j sin S V^H xb],
-        yb = xb + V [(cos S - 1) V^H xb - 1j sin S U^H xa],
+def _adjoint_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a^H x; past _RUN columns, each run of x's columns over the rows that
+    hold its entries (``_column_runs``)."""
+    if x.shape[1] <= _RUN:
+        return a.conj().T @ x
+    out = np.zeros((a.shape[1], x.shape[1]), dtype=complex)
+    for c0, c1, r0, r1 in _column_runs(x):
+        out[:, c0:c1] = a[r0:r1].conj().T @ x[r0:r1, c0:c1]
+    return out
 
-    and cos S - 1 is taken as -2 sin^2(S/2).  On the complement of U's (or
-    V's) columns 1j*G acts as 0, so a rectangular ``half`` needs no special
-    case."""
-    u, s, vh = np.linalg.svd(half, full_matrices=False)
-    cos1 = (-2.0 * np.sin(0.5 * s) ** 2)[:, None]
-    isin = 1j * np.sin(s)[:, None]
-    ua = u.conj().T @ xa
-    vb = vh @ xb
-    da = cos1 * ua - isin * vb
-    # side B's update in place: two fewer temporaries the size of the
-    # block's columns, which would lift a mixed state's peak above 2 U
-    ua *= isin
-    vb *= cos1
-    vb -= ua
-    del ua
-    return xa + u @ da, xb + vh.conj().T @ vb
+
+def _expm_bipartite(half: np.ndarray):
+    """exp(G) for the anti-hermitian G with 1j*G = [[0, half], [half^H, 0]]
+    between sides A and B, as a function ``apply(x, side)`` that returns
+    (ya, yb) = exp(G) x on both sides for x given by its rows on one side
+    only (side 0 is A, side 1 is B).
+
+    With b the half read from its smaller side S to the larger side L
+    (``half`` itself, or its adjoint), one eigh of the Gram matrix
+    b b^H = U diag(lam) U^H and C = b^H U give, from S and from L,
+
+        yS = x + U (cos sqrt(lam) - 1) U^H x,    yL = -1j C sinc sqrt(lam) U^H x,
+        yL = x + C g(lam) C^H x,                 yS = -1j U sinc sqrt(lam) C^H x,
+
+    with sinc x = sin x / x and g(lam) = (cos sqrt(lam) - 1) / lam =
+    -sinc^2(sqrt(lam) / 2) / 2, entire functions of lam, so nothing divides
+    by a singular value.  lam >= 0 up to rounding, and is clipped at 0.  On
+    the complement of U's (or C's) columns 1j*G acts as 0, so a rectangular
+    ``half`` needs no special case, and each side costs three products.
+
+    Past _RUN columns, the Gram matrix, C and the first product of each side
+    skip the rows that a run of columns (of b, or of x) holds no entry in
+    (``_column_runs``): a squeeze half maps each number block to its
+    neighbours only, and a column of x lies in one number block."""
+    flip = half.shape[0] > half.shape[1]
+    b = half.conj().T if flip else half
+    if b.shape[1] <= _RUN:
+        bh = b.conj().T
+        lam, u = np.linalg.eigh(b @ bh)
+        c = bh @ u
+    else:
+        runs = _column_runs(b)
+        gram = np.zeros((b.shape[0],) * 2, dtype=complex)
+        for c0, c1, r0, r1 in runs:
+            part = b[r0:r1, c0:c1]
+            gram[r0:r1, r0:r1] += part @ part.conj().T
+        lam, u = np.linalg.eigh(gram)
+        del gram
+        c = np.zeros((b.shape[1], u.shape[1]), dtype=complex)
+        for c0, c1, r0, r1 in runs:
+            c[c0:c1] = b[r0:r1, c0:c1].conj().T @ u[r0:r1]
+    half_root = 0.5 * np.sqrt(np.maximum(lam, 0.0))
+    sin_half = np.sin(half_root)
+    half_sinc = np.divide(sin_half, half_root, out=np.ones_like(half_root),
+                          where=half_root > 0)
+    cos1 = (-2.0 * sin_half**2)[:, None]
+    g = (-0.5 * half_sinc**2)[:, None]
+    misinc = (-1j * half_sinc * np.cos(half_root))[:, None]
+
+    def apply(x, side):
+        if side == flip:  # from the smaller side
+            t = _adjoint_product(u, x)
+            own, other = x + u @ (cos1 * t), c @ (misinc * t)
+        else:
+            t = _adjoint_product(c, x)
+            own, other = x + c @ (g * t), u @ (misinc * t)
+        return (other, own) if side else (own, other)
+
+    return apply
 
 
 def _squeeze(w: np.ndarray, z: np.ndarray, seeds: np.ndarray, modes: int, cutoff: int) -> None:
@@ -303,12 +386,13 @@ def _squeeze(w: np.ndarray, z: np.ndarray, seeds: np.ndarray, modes: int, cutoff
 
     G moves the total photon number by two, so it keeps its parity and has
     no diagonal: 1j*G maps each side of a parity block (``_number_blocks``)
-    to the other, and one SVD of its A <- B quarter gives the block's
-    exponential (``_expm_bipartite``).  Only that quarter is scattered.
-    Column c of w is zero outside the parity block of its seed state
-    ``seeds[c]``, and the columns come in block order, so each block acts on
-    its own columns only.  A block that holds no column, or has an empty
-    side, is left as it is."""
+    to the other, and one eigh of the Gram matrix of its A <- B quarter
+    gives the block's exponential (``_expm_bipartite``).  Only that quarter
+    is scattered.  Column c of w is zero outside the number block of its
+    seed state ``seeds[c]``, which lies on one side, and the columns come in
+    number-block order, so each side's columns are one range, and the
+    exponential acts on each range from its own side.  A block that holds
+    no column, or has an empty side, is left as it is."""
     if not np.any(z):
         return
     terms = [term for i in range(modes) for j in range(modes) if z[i, j] != 0
@@ -316,28 +400,37 @@ def _squeeze(w: np.ndarray, z: np.ndarray, seeds: np.ndarray, modes: int, cutoff
                           (-0.5 * z[i, j], (LadderOp(i, True), LadderOp(j, True))))]
     blocks, label, local = _number_blocks(modes, cutoff)[1]
     src, dst, val = _generator_entries(terms, modes, cutoff)
-    columns = np.searchsorted(label[seeds] // 2, np.arange(3))
+    columns = np.searchsorted(label[seeds], np.arange(5))
     for p in (0, 1):
-        c0, c1 = columns[p], columns[p + 1]
         a, b = blocks[2 * p], blocks[2 * p + 1]
-        if c0 == c1 or not a.size or not b.size:
+        if columns[2 * p] == columns[2 * p + 2] or not a.size or not b.size:
             continue
         e = label[src] == 2 * p + 1
         half = np.zeros((a.size, b.size), dtype=complex)
         np.add.at(half, (local[dst[e]], local[src[e]]), 1j * val[e])
-        w[a, c0:c1], w[b, c0:c1] = _expm_bipartite(half, w[a, c0:c1], w[b, c0:c1])
+        apply = _expm_bipartite(half)
+        del half
+        for side, rows in enumerate((a, b)):
+            c0, c1 = columns[2 * p + side], columns[2 * p + side + 1]
+            if c0 < c1:
+                w[a, c0:c1], w[b, c0:c1] = apply(w[rows, c0:c1], side)
 
 
-def _displacement(alpha: complex, cutoff: int) -> np.ndarray:
-    """exp(alpha a^+ - alpha* a) of one truncated mode (cutoff x cutoff).  The
+def _displacement(w: np.ndarray, alpha: complex, mode: int, cutoff: int) -> np.ndarray:
+    """exp(alpha a† - alpha* a) w for a on ``mode``, as a new array: one
+    cutoff x cutoff factor applied along the mode's Fock digit.  The
     generator moves n by one, so it maps even n (side A) to odd n (side B)
-    and back."""
+    and back; the factor's columns are the even and the odd unit vectors,
+    each on one side."""
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    half = 1j * (alpha * a.T - np.conj(alpha) * a)[0::2, 1::2]
+    apply = _expm_bipartite(1j * (alpha * a.T - np.conj(alpha) * a)[0::2, 1::2])
     eye = np.eye(cutoff, dtype=complex)
-    out = np.empty((cutoff, cutoff), dtype=complex)
-    out[0::2], out[1::2] = _expm_bipartite(half, eye[0::2], eye[1::2])
-    return out
+    factor = np.empty((cutoff, cutoff), dtype=complex)
+    factor[0::2, 0::2], factor[1::2, 0::2] = apply(eye[0::2, 0::2], 0)
+    factor[0::2, 1::2], factor[1::2, 1::2] = apply(eye[1::2, 1::2], 1)
+    dim = w.shape[0]
+    # the mode's digit is the middle axis of (cutoff^mode, cutoff, rest)
+    return np.matmul(factor, w.reshape(cutoff**mode, cutoff, -1)).reshape(dim, -1)
 
 
 def build_density(params: GaussianParams, cutoff: int | None = None,
@@ -354,13 +447,14 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
     if m > MAX_MODES:
         raise ValidationError(f"oracle supports at most {MAX_MODES} modes, got {m}")
     d = DEFAULT_CUTOFFS[m] if cutoff is None else int(cutoff)
-    if d < 2:
-        raise ValidationError("cutoff must be at least 2")
+    if d <= _TAIL_LEVELS:
+        raise ValidationError(f"cutoff must be at least {_TAIL_LEVELS + 1}: the truncation "
+                              f"gate reads the top {_TAIL_LEVELS} levels of each mode")
     if d**m > MAX_DIMENSION:
         raise ValidationError(f"requested dimension {d**m} exceeds limit {MAX_DIMENSION}")
 
     dim = d**m
-    # columns in number-block order, which is parity-block order too
+    # columns in number-block order, which is side order too
     states, weights, dropped = _thermal_columns(params.thermal, d, _number_blocks(m, d)[0][1])
     w = np.zeros((dim, states.size), dtype=complex)
     w[states, np.arange(states.size)] = np.sqrt(weights)
@@ -368,8 +462,7 @@ def build_density(params: GaussianParams, cutoff: int | None = None,
     _squeeze(w, params.squeeze, states, m, d)
     for i, alpha in enumerate(params.alpha):
         if alpha != 0:
-            # mode i's digit is the middle axis of (d^i, d, rest)
-            w = np.matmul(_displacement(alpha, d), w.reshape(d**i, d, -1)).reshape(dim, -1)
+            w = _displacement(w, alpha, i, d)
     populations = (w.real**2 + w.imag**2).sum(axis=1)
 
     deficit = float(abs(1.0 - populations.sum()))

@@ -14,6 +14,7 @@ import pytest
 from conftest import balanced_beamsplitter_duplicate
 
 import gausstat
+from gausstat import fock
 from gausstat.cli import build_parser, main
 from gausstat.classify import MeasurementSet
 from gausstat.recon_multi import measurement_residual
@@ -410,6 +411,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     ["bucket", "state", "--g3b", "3"],
     ["verify", "state", "--cutoff", "0"],
     ["verify", "state", "--cutoff", "1"],
+    ["verify", "state", "--cutoff", "2"],
     ["classify", "meas", "--tol", "0"],
     ["classify", "meas", "--tol", "-1e-3"],
     ["reconstruct", "meas", "--sector", "all"],
@@ -893,6 +895,35 @@ class TestVerifyCurvesBucket:
         assert run("verify", pure, "--out", out) == 0
         doc = load(out)
         assert (doc["thermal_columns"], doc["dropped_weight"]) == (1, 0.0)
+
+    @pytest.mark.parametrize("params,empty", [
+        (GaussianParams.vacuum(1), 0),
+        (GaussianParams.vacuum(3), 0),
+        (GaussianParams(np.array([0.5, 0.0]), np.zeros((2, 2)), np.zeros((2, 2)),
+                        np.array([0.1, 0.0])), 1),
+    ], ids=["vacuum-1", "vacuum-3", "empty-mode-1"])
+    def test_verify_rejects_empty_mode_before_building(self, tmp_path, capfd, monkeypatch,
+                                                       params, empty):
+        """Every normalized row divides by nbar, so a state with an empty mode
+        exits 2, naming the mode, before the oracle is built once."""
+        builds = []
+        build = fock.build_density
+        monkeypatch.setattr(fock, "build_density",
+                            lambda *a, **k: builds.append(a) or build(*a, **k))
+        spath = write_params(tmp_path, params)
+        capfd.readouterr()
+        assert run("verify", spath) == 2
+        assert f"mode {empty} has nbar = 0" in capfd.readouterr().err
+        assert builds == []
+
+    def test_verify_cutoff_below_tail_levels_is_rejected(self, tmp_path, capfd):
+        """The truncation gate reads the top two levels of each mode, so at
+        cutoff 2 it would read the whole marginal and reject every state."""
+        spath = write_params(tmp_path, GaussianParams.single_mode(alpha=0.5))
+        capfd.readouterr()
+        assert run("verify", spath, "--cutoff", "2") == 2
+        assert "top 2 levels" in capfd.readouterr().err
+        assert run("verify", spath, "--cutoff", "3") == 4
 
     def test_curves_eq20_point(self, tmp_path, capsys):
         assert run("curves", "--relation", "eq20", "--g2-min", "3",

@@ -14,15 +14,18 @@ from gausstat import fock
 from gausstat.cli import VERIFY_CUTOFFS, VERIFY_LADDERS
 from gausstat.errors import TruncationError, ValidationError
 from gausstat.fock import (
+    _RUN,
     _TAIL_LEVELS,
     DEFAULT_CUTOFFS,
     MAX_DIMENSION,
     TruncatedDensity,
     _displacement,
     _expm_bipartite,
+    _generator_entries,
     _ladder_steps,
     _number_blocks,
     _squeeze,
+    _thermal_columns,
     _word_action,
     build_density,
     moment_bruteforce,
@@ -416,6 +419,21 @@ def eigh_displacement(alpha, cutoff):
     return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
 
 
+def rotation_terms(phi):
+    """(coef, ops) of the rotation generator sum_ij 1j phi_ij a_i† a_j."""
+    m = phi.shape[0]
+    return [(1j * phi[i, j], (LadderOp(i, True), LadderOp(j, False)))
+            for i in range(m) for j in range(m) if phi[i, j] != 0]
+
+
+def squeeze_terms(z):
+    """(coef, ops) of the squeeze generator sum_ij (z_ij* a_i a_j - z_ij a_i† a_j†) / 2."""
+    m = z.shape[0]
+    return [term for i in range(m) for j in range(m) if z[i, j] != 0
+            for term in ((0.5 * np.conj(z[i, j]), (LadderOp(i, False), LadderOp(j, False))),
+                         (-0.5 * z[i, j], (LadderOp(i, True), LadderOp(j, True))))]
+
+
 def eigh_reference_build(params, cutoff, tail_tol=1e-3):
     """The former eigh build, before the thermal floor, the block-local
     generators and the bipartite SVD: every nonzero thermal column, each
@@ -445,16 +463,10 @@ def eigh_reference_build(params, cutoff, tail_tol=1e-3):
             w[idx] = vecs @ (np.exp(-1j * evals)[:, None] * (vecs.conj().T @ rows))
 
     phi, z = params.rotation, params.squeeze
-    pairs = [(i, j) for i in range(m) for j in range(m)]
     if np.any(phi - np.diag(np.diag(phi))):
-        apply_blocked([(1j * phi[i, j], (LadderOp(i, True), LadderOp(j, False)))
-                       for i, j in pairs if phi[i, j] != 0], total)
+        apply_blocked(rotation_terms(phi), total)
     if np.any(z):
-        apply_blocked([term for i, j in pairs if z[i, j] != 0
-                       for term in ((0.5 * np.conj(z[i, j]),
-                                     (LadderOp(i, False), LadderOp(j, False))),
-                                    (-0.5 * z[i, j], (LadderOp(i, True), LadderOp(j, True))))],
-                      total % 2)
+        apply_blocked(squeeze_terms(z), total % 2)
     t = w.reshape((d,) * m + (-1,))
     for i, alpha in enumerate(params.alpha):
         if alpha != 0:
@@ -551,7 +563,7 @@ def test_floored_build_matches_unfloored_build(modes, cutoff, unfloored):
 
 @pytest.mark.parametrize("modes,cutoff", _SIDE_BY_SIDE_CUTOFFS)
 def test_svd_build_matches_former_eigh_build(modes, cutoff, unfloored):
-    """The build, squeeze and displacement by SVD of their bipartite halves,
+    """The build, squeeze and displacement from their bipartite halves,
     against the former eigh build, both without the floor: W W^H within
     1e-14, every ladder word of order 1-6 within 1e-13, and deficit and
     tail within 1e-14."""
@@ -567,6 +579,81 @@ def test_svd_build_matches_former_eigh_build(modes, cutoff, unfloored):
         assert worst <= 1e-13
 
 
+def svd_expm_bipartite(half, xa, xb):
+    """The former two-sided exponential: exp(G) x for 1j*G =
+    [[0, half], [half^H, 0]] and x given by its rows xa on side A and xb on
+    side B, from the thin SVD half = U S V^H: cos S on each side and
+    -1j sin S across, with cos S - 1 as -2 sin^2(S/2)."""
+    u, s, vh = np.linalg.svd(half, full_matrices=False)
+    cos1 = (-2.0 * np.sin(0.5 * s) ** 2)[:, None]
+    isin = 1j * np.sin(s)[:, None]
+    ua, vb = u.conj().T @ xa, vh @ xb
+    return xa + u @ (cos1 * ua - isin * vb), xb + vh.conj().T @ (cos1 * vb - isin * ua)
+
+
+def svd_reference_build(params, cutoff):
+    """W of the former SVD build: the thermal columns the build keeps, each
+    rotation number block from eigh of its block-local generator, and each
+    squeeze parity block and displacement factor from the two-sided SVD
+    exponential of its half, every block applied to every column."""
+    m, d = params.modes, cutoff
+    dim = d**m
+    number, sides = _number_blocks(m, d)
+    states, weights, _ = _thermal_columns(params.thermal, d, number[1])
+    w = np.zeros((dim, states.size), dtype=complex)
+    w[states, np.arange(states.size)] = np.sqrt(weights)
+    phi, z = params.rotation, params.squeeze
+    if np.any(phi - np.diag(np.diag(phi))):
+        blocks, label, local = number
+        src, dst, val = _generator_entries(rotation_terms(phi), m, d)
+        for b, idx in enumerate(blocks):
+            e = label[src] == b
+            gen = np.zeros((idx.size, idx.size), dtype=complex)
+            np.add.at(gen, (local[dst[e]], local[src[e]]), val[e])
+            evals, vecs = np.linalg.eigh(1j * gen)
+            w[idx] = vecs @ (np.exp(-1j * evals)[:, None] * (vecs.conj().T @ w[idx]))
+    if np.any(z):
+        blocks, label, local = sides
+        src, dst, val = _generator_entries(squeeze_terms(z), m, d)
+        for p in (0, 1):
+            a, b = blocks[2 * p], blocks[2 * p + 1]
+            e = label[src] == 2 * p + 1
+            half = np.zeros((a.size, b.size), dtype=complex)
+            np.add.at(half, (local[dst[e]], local[src[e]]), 1j * val[e])
+            w[a], w[b] = svd_expm_bipartite(half, w[a], w[b])
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    eye = np.eye(d, dtype=complex)
+    for i, alpha in enumerate(params.alpha):
+        if alpha != 0:
+            half = 1j * (alpha * lower.T - np.conj(alpha) * lower)[0::2, 1::2]
+            factor = np.empty((d, d), dtype=complex)
+            factor[0::2], factor[1::2] = svd_expm_bipartite(half, eye[0::2], eye[1::2])
+            w = np.matmul(factor, w.reshape(d**i, d, -1)).reshape(dim, -1)
+    return w
+
+
+@pytest.mark.parametrize("case", ["z = 0", "diagonal z", "random z"])
+@pytest.mark.parametrize("pure", [False, True])
+@pytest.mark.parametrize("modes,cutoff", _SIDE_BY_SIDE_CUTOFFS)
+def test_build_matches_former_svd_build(modes, cutoff, pure, case):
+    """The build, each squeeze parity block and displacement factor from one
+    Gram eigh and applied to each column from its own side, against the
+    former two-sided SVD build: W W^H within 1e-14 and every ladder word of
+    order 1-6 within 1e-13, on mixed and pure states."""
+    p = random_params(np.random.default_rng(4000 * modes + cutoff), modes,
+                      alpha_max=0.5, r_max=0.3, n_max=0.3)
+    z = {"z = 0": 0 * p.squeeze, "diagonal z": np.diag(np.diag(p.squeeze))}.get(case, p.squeeze)
+    params = GaussianParams(p.alpha, z, p.rotation, 0 * p.thermal if pure else p.thermal)
+    new = build_density(params, cutoff=cutoff, tail_tol=1.0)
+    old = svd_reference_build(params, cutoff)
+    assert new.factor.shape == old.shape and (old.shape[1] == 1) == pure
+    diff = dense(new) - old @ old.conj().T
+    assert np.abs(diff).max() <= 1e-14
+    words, worst = max_word_difference(diff, modes, cutoff)
+    assert words == sum((2 * modes) ** k for k in range(1, 7))
+    assert worst <= 1e-13
+
+
 def _bipartite_expm(half):
     """expm(G) for 1j*G = [[0, half], [half^H, 0]], by scipy."""
     p, q = half.shape
@@ -574,6 +661,15 @@ def _bipartite_expm(half):
     h[:p, p:] = half
     h[p:, :p] = half.conj().T
     return expm(-1j * h)
+
+
+def gram_expm(half):
+    """exp(G) from ``_expm_bipartite``: the identity's first p columns applied
+    from side A, the other q from side B."""
+    p, q = half.shape
+    apply = _expm_bipartite(half)
+    return np.hstack([np.vstack(apply(np.eye(p, dtype=complex), 0)),
+                      np.vstack(apply(np.eye(q, dtype=complex), 1))])
 
 
 def assert_unitary(u, tol=1e-13):
@@ -587,11 +683,80 @@ def test_expm_bipartite_matches_expm(shape, scale):
     several units."""
     rng = np.random.default_rng(sum(shape))
     half = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    eye = np.eye(sum(shape), dtype=complex)
-    ya, yb = _expm_bipartite(half, eye[:shape[0]], eye[shape[0]:])
-    u = np.vstack([ya, yb])
+    u = gram_expm(half)
     assert np.abs(u - _bipartite_expm(half)).max() <= 1e-13
     assert_unitary(u)
+
+
+def _edge_half(case, shape, rng):
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if case == "zero rows":
+        # on the smaller side, so the Gram matrix has exact zero rows
+        if shape[0] <= shape[1]:
+            half[1::2] = 0
+        else:
+            half[:, 1::2] = 0
+    elif case == "rank 2":
+        half = half[:, :2] @ (rng.standard_normal((2, shape[1])) + 0j)
+    elif case == "norm 10":
+        half *= 10.0 / np.linalg.norm(half, 2)
+    return half
+
+
+@pytest.mark.parametrize("shape", [(150, 140), (140, 150)])
+def test_expm_bipartite_skips_rows_without_entries(shape):
+    """A staircase half of more than ``_RUN`` columns each way, as a squeeze
+    half maps each number block to its neighbours only, and columns that
+    hold entries in a band of rows only, as a range of W's columns does:
+    exp(G) of the products that skip the empty rows run by run equals
+    scipy's expm to 1e-13 and is unitary to 1e-13."""
+    rng = np.random.default_rng(shape[0])
+    p, q = shape
+    rows, cols = np.indices(shape)
+    band = np.abs(rows / p - cols / q) < 0.08
+    half = np.where(band, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
+    assert min(shape) > _RUN and 0.05 < band.mean() < 0.2
+    ref = _bipartite_expm(half)
+    u = gram_expm(half)
+    assert np.abs(u - ref).max() <= 1e-13
+    assert_unitary(u)
+    apply = _expm_bipartite(half)
+    for side, size, offset in ((0, p, 0), (1, q, p)):
+        x = np.zeros((size, 2 * _RUN + 5), dtype=complex)
+        for c in range(x.shape[1]):
+            lo = c * size // x.shape[1]
+            x[lo:lo + 9, c] = rng.standard_normal(min(9, size - lo))
+        assert np.abs(np.vstack(apply(x, side)) - ref[:, offset:offset + size] @ x).max() <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["zero rows", "rank 2", "norm 10"])
+@pytest.mark.parametrize("shape", [(6, 6), (4, 7), (7, 4)])
+def test_expm_bipartite_edge_halves(shape, case):
+    """Rank-deficient halves, whose Gram matrix has eigenvalues 0 or slightly
+    below from rounding, and a half of top singular value 10, square and
+    rectangular both ways, so the Gram side flips: exp(G) equals scipy's
+    expm to 1e-13 and is unitary to 1e-13, from each side alone too."""
+    rng = np.random.default_rng(sum(shape) + len(case))
+    half = _edge_half(case, shape, rng)
+    small = half if shape[0] <= shape[1] else half.conj().T
+    lam = np.linalg.eigvalsh(small @ small.conj().T)
+    if case == "norm 10":
+        assert lam.max() == pytest.approx(100.0)
+    elif case == "zero rows":
+        assert lam.min() <= 0.0
+    else:
+        # zero up to rounding, below zero at shapes (6, 6) and (4, 7)
+        assert np.abs(lam[:-2]).max() <= 1e-15 * lam.max()
+    ref = _bipartite_expm(half)
+    u = gram_expm(half)
+    assert np.abs(u - ref).max() <= 1e-13
+    assert_unitary(u)
+    # columns seeded on one side only
+    apply = _expm_bipartite(half)
+    p = shape[0]
+    for side, rows in ((0, slice(0, p)), (1, slice(p, None))):
+        x = rng.standard_normal((ref[:, rows].shape[1], 3)) + 0j
+        assert np.abs(np.vstack(apply(x, side)) - ref[:, rows] @ x).max() <= 1e-13
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5 - 1.1j, 2.0j])
@@ -600,7 +765,7 @@ def test_displacement_matches_expm(cutoff, alpha):
     """Even and odd cutoffs, where the odd-n side is as large as the even-n
     side or one smaller."""
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    u = _displacement(alpha, cutoff)
+    u = _displacement(np.eye(cutoff, dtype=complex), alpha, 0, cutoff)
     assert np.abs(u - expm(alpha * a.T - np.conj(alpha) * a)).max() <= 1e-13
     assert_unitary(u)
 
@@ -626,16 +791,29 @@ def test_squeeze_matches_expm(modes, cutoff, pure, case):
     assert_unitary(w)
 
 
-def test_build_holds_no_dense_generator():
-    """One build at (M, cutoff) = (3, 12) peaks at 1.5 U or less under
-    tracemalloc, U = 16 dim^2 bytes: no generator on the full space (U) and
-    no product of a block with all of W's columns."""
-    params = _params([0.2, 0.1j, 0], 0.1 * np.eye(3), np.full((3, 3), 0.2), [0.05, 0.1, 0])
+def _traced_peak(params, cutoff, tail_tol=1e-3):
+    """(rho, peak): one build and the peak bytes tracemalloc saw during it."""
     tracemalloc.start()
     try:
-        rho = build_density(params, cutoff=12)
+        rho = build_density(params, cutoff=cutoff, tail_tol=tail_tol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return rho, peak
+
+
+def test_build_holds_no_dense_generator():
+    """Builds at (M, cutoff) = (3, 12), U = 16 dim^2 bytes, under tracemalloc.
+    A state with few thermal columns peaks at 1.5 U or less: no generator on
+    the full space (U) and no product of a block with all of W's columns.  A
+    fully mixed state (N = 1 in every mode, most of the dim columns kept)
+    peaks at 2.1 U or less: W (U) and the new W of one displacement step."""
+    unit = 16 * (12**3) ** 2
+    params = _params([0.2, 0.1j, 0], 0.1 * np.eye(3), np.full((3, 3), 0.2), [0.05, 0.1, 0])
+    rho, peak = _traced_peak(params, 12)
     assert rho.factor.shape[0] == 12**3
-    assert peak <= 1.5 * 16 * (12**3) ** 2
+    assert peak <= 1.5 * unit
+    mixed = _params([0.2, 0.1j, 0], 0.1 * np.eye(3), np.full((3, 3), 0.2), [1.0, 1.0, 1.0])
+    rho, peak = _traced_peak(mixed, 12, tail_tol=1.0)
+    assert rho.factor.shape[1] > 0.9 * 12**3
+    assert peak <= 2.1 * unit
