@@ -14,8 +14,9 @@ its `verify` ladder and one past the M = 3 ladder (cutoff 14), prints one row:
   matrix of a bipartite half's smaller side ("gram n", a squeeze parity
   block or a displacement factor) or a rotation number block ("eigh n"),
   recorded from the calls of one further build;
-- rows_ms: thread CPU time of `cli._verify_rows`, the closed forms and the
-  oracle moments `verify` reports at that cutoff, median of REPEAT calls.
+- rows_ms: thread CPU time of `cli._verify_rows`, the oracle moments
+  `verify` reports at that cutoff (the closed forms are computed once per
+  state, by `cli._closed_forms`), median of REPEAT calls.
 
 Run it with one BLAS thread for stable numbers:
 
@@ -112,14 +113,14 @@ def main():
           f"{'rot_ms':>8} {'sq_ms':>8} {'disp_ms':>8} {'largest':>10} {'rows_ms':>8}")
     for m in (1, 2, 3):
         params = GaussianParams(*oracle_state(np.random.default_rng([SEED, m]), m))
-        moments = derive_moments(params)
+        forms = cli._closed_forms(derive_moments(params))
         for cutoff in cli.VERIFY_LADDERS[m] + EXTRA_CUTOFFS.get(m, ()):
             def build():
                 return fock.build_density(params, cutoff=cutoff, tail_tol=1.0)
             build_ms, rho = cpu_ms(build)
             stages = stage_ms(build)
             largest = largest_eigenproblem(build)
-            rows_ms, _ = cpu_ms(lambda: cli._verify_rows(moments, rho))
+            rows_ms, _ = cpu_ms(lambda: cli._verify_rows(forms, rho))
             print(f"{m:>2} {cutoff:>6} {cutoff**m:>5} {rho.factor.shape[1]:>5} "
                   f"{rho.dropped_weight:>9.2e} {build_ms:>9.2f} "
                   + " ".join(f"{ms:>8.2f}" for ms in stages)

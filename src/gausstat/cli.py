@@ -39,13 +39,7 @@ from .recon_multi import (
     recon_squeezed_thermal_multi,
 )
 from .recon_single import recon_dst_scan, reconstruct_single_mode
-from .states import (
-    _require_occupied,
-    derive_moments,
-    g2_tensor,
-    g3_tensor,
-    mode_vacuum_probability,
-)
+from .states import derive_moments, g2_tensor, g3_tensor, mode_vacuum_probability
 from .words import LadderWord, correlation_word
 
 log = logging.getLogger("gausstat")
@@ -231,36 +225,46 @@ VERIFY_LADDERS = {1: (50, 64, 80), 2: (20, 24, 28), 3: (8, 10, 12)}
 VERIFY_CUTOFFS = {m: ladder[0] for m, ladder in VERIFY_LADDERS.items()}
 
 
-def _verify_rows(moments, rho) -> list[dict]:
-    """Closed form against oracle value, one row per observable."""
-    rows = []
-
-    def add(name, closed, direct):
-        rows.append({"observable": name, "closed_form": float(np.real(closed)),
-                     "oracle": float(np.real(direct)),
-                     "abs_error": float(abs(closed - direct))})
-
+def _closed_forms(moments) -> list[tuple]:
+    """(observable, closed form, oracle reading) per row of verify's table;
+    the reading maps a truncated density to the oracle's value.  g2_tensor
+    raises UndefinedCorrelationError for an empty mode, before any build."""
     m = moments.modes
-    for i in range(m):
-        add(f"nbar_{i}", moments.nbar[i],
-            fock.moment_bruteforce(rho, LadderWord.from_spec(f"{i}+ {i}-")))
+    nbar = moments.nbar
+
+    def ladder(word, denom=1.0):
+        return lambda rho: fock.moment_bruteforce(rho, word) / denom
+
+    def bucket(order):
+        return lambda rho: (fock.total_number_factorial_moment(rho, order)
+                            / fock.total_number_factorial_moment(rho, 1)**order)
+
+    forms = [(f"nbar_{i}", nbar[i], ladder(LadderWord.from_spec(f"{i}+ {i}-")))
+             for i in range(m)]
     g2 = g2_tensor(moments)
     for i in range(m):
         for j in range(i, m):
             word = LadderWord.from_spec(f"{i}+ {j}+ {i}- {j}-")
-            direct = fock.moment_bruteforce(rho, word) / (moments.nbar[i] * moments.nbar[j])
-            add(f"g2_{i}{j}", g2[i, j], direct)
+            forms.append((f"g2_{i}{j}", g2[i, j], ladder(word, nbar[i] * nbar[j])))
     for (i, j, k), val in g3_tensor(moments).items():
-        word = correlation_word((i, j, k))
-        denom = moments.nbar[i] * moments.nbar[j] * moments.nbar[k]
-        add(f"g3_{i}{j}{k}", val, fock.moment_bruteforce(rho, word) / denom)
+        forms.append((f"g3_{i}{j}{k}", val,
+                      ladder(correlation_word((i, j, k)), nbar[i] * nbar[j] * nbar[k])))
     if m == 1:
-        add("p0", mode_vacuum_probability(moments, 0), fock.vacuum_overlap(rho))
+        forms.append(("p0", mode_vacuum_probability(moments, 0), fock.vacuum_overlap))
     if m <= 2:
         obs = bucket_mod.bucket_correlations(moments)
-        t1 = fock.total_number_factorial_moment(rho, 1)
-        add("g2_bucket", obs.g2_b, fock.total_number_factorial_moment(rho, 2) / t1**2)
-        add("g3_bucket", obs.g3_b, fock.total_number_factorial_moment(rho, 3) / t1**3)
+        forms += [("g2_bucket", obs.g2_b, bucket(2)), ("g3_bucket", obs.g3_b, bucket(3))]
+    return forms
+
+
+def _verify_rows(forms, rho) -> list[dict]:
+    """Closed form against oracle value, one row per observable."""
+    rows = []
+    for name, closed, read in forms:
+        direct = read(rho)
+        rows.append({"observable": name, "closed_form": float(np.real(closed)),
+                     "oracle": float(np.real(direct)),
+                     "abs_error": float(abs(closed - direct))})
     return rows
 
 
@@ -282,8 +286,7 @@ def cmd_verify(args) -> int:
     """
     digests = {}
     params = serialize.params_from_json(serialize.load(args.params, digests))
-    moments = derive_moments(params)
-    _require_occupied(moments, range(params.modes))
+    forms = _closed_forms(derive_moments(params))
     ladder = ((args.cutoff,) if args.cutoff is not None
               else VERIFY_LADDERS[min(params.modes, 3)])
     for rung, cutoff in enumerate(ladder, 1):
@@ -293,7 +296,7 @@ def cmd_verify(args) -> int:
             if rung == len(ladder):
                 raise
             continue
-        rows = _verify_rows(moments, rho)
+        rows = _verify_rows(forms, rho)
         worst = max(row["abs_error"] for row in rows)
         # sixth-order moments amplify boundary occupancy by up to ~3e4
         # (measured, including the 1/nbar^3 normalization of the g3 rows)

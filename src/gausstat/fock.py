@@ -102,7 +102,8 @@ DEFAULT_CUTOFFS = {1: 25, 2: 12, 3: 8}
 MAX_MODES = 3
 MAX_DIMENSION = 4096
 _TAIL_LEVELS = 2
-# columns per run in the products that skip rows without entries
+# columns per run in the products that skip rows without entries; up to
+# _RUN columns (every half at M = 1) the plain products are faster
 _RUN = 64
 # the lightest thermal columns go while their weight times (M (d - 1))^3 stays below this
 _DROP_TOL = 1e-16
@@ -203,7 +204,9 @@ def _word_action(ops, modes: int, cutoff: int):
     O of the ladder operators ``ops`` (leftmost first); basis states that O
     annihilates are left out.  Each operator, rightmost first, moves one Fock
     digit by one and multiplies by sqrt(n) (a) or sqrt(n + 1) (a†).  Cached
-    per (ops, modes, cutoff) as read-only arrays."""
+    per (ops, modes, cutoff) as read-only arrays: verify reads at most 67
+    words (its rows and the generators' terms) per rung of M = 1, 2 and 3
+    together, so its three-rung ladders fit in 256 entries."""
     steps = _ladder_steps(modes, cutoff)
     dim = cutoff**modes
     dst = np.arange(dim)
