@@ -8,7 +8,6 @@ from .states import (
     derive_moments,
     g2_tensor,
     g3_tensor,
-    no_click_probability_single,
 )
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "derive_moments",
     "g2_tensor",
     "g3_tensor",
-    "no_click_probability_single",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Mode-insensitive (bucket) correlation functions, bounds, and mode-count estimation.
 
-A bucket detector sees only totals, so the correlations collapse to trace
-invariants of the coherence matrix G, the covariance matrix, and the
-displacement vector.  Bucket data alone can never reconstruct a state; every
-verdict here is conditional on a Gaussian-state assumption and says so.
+A bucket detector sees only totals, so its correlations are the mode
+correlations g2 and g3 summed with the mean photon numbers as weights.
+Bucket data alone can never reconstruct a state; every verdict here is
+conditional on a Gaussian-state assumption and says so.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, UndefinedCorrelationError
-from .states import MomentSummary
+from .states import MomentSummary, _g3_kernel, _pair_blocks
 
 GAUSSIAN_CAVEAT = "under Gaussian-state assumption"
 
@@ -26,45 +26,30 @@ class BucketObservables:
 
 
 def bucket_correlations(moments: MomentSummary) -> BucketObservables:
-    """Second- and third-order bucket correlations from first/second moments.
+    """Second- and third-order bucket correlations: g2 and g3 summed over the modes.
 
-    With T = Tr G, centered covariance matrix ``cov`` and displacement vector
-    ``alpha``:
+    With n_i the mean photon numbers, T = Tr G = sum_i n_i and P = g2 - 1,
 
-        g2_B = 1 + Tr G^2 / T^2 + [Tr(cov† cov) - |alpha|^4
-               + 2 Re(alpha† cov alpha*)] / T^2,
+        g2_B = sum_ij n_i n_j g2_ij / T^2 = 1 + n.P.n / T^2,
+        g3_B = sum_ijk n_i n_j n_k g3_ijk / T^3,
 
-        g3_B = 1 + 3 Tr G^2 / T^2 + 2 Tr G^3 / T^3
-               + 3 [Tr(cov† cov) - |alpha|^4] / T^2
-               + 6 (1 - 2 |alpha|^2 / T) Re(alpha† cov alpha*) / T^2
-               + 4 |alpha|^6 / T^3 + 6 Tr(cov G cov†) / T^3
-               - 6 |alpha|^2 (alpha^T G alpha*) / T^3
-               + 12 Re(alpha^T G cov† alpha) / T^3.
-
-    Both follow by summing the fourth- and sixth-order moment decompositions
-    over all mode indices.
+    with P from the blocks of ``g2_tensor`` and g3 from the kernel of
+    ``g3_tensor``, both taken on the occupied modes: an empty mode of a
+    Gaussian state is vacuum and adds nothing to either sum.
     """
-    g = moments.coherence_matrix()
-    t1 = float(np.trace(g).real)
-    if t1 <= 0:
+    keep = moments.nbar > 0
+    if not keep.all():
+        sub = np.ix_(keep, keep)
+        moments = MomentSummary(moments.nbar[keep], moments.g1[sub], moments.cov[sub],
+                                moments.alpha[keep])
+    n = moments.nbar
+    t1 = float(n.sum())
+    if not t1 > 0:
         raise UndefinedCorrelationError("bucket correlations undefined: Tr G = 0")
-    cov = moments.cov
-    al = moments.alpha
-    t2 = float(np.trace(g @ g).real)
-    t3 = float(np.trace(g @ g @ g).real)
-    trcc = float(np.trace(cov.conj().T @ cov).real)
-    trccg = float(np.trace(cov @ g @ cov.conj().T).real)
-    a2 = float((np.abs(al) ** 2).sum())
-    rc = float((al.conj() @ cov @ al.conj()).real)
-    aga = float((al @ g @ al.conj()).real)
-    agcov = float((al @ g @ cov.conj().T @ al).real)
-    g2_b = 1.0 + t2 / t1**2 + (trcc - a2**2 + 2.0 * rc) / t1**2
-    g3_b = (1.0 + 3.0 * t2 / t1**2 + 2.0 * t3 / t1**3
-            + 3.0 * (trcc - a2**2) / t1**2
-            + 6.0 * (1.0 - 2.0 * a2 / t1) * rc / t1**2
-            + 4.0 * a2**3 / t1**3 + 6.0 * trccg / t1**3
-            - 6.0 * a2 * aga / t1**3 + 12.0 * agcov / t1**3)
-    return BucketObservables(float(g2_b), float(g3_b), t1)
+    c, b, pair = _pair_blocks(moments)
+    g3 = _g3_kernel(moments.g1, c, b, pair)
+    return BucketObservables(float(1.0 + n @ pair @ n / t1**2),
+                             float(g3 @ n @ n @ n / t1**3), t1)
 
 
 CONSISTENT_NONSQUEEZED = "consistent-nonsqueezed"

@@ -10,11 +10,12 @@ falls back to a flat tolerance.
 
 The multimode hypotheses (zero squeezing, zero displacement) share one
 routine: extract phase cosines from g3_iij, solve the phase system, and score
-each solution against g3.  An all-distinct g3_ijk is predicted by the same
-kernel as ``g3_tensor`` (``states._g3_kernel``), fed with the measured g1 and
-g2 - 1 and the sector's blocks: c = 0 and b_i = sqrt(a_i) e^{i phi_i}, or
-b = 0 and c_ij = sqrt(q_ij) e^{i Theta_ij} with the moduli clipped at q = 0;
-g3_iii is scored against the single-mode relation of the sector.
+each solution against g3.  Every g3 entry that carries no cosine data, g3_iii
+and the all-distinct g3_ijk, is predicted by the kernel of ``g3_tensor``
+(``states._g3_kernel``) in one call over all of a hypothesis's solutions, fed
+with the measured g1 and g2 - 1 and the sector's blocks: c = 0 and
+b_i = sqrt(a_i) e^{i phi_i}, or b = 0 and c_ij = sqrt(q_ij) e^{i Theta_ij},
+diagonal included, with the moduli clipped at q = 0.
 """
 
 from __future__ import annotations
@@ -194,11 +195,10 @@ class Classification:
         raise KeyError(relation)
 
 
-def _tolerance(m: MeasurementSet, flat_tol: float, dg2: float = 0.0, dg3: float = 0.0,
-               extra: float = 0.0) -> float:
+def _tolerance(m: MeasurementSet, flat_tol: float, dg2: float = 0.0, dg3: float = 0.0) -> float:
     """3-sigma acceptance from first-order propagation, else the flat tolerance."""
     s2, s3 = m.sigma_for("g2"), m.sigma_for("g3")
-    propagated = np.sqrt((dg2 * s2) ** 2 + (dg3 * s3) ** 2 + extra**2)
+    propagated = np.sqrt((dg2 * s2) ** 2 + (dg3 * s3) ** 2)
     return max(flat_tol, 3.0 * propagated)
 
 
@@ -456,35 +456,36 @@ def _extract_nd_cosines(m: MeasurementSet):
 
 
 def _mirrored(x: np.ndarray) -> np.ndarray:
-    """The entries of x above the diagonal, mirrored (conjugated) below it, 0 on it.
+    """x on and above the diagonal, mirrored (conjugated) below it.
 
-    An all-distinct triple i < j < k reads only pairs off the diagonal, and
-    measured data need not be exactly symmetric, so every pair is read at
-    i < j, where the per-triple formulas read it.
+    Measured data need not be exactly symmetric, so every pair is read at
+    i <= j, where the per-triple formulas read it.
     """
-    upper = np.triu(x, 1)
-    return upper + upper.conj().T
+    i = np.arange(x.shape[0])
+    return np.where(i[:, None] <= i, x, x.conj().T)
 
 
-def _g3_misfits(m: MeasurementSet, diag_g3: np.ndarray, blocks) -> list:
-    """Worst |g3 - prediction| over the entries of m.g3, once per (c, b) in blocks.
+# Scores that agree within this share of the largest g3 value are a tie,
+# which the first solution in solver order wins: the g3_iii prediction does
+# not depend on the phases, but its rounding does.
+_TIE = 1e-12
 
-    g3_iii is predicted by ``diag_g3[i]``, a single-mode relation, and an
-    all-distinct g3_ijk by ``states._g3_kernel`` on the measured g1 (unit
-    diagonal), P = g2 - 1 and the blocks, the same kernel as ``g3_tensor``.
-    Entries with exactly two equal indices carry the cosine data and are not
-    scored.
+
+def _g3_misfits(m: MeasurementSet, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Worst |g3 - prediction| over the entries of m.g3, one per stacked (c, b).
+
+    Every entry is predicted by ``states._g3_kernel``, the kernel of
+    ``g3_tensor``, in one call over the stack: on the measured g1 (unit
+    diagonal), P = g2 - 1 and the blocks.  Entries with exactly two equal
+    indices carry the cosine data and are not scored.
     """
-    g = _mirrored(m.g1_complex()) + np.eye(m.modes)
-    pair = _mirrored(m.g2 - 1.0)
-    distinct = [key for key in m.g3 if len(set(key)) == 3]
-    index = tuple(np.array(distinct, dtype=int).reshape(-1, 3).T)
-    values = np.array([m.g3[key] for key in distinct])
-    worst_diag = max((abs(v - diag_g3[key[0]]) for key, v in m.g3.items() if key[0] == key[2]),
-                     default=0.0)
-    return [max(float(worst_diag),
-                float(np.abs(values - _g3_kernel(g, c, b, pair)[index]).max(initial=0.0)))
-            for c, b in blocks]
+    g = _mirrored(m.g1_complex())
+    np.fill_diagonal(g, 1.0)
+    scored = [key for key in m.g3 if len(set(key)) != 2]
+    index = tuple(np.array(scored, dtype=int).reshape(-1, 3).T)
+    values = np.array([m.g3[key] for key in scored])
+    predicted = _g3_kernel(g, c, b, _mirrored(m.g2 - 1.0))[(..., *index)]
+    return np.abs(values - predicted).max(axis=-1, initial=0.0)
 
 
 def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
@@ -513,15 +514,16 @@ def _marginal_feasibility(m: MeasurementSet, tol: float, notes: list) -> list:
 
 
 def _sector_hypothesis(m: MeasurementSet, label: str, kind: str, extract, blocks,
-                       diag_g3: np.ndarray, tol_rel: float, residuals: list, notes: list):
+                       tol_rel: float, residuals: list, notes: list):
     """The steps both sector hypotheses share, after their pre-gate passed.
 
     Extracts the cosines (``extract``), checks their range, solves the phase
     system of ``kind`` and scores every solution against g3
-    (``_g3_misfits``); ``blocks(solution)`` gives the solution's phases and
-    the pair (c, b) of its blocks.  Residuals and notes are appended in
-    place.  Returns (passed, the InsufficientDataError that blocked the test
-    or None, the witness or None, the solutions, best-scoring first).
+    (``_g3_misfits``); ``blocks(phases)`` maps the solutions' stacked phases
+    (their theta for the covariance kind) to the blocks (c, b).  Residuals
+    and notes are appended in place.  Returns (passed, the
+    InsufficientDataError that blocked the test or None, the witness or
+    None, the solutions, best-scoring first).
     """
     try:
         c = extract(m)
@@ -540,16 +542,18 @@ def _sector_hypothesis(m: MeasurementSet, label: str, kind: str, extract, blocks
     if not solutions:
         notes.append(f"{kind}-phase system has no solution")
         return False, None, None, []
-    phases, pairs = zip(*(blocks(s) for s in solutions))
-    worsts = _g3_misfits(m, diag_g3, pairs)
-    best = int(np.argmin(worsts))
+    phases = np.array([s.phases if kind == DISPLACEMENT else s.theta for s in solutions])
+    worsts = _g3_misfits(m, *blocks(phases))
+    slack = _TIE * max(1.0, max(m.g3.values(), default=0.0))
+    best = int(np.argmax(worsts <= worsts.min() + slack))  # the first within the slack
     solutions.insert(0, solutions.pop(best))
-    residuals.append(RelationResidual(f"{label} g3 consistency", worsts[best], tol_rel))
+    worst = float(worsts[best])
+    residuals.append(RelationResidual(f"{label} g3 consistency", worst, tol_rel))
     witness = {f"{kind}_phases": phases[best].tolist(),
                "n_phase_solutions": len(solutions),
                "degeneracy_notes": degeneracy_report(system, solutions),
                "phase_search": asdict(stats)}
-    return worsts[best] <= tol_rel, None, witness, solutions
+    return worst <= tol_rel, None, witness, solutions
 
 
 def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
@@ -579,8 +583,7 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
         no_cov = np.zeros((mm, mm), dtype=complex)
         ns_ok, ns_blocked, ns_witness, ns_solutions = _sector_hypothesis(
             m, "non-squeezed", DISPLACEMENT, _extract_ns_cosines,
-            lambda s: (s.phases, (no_cov, root_a * np.exp(1j * s.phases))),
-            _ns_curve(diag), tol_rel, residuals, notes)
+            lambda phases: (no_cov, root_a * np.exp(1j * phases)), tol_rel, residuals, notes)
 
     # --- non-displaced hypothesis: b = 0, c_ij = sqrt(q_ij) e^{i Theta_ij}
     q = _covariance_q(m)
@@ -595,8 +598,7 @@ def classify_multimode(m: MeasurementSet, tol: float = 1e-6) -> Classification:
         moduli, no_disp = _mirrored(_sqrt_clip(q)), np.zeros(mm, dtype=complex)
         nd_ok, nd_blocked, nd_witness, nd_solutions = _sector_hypothesis(
             m, "non-displaced", COVARIANCE, _extract_nd_cosines,
-            lambda s: (s.theta, (moduli * np.exp(1j * s.theta), no_disp)),
-            _nd_line(diag), tol_rel, residuals, notes)
+            lambda theta: (moduli * np.exp(1j * theta), no_disp), tol_rel, residuals, notes)
 
     if ns_ok and nd_ok:
         notes.append("both sectors consistent (state close to thermal); "

@@ -7,7 +7,7 @@ the command would ignore in the mode it runs in, and a file that cannot be
 read or written are validation errors.
 
 Exit codes: 0 success, 2 validation error, 3 infeasible or inconsistent data,
-4 numerical failure.  Set GAUSSTAT_LOG=debug for verbose logging.
+4 numerical failure.  Each error prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import argparse
 import csv
 import functools
 import io
-import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -40,9 +38,7 @@ from .recon_multi import (
 )
 from .recon_single import recon_dst_scan, reconstruct_single_mode
 from .states import derive_moments, g2_tensor, g3_tensor, mode_vacuum_probability
-from .words import LadderWord, correlation_word
-
-log = logging.getLogger("gausstat")
+from .words import correlation_word
 
 
 def _finite_float(text: str) -> float:
@@ -91,7 +87,6 @@ def _parse_noise(spec: str | None) -> dict:
 def _emit(doc: dict, out_path: str | None) -> None:
     if out_path:
         serialize.dump(doc, out_path)
-        log.info("wrote %s", out_path)
     else:
         sys.stdout.write(serialize.dumps(doc) + "\n")
 
@@ -192,7 +187,6 @@ def cmd_reconstruct(args) -> int:
         if sector is None:
             sector = "dst"
             reason = f"sector auto chose dst from the verdict {verdict.sector}; dst"
-        log.info("auto sector: %s -> %s", verdict.sector, sector)
     if sector == "dst":
         if len(msets) != 2:
             raise ValidationError(f"{reason} needs two measurement files: "
@@ -239,13 +233,12 @@ def _closed_forms(moments) -> list[tuple]:
         return lambda rho: (fock.total_number_factorial_moment(rho, order)
                             / fock.total_number_factorial_moment(rho, 1)**order)
 
-    forms = [(f"nbar_{i}", nbar[i], ladder(LadderWord.from_spec(f"{i}+ {i}-")))
-             for i in range(m)]
+    forms = [(f"nbar_{i}", nbar[i], ladder(correlation_word((i,)))) for i in range(m)]
     g2 = g2_tensor(moments)
     for i in range(m):
         for j in range(i, m):
-            word = LadderWord.from_spec(f"{i}+ {j}+ {i}- {j}-")
-            forms.append((f"g2_{i}{j}", g2[i, j], ladder(word, nbar[i] * nbar[j])))
+            forms.append((f"g2_{i}{j}", g2[i, j],
+                          ladder(correlation_word((i, j)), nbar[i] * nbar[j])))
     for (i, j, k), val in g3_tensor(moments).items():
         forms.append((f"g3_{i}{j}{k}", val,
                       ladder(correlation_word((i, j, k)), nbar[i] * nbar[j] * nbar[k])))
@@ -453,25 +446,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("GAUSSTAT_LOG", "warning").upper(),
-                      logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         # a usage error or a float flag that is not finite raises ValidationError
         args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as err:
-        log.error("%s", err)
         print(f"validation error: {err}", file=sys.stderr)
         return 2
     except InfeasibleError as err:
-        log.error("%s", err)
         print(f"infeasible: {err}", file=sys.stderr)
         return 3
     except NumericalError as err:
-        log.error("%s", err)
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
     except GausstatError as err:

@@ -128,13 +128,6 @@ class BogoliubovMap:
     def L(self) -> np.ndarray:
         return np.block([[self.E, self.F], [self.F.conj(), self.E.conj()]])
 
-    def symplectic_defect(self) -> float:
-        """max(|E E† - F F† - 1|, |E F^T - F E^T|); zero for a valid map."""
-        m = self.modes
-        d1 = self.E @ self.E.conj().T - self.F @ self.F.conj().T - np.eye(m)
-        d2 = self.E @ self.F.T - self.F @ self.E.T
-        return max(np.abs(d1).max(), np.abs(d2).max())
-
 
 def bogoliubov_map(params: GaussianParams) -> BogoliubovMap:
     """Bogoliubov blocks of the unitary D(alpha) S(z) R(phi).
@@ -267,17 +260,27 @@ def _g3_kernel(g: np.ndarray, c: np.ndarray, b: np.ndarray, pair: np.ndarray) ->
         w_ij = 4 Re(c_ij conj(b_i b_j)) + 2 Re(g_ij b_i conj(b_j)).
 
     Setting c = 0 or b = 0 gives the non-squeezed or the non-displaced sector.
+    The mode axes come last: g, c and P are (..., M, M) and b is (..., M),
+    their leading axes broadcast against each other, and the result is
+    (..., M, M, M), one tensor per block set.  Each entry is computed as it is
+    for one block set alone, to the bit.
     """
-    bb = np.outer(b, b)
+    bi, bj = b[..., :, None], b[..., None, :]
+    bb = bi * bj
+    bbc = bb.conj()
     h = c + bb
     a = np.abs(b) ** 2
-    w = 4.0 * (c * bb.conj()).real + 2.0 * (g * np.outer(b, b.conj())).real
-    gij = g[:, :, None]
-    k = (pair[:, :, None] - w[:, :, None] * a
-         + 2.0 * (gij * (c.conj() * h[:, None, :] + bb.conj() * c[:, None, :])).real)
-    return (1.0 + 4.0 * a[:, None, None] * np.outer(a, a)
-            + 2.0 * (gij * g * g.T[:, None, :]).real
-            + k + k.transpose(2, 0, 1) + k.transpose(1, 2, 0))
+    w = 4.0 * (c * bbc).real + 2.0 * (g * (bi * bj.conj())).real
+    gij = g[..., :, :, None]
+    k = (pair[..., :, :, None] - w[..., :, :, None] * a[..., None, None, :]
+         + 2.0 * (gij * (c.conj()[..., None, :, :] * h[..., :, None, :]
+                         + bbc[..., None, :, :] * c[..., :, None, :])).real)
+    lead = tuple(range(k.ndim - 3))
+    i = len(lead)  # K_jki and K_kij are K_ijk with its mode axes rotated
+    aa = a[..., :, None] * a[..., None, :]
+    return (1.0 + 4.0 * a[..., :, None, None] * aa[..., None, :, :]
+            + 2.0 * (gij * g[..., None, :, :] * g.swapaxes(-1, -2)[..., :, None, :]).real
+            + k + k.transpose(lead + (i + 2, i, i + 1)) + k.transpose(lead + (i + 1, i + 2, i)))
 
 
 def _g3_array(moments: MomentSummary) -> np.ndarray:
@@ -325,15 +328,6 @@ def single_mode_g2_g3(params: GaussianParams) -> tuple[float, float]:
         raise ValidationError("single_mode_g2_g3 needs a single-mode state")
     mom = derive_moments(params)
     return float(g2_tensor(mom)[0, 0]), g3_value(mom, 0, 0, 0)
-
-
-def no_click_probability_single(params: GaussianParams) -> float:
-    """Vacuum overlap of a single-mode Gaussian state, from its moments
-    (``mode_vacuum_probability``).  Multimode states are delegated to the
-    Fock oracle."""
-    if params.modes != 1:
-        raise ValidationError("closed-form no-click probability is single-mode only")
-    return mode_vacuum_probability(derive_moments(params), 0)
 
 
 def mode_vacuum_probability(moments: MomentSummary, mode: int) -> float:

@@ -64,7 +64,7 @@ from gausstat.states import (
     g2_tensor,
     g3_tensor,
     g3_value,
-    no_click_probability_single,
+    mode_vacuum_probability,
     single_mode_g2_g3,
 )
 from gausstat.words import (
@@ -187,7 +187,7 @@ def test_criterion_3_single_mode_relations():
 def _single_mode_observables(params):
     mom = derive_moments(params)
     return (float(g2_tensor(mom)[0, 0]), g3_value(mom, 0, 0, 0),
-            float(mom.nbar[0]), no_click_probability_single(params))
+            float(mom.nbar[0]), mode_vacuum_probability(mom, 0))
 
 
 def test_criterion_4_reconstruction_round_trips():

@@ -15,9 +15,9 @@ from gausstat.bucket import (
     equal_squeezer_bucket,
     pure_squeezer_mode_estimate,
 )
-from gausstat.errors import InfeasibleError
+from gausstat.errors import InfeasibleError, UndefinedCorrelationError
 from gausstat.fock import build_density, total_number_factorial_moment
-from gausstat.states import GaussianParams, derive_moments, g2_tensor, g3_value
+from gausstat.states import GaussianParams, MomentSummary, derive_moments, g2_tensor, g3_value
 
 
 class TestBucketCorrelations:
@@ -127,7 +127,7 @@ class TestModeEstimate:
 
 
 def test_trace_formulas_match_kernel_sum_strong_parameters(rng):
-    # exact identity at any parameter strength: the trace formulas are the
+    # exact identity at any parameter strength: the bucket correlations are the
     # mode-summed fourth/sixth-order decompositions
     from itertools import product
 
@@ -164,3 +164,76 @@ def test_trace_formulas_match_summed_tensors(rng, modes):
     assert len(g3) == modes**3
     assert s4 == pytest.approx(obs.g2_b * t1**2, rel=1e-10)
     assert s6 == pytest.approx(obs.g3_b * t1**3, rel=1e-10)
+
+
+def nine_term_bucket(moments):
+    """(g2_B, g3_B) from the trace invariants of G, cov and alpha (T = Tr G):
+
+        g2_B = 1 + Tr G^2 / T^2 + [Tr(cov^H cov) - |alpha|^4
+               + 2 Re(alpha^H cov alpha*)] / T^2,
+        g3_B = 1 + 3 Tr G^2 / T^2 + 2 Tr G^3 / T^3
+               + 3 [Tr(cov^H cov) - |alpha|^4] / T^2
+               + 6 (1 - 2 |alpha|^2 / T) Re(alpha^H cov alpha*) / T^2
+               + 4 |alpha|^6 / T^3 + 6 Tr(cov G cov^H) / T^3
+               - 6 |alpha|^2 (alpha^T G alpha*) / T^3
+               + 12 Re(alpha^T G cov^H alpha) / T^3,
+
+    the mode-summed fourth- and sixth-order decompositions, which
+    ``bucket_correlations`` once evaluated.  An empty mode adds zero rows and
+    columns to G and cov.
+    """
+    g, cov, al = moments.coherence_matrix(), moments.cov, moments.alpha
+    t1 = np.trace(g).real
+    t2 = np.trace(g @ g).real
+    t3 = np.trace(g @ g @ g).real
+    trcc = np.trace(cov.conj().T @ cov).real
+    trccg = np.trace(cov @ g @ cov.conj().T).real
+    a2 = (np.abs(al) ** 2).sum()
+    rc = (al.conj() @ cov @ al.conj()).real
+    aga = (al @ g @ al.conj()).real
+    agcov = (al @ g @ cov.conj().T @ al).real
+    g2_b = 1.0 + t2 / t1**2 + (trcc - a2**2 + 2.0 * rc) / t1**2
+    g3_b = (1.0 + 3.0 * t2 / t1**2 + 2.0 * t3 / t1**3
+            + 3.0 * (trcc - a2**2) / t1**2
+            + 6.0 * (1.0 - 2.0 * a2 / t1) * rc / t1**2
+            + 4.0 * a2**3 / t1**3 + 6.0 * trccg / t1**3
+            - 6.0 * a2 * aga / t1**3 + 12.0 * agcov / t1**3)
+    return g2_b, g3_b
+
+
+def with_empty_modes(moments, empty):
+    """moments with an empty mode, correlated with nothing, inserted at each index in empty."""
+    m = moments.modes + len(empty)
+    occupied = [i for i in range(m) if i not in empty]
+    sub = np.ix_(occupied, occupied)
+    coherence, cov, alpha = (np.zeros((m, m), complex), np.zeros((m, m), complex),
+                             np.zeros(m, complex))
+    coherence[sub], cov[sub], alpha[occupied] = (moments.coherence_matrix(), moments.cov,
+                                                 moments.alpha)
+    return MomentSummary.from_unnormalized(coherence, cov, alpha)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 4, 12, 16])
+@pytest.mark.parametrize("n_empty", [0, 1, 2])
+def test_bucket_matches_nine_term_formula(modes, n_empty):
+    # empty modes first, or in the middle and last
+    empty = [(), (0,), (1, modes + 1)][n_empty]
+    rng = np.random.default_rng([modes, n_empty])
+    for _ in range(5):
+        mom = derive_moments(random_params(rng, modes, alpha_max=1.4, r_max=1.1, n_max=1.5))
+        if empty:
+            mom = with_empty_modes(mom, empty)
+        assert (mom.nbar == 0).sum() == len(empty)
+        obs = bucket_correlations(mom)
+        g2_ref, g3_ref = nine_term_bucket(mom)
+        assert obs.g2_b == pytest.approx(g2_ref, rel=1e-13)
+        assert obs.g3_b == pytest.approx(g3_ref, rel=1e-13)
+        assert obs.total_nbar == pytest.approx(mom.nbar.sum(), rel=1e-15)
+
+
+def test_bucket_of_an_empty_state_is_undefined():
+    for mom in (derive_moments(GaussianParams.vacuum(3)),
+                MomentSummary(np.zeros(2), np.full((2, 2), np.nan), np.zeros((2, 2)),
+                              np.zeros(2))):
+        with pytest.raises(UndefinedCorrelationError, match="Tr G = 0"):
+            bucket_correlations(mom)

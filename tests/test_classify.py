@@ -8,6 +8,7 @@ import pytest
 from conftest import random_hermitian, random_symmetric
 from scipy.optimize import minimize
 
+from gausstat import classify as classify_module
 from gausstat.classify import (
     COHERENT_LIKE,
     DISPLACED_SQUEEZED,
@@ -27,8 +28,6 @@ from gausstat.classify import (
     _extract_ns_cosines,
     _g3_misfits,
     _mirrored,
-    _nd_line,
-    _ns_curve,
     _tolerance,
 )
 from gausstat.errors import InsufficientDataError, ValidationError
@@ -477,6 +476,51 @@ def test_phase_solutions_ride_along_outside_repr_equality_and_json():
     assert '"phase_solutions"' not in json.dumps(classification_to_json(verdict))
 
 
+def test_noisy_thermal_state_keeps_a_sector():
+    """Noisy data of a three-mode thermal state put every g2_ii just above 2, so
+    the non-squeezed blocks clip a_i = sqrt(2 - g2_ii) to 0.  Every g3 entry is
+    predicted from those same blocks, g3_iii = 3 g2_ii included, and the
+    hypothesis passes.  The single-mode relation 9 g2_ii - 12 would miss
+    g3_iii by 6 (g2_ii - 2), here beyond the tolerance."""
+    phi = np.array([[0.14, -0.581 + 0.017j, -0.08 - 0.144j],
+                    [-0.581 - 0.017j, 0.095, -0.15 - 0.563j],
+                    [-0.08 + 0.144j, -0.15 + 0.563j, -0.155]])
+    params = GaussianParams(np.zeros(3), np.zeros((3, 3)), phi, np.array([0.208, 0.296, 0.403]))
+    m = synthesize_measurements(derive_moments(params), rng=np.random.default_rng(2),
+                                sigma={"g2": 1e-6, "g3": 1e-6})
+    assert np.diag(m.g2).min() > 2.0
+    cls = classify(m, tol=1e-8)
+    assert cls.sector == NON_SQUEEZED
+    consistency = [r for r in cls.residuals if r.relation == "non-squeezed g3 consistency"]
+    assert len(consistency) == 1 and consistency[0].passed
+
+
+@pytest.mark.parametrize("maker, sector, solver", [
+    (displaced_thermal_params, NON_SQUEEZED, "solve_displacement_phases"),
+    (squeezed_thermal_params, NON_DISPLACED, "solve_covariance_phases")])
+def test_tied_solutions_keep_solver_order(monkeypatch, maker, sector, solver):
+    """Two modes have no all-distinct triple, so each solution is scored on
+    g3_iii alone, whose prediction does not depend on the phases: the scores
+    tie within rounding and the solver's first solution heads the witness."""
+    returned = []
+    solve = getattr(classify_module, solver)
+
+    def recording(*args, **kwargs):
+        solutions = solve(*args, **kwargs)
+        returned.append(list(solutions))  # classify reorders the list it gets
+        return solutions
+
+    monkeypatch.setattr(classify_module, solver, recording)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        returned.clear()
+        cls = classify_multimode(synthesize_measurements(derive_moments(maker(rng, 2))),
+                                 tol=1e-6)
+        solutions = cls.phase_solutions[sector]
+        assert cls.sector == sector and len(solutions) > 1
+        assert solutions[0] is returned[-1][0]
+
+
 @pytest.mark.xfail(strict=True, reason="a barely displaced mode (a_i = sqrt(2 - g2_ii) near 0) "
                                        "leaves the displacement-phase system without a solution")
 def test_barely_displaced_mode_classifies_nonsqueezed():
@@ -615,13 +659,14 @@ def ns_score(m, phases):
     """The kernel score with the non-squeezed blocks c = 0, b_i = sqrt(a_i) e^{i phi_i}."""
     mm = m.modes
     b = np.sqrt(_sqrt_clip(2.0 - np.diag(m.g2))) * np.exp(1j * phases)
-    return _g3_misfits(m, _ns_curve(np.diag(m.g2)), [(np.zeros((mm, mm), complex), b)])[0]
+    return float(_g3_misfits(m, np.zeros((mm, mm), complex), b))
 
 
 def nd_score(m, theta):
-    """The kernel score with the non-displaced blocks b = 0, c_ij = sqrt(q_ij) e^{i Theta_ij}."""
+    """The kernel score with the non-displaced blocks b = 0, c_ij = sqrt(q_ij) e^{i Theta_ij},
+    diagonal included."""
     c = _mirrored(_sqrt_clip(_covariance_q(m))) * np.exp(1j * theta)
-    return _g3_misfits(m, _nd_line(np.diag(m.g2)), [(c, np.zeros(m.modes, complex))])[0]
+    return float(_g3_misfits(m, c, np.zeros(m.modes, complex)))
 
 
 def assert_same_cosines(new, ref):
@@ -675,9 +720,20 @@ class TestKernelScoringVsPerTripleFormulas:
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_non_squeezed_scores(self, sigma):
+        clipped = 0
         for rng, m in self.draws("ns", sigma):
             phases = rng.uniform(-np.pi, np.pi, m.modes)
-            assert abs(ns_score(m, phases) - reference_ns_worst(m, phases)) <= 1e-12
+            diff = abs(ns_score(m, phases) - reference_ns_worst(m, phases))
+            excess = np.diag(m.g2) - 2.0
+            if excess.max() <= 0.0:
+                assert diff <= 1e-12
+            else:
+                # a_i = sqrt(max(2 - g2_ii, 0)) = 0: the kernel's g3_iii is 3 g2_ii, the
+                # relation's 9 g2_ii - 12, 6 |2 - g2_ii| apart
+                clipped += 1
+                assert diff <= 6.0 * excess.max() + 1e-12
+        if sigma == 0.0:
+            assert clipped == 0
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_non_displaced_scores(self, sigma):
@@ -693,10 +749,14 @@ class TestKernelScoringVsPerTripleFormulas:
             if q.min() >= 0.0:
                 assert diff <= 1e-12
             else:
-                # sqrt(max(q_jk, 0)) sqrt(max(q_ik, 0)) in place of sqrt(max(q_jk q_ik, 0)):
-                # three terms, each off by at most 2 |g1| tol_rel
                 clipped += 1
-                assert diff <= 6.00001 * tol_rel
+                # off the diagonal, sqrt(max(q_jk, 0)) sqrt(max(q_ik, 0)) in place of
+                # sqrt(max(q_jk q_ik, 0)): three terms, each off by at most 2 |g1| tol_rel
+                off = 6.00001 * tol_rel if q[~np.eye(m.modes, dtype=bool)].min() < 0.0 else 0.0
+                # on it, |c_ii| = 0: the kernel's g3_iii is 3 g2_ii, the relation's
+                # 9 g2_ii - 12, 6 |q_ii| apart
+                on = 6.0 * max(-np.diag(q).min(), 0.0)
+                assert diff <= max(off, on) + 1e-12
         if sigma == 0.0:
             assert clipped == 0
 

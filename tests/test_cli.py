@@ -483,6 +483,42 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
+# Makes a subcommand raise the base GausstatError, which no other path catches.
+_GENERIC_ERROR = """
+import sys
+from gausstat import cli
+from gausstat.errors import GausstatError
+
+
+def fail(args):
+    raise GausstatError("raised by no subclass")
+
+
+cli.cmd_curves = fail  # bound to the subcommand when the parser is first built
+sys.exit(cli.main(["curves", "--relation", "eq20"]))
+"""
+
+
+@pytest.mark.parametrize("case", ["usage", "infeasible", "numerical", "generic"])
+def test_each_error_prints_one_stderr_line(tmp_path, case):
+    """Every exit path but success writes exactly one line to stderr and none
+    to stdout, each in a fresh interpreter."""
+    overflowing = write_params(tmp_path, GaussianParams.single_mode(r=400.0))
+    cli = [sys.executable, "-m", "gausstat.cli"]
+    argv, code, line = {
+        "usage": (cli + ["curves", "--relation", "eq20", "--seed", "3"], 2,
+                  "validation error: gausstat: unrecognized arguments: --seed 3"),
+        "infeasible": (cli + ["bucket", "--g2b", "2", "--g3b", "6", "--estimate-modes"], 3,
+                       "infeasible: no admissible (K, sinh^2) solves the equal-squeezer model"),
+        "numerical": (cli + ["simulate", str(overflowing)], 4, "numerical failure: "
+                      "mean photon numbers too large: nbar^2 overflows a float"),
+        "generic": ([sys.executable, "-c", _GENERIC_ERROR], 2, "error: raised by no subclass"),
+    }[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(gausstat.__file__).parents[1]))
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (code, "", line + "\n")
+
+
 # Run in a fresh interpreter where importing scipy raises ImportError; after
 # each step it records the exit code and the scipy modules loaded so far.
 _SCIPY_FREE_COMMANDS = """

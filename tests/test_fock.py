@@ -190,9 +190,10 @@ def test_oracle_contract_random_state(rng):
 def test_no_click_cross_check():
     params = GaussianParams.single_mode(alpha=0.3, r=0.5, occupation=0.2)
     rho = build_density(params, cutoff=40)
-    from gausstat.states import no_click_probability_single
+    from gausstat.states import derive_moments, mode_vacuum_probability
 
-    assert vacuum_overlap(rho) == pytest.approx(no_click_probability_single(params), abs=1e-6)
+    assert vacuum_overlap(rho) == pytest.approx(
+        mode_vacuum_probability(derive_moments(params), 0), abs=1e-6)
 
 
 def test_g3_word_matches_kernel(rng):

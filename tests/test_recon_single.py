@@ -24,7 +24,7 @@ from gausstat.states import (
     derive_moments,
     g2_tensor,
     g3_value,
-    no_click_probability_single,
+    mode_vacuum_probability,
     single_mode_g2_g3,
 )
 
@@ -33,7 +33,7 @@ def observables(params):
     mom = derive_moments(params)
     g2 = g2_tensor(mom)[0, 0]
     g3 = g3_value(mom, 0, 0, 0)
-    return g2, g3, float(mom.nbar[0]), no_click_probability_single(params)
+    return g2, g3, float(mom.nbar[0]), mode_vacuum_probability(mom, 0)
 
 
 class TestSqueezedThermal:

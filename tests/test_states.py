@@ -22,8 +22,9 @@ from gausstat.states import (
     g3_tensor,
     g3_value,
     mode_vacuum_probability,
-    no_click_probability_single,
     single_mode_g2_g3,
+    _g3_kernel,
+    _pair_blocks,
     _squeeze_blocks,
     _unitary_from_hermitian,
 )
@@ -56,10 +57,13 @@ class TestBogoliubov:
         assert bog.F[0, 0] == pytest.approx(-np.sinh(0.5))
 
     def test_symplectic_condition_random(self, rng):
+        # L Sigma L^H = Sigma with Sigma = diag(1, -1): E E^H - F F^H = 1 and
+        # E F^T - F E^T = 0
         for modes in (1, 2, 3):
+            sigma = np.diag(np.r_[np.ones(modes), -np.ones(modes)])
             for _ in range(5):
-                params = random_params(rng, modes)
-                assert bogoliubov_map(params).symplectic_defect() < 1e-10
+                big_l = bogoliubov_map(random_params(rng, modes)).L
+                assert np.abs(big_l @ sigma @ big_l.conj().T - sigma).max() < 1e-10
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValidationError):
@@ -190,28 +194,28 @@ class TestCorrelationTensors:
         assert abs(pure.cov[0, 0]) ** 2 == pytest.approx(m_c * (m_c + 1), rel=1e-10)
 
 
+def single_mode_p0(params):
+    return mode_vacuum_probability(derive_moments(params), 0)
+
+
 class TestNoClick:
     def test_vacuum(self):
-        assert no_click_probability_single(GaussianParams.vacuum(1)) == pytest.approx(1.0)
+        assert single_mode_p0(GaussianParams.vacuum(1)) == pytest.approx(1.0)
 
     def test_thermal(self):
-        p = no_click_probability_single(GaussianParams.single_mode(occupation=1.0))
+        p = single_mode_p0(GaussianParams.single_mode(occupation=1.0))
         assert p == pytest.approx(0.5)
 
     def test_displaced_squeezed_thermal_vs_oracle(self):
         params = GaussianParams.single_mode(alpha=0.3, r=0.5, theta=0.0, occupation=0.2)
         rho = build_density(params, cutoff=40)
-        assert no_click_probability_single(params) == pytest.approx(vacuum_overlap(rho), abs=1e-6)
+        assert single_mode_p0(params) == pytest.approx(vacuum_overlap(rho), abs=1e-6)
 
     def test_phase_dependence_vs_oracle(self):
         params = GaussianParams.single_mode(alpha=0.4 * np.exp(1.1j), r=0.45,
                                             theta=0.7, occupation=0.15)
         rho = build_density(params, cutoff=40)
-        assert no_click_probability_single(params) == pytest.approx(vacuum_overlap(rho), abs=1e-6)
-
-    def test_multimode_rejected(self):
-        with pytest.raises(ValidationError):
-            no_click_probability_single(GaussianParams.vacuum(2))
+        assert single_mode_p0(params) == pytest.approx(vacuum_overlap(rho), abs=1e-6)
 
     def test_mode_vacuum_probability_matches_oracle(self, rng):
         params = random_params(rng, 2, alpha_max=0.4, r_max=0.25, n_max=0.15)
@@ -484,6 +488,27 @@ class TestG3KernelVsExpansion:
             for t in triples:
                 assert g3_value(mom, *t) == g3_tensor(mom, [t])[t]
 
+    def test_stacked_block_sets_equal_per_slice_calls(self, rng):
+        # one call over a stack of block sets gives, to the bit, each set's own tensor:
+        # every input stacked, or g and P shared as classify passes them
+        for m in range(1, 7):
+            for size in range(1, 6):
+                moms = [derive_moments(random_params(rng, m)) for _ in range(size)]
+                g = np.array([mom.g1 for mom in moms])
+                c, b, pair = (np.array(x) for x in zip(*map(_pair_blocks, moms)))
+                stacked = _g3_kernel(g, c, b, pair)
+                shared = _g3_kernel(g[0], c, b, pair[0])
+                assert stacked.shape == shared.shape == (size, m, m, m)
+                for s in range(size):
+                    assert np.array_equal(stacked[s], _g3_kernel(g[s], c[s], b[s], pair[s]))
+                    assert np.array_equal(shared[s], _g3_kernel(g[0], c[s], b[s], pair[0]))
+                two_axes = _g3_kernel(g[None], c.reshape(size, 1, m, m), b[:, None], pair)
+                assert two_axes.shape == (size, size, m, m, m)
+                for s in range(size):
+                    for t in range(size):
+                        assert np.array_equal(two_axes[s, t],
+                                              _g3_kernel(g[t], c[s], b[s], pair[t]))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vacuum_mode_outside_and_inside_the_triples(self, rng):
         # mode 1 is an uncoupled vacuum: nbar_1 = 0, so g1, g2 and g3 touching it
@@ -627,7 +652,7 @@ class TestVacuumProbabilityVsFormerRoutes:
         rng = np.random.default_rng(51)
         for _ in range(200):
             params = random_params(rng, 1, alpha_max=1.5, r_max=1.2, n_max=1.0)
-            assert no_click_probability_single(params) == pytest.approx(
+            assert single_mode_p0(params) == pytest.approx(
                 no_click_cosh_reference(params), rel=1e-14)
 
     def test_matches_wigner_overlap_reference(self):
