@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, UndefinedCorrelationError
-from .states import MomentSummary, _g3_kernel, _pair_blocks
+from .states import MomentSummary, _g3_array, _pair_blocks
 
 GAUSSIAN_CAVEAT = "under Gaussian-state assumption"
 
@@ -33,21 +33,21 @@ def bucket_correlations(moments: MomentSummary) -> BucketObservables:
         g2_B = sum_ij n_i n_j g2_ij / T^2 = 1 + n.P.n / T^2,
         g3_B = sum_ijk n_i n_j n_k g3_ijk / T^3,
 
-    with P from the blocks of ``g2_tensor`` and g3 from the kernel of
-    ``g3_tensor``, both taken on the occupied modes: an empty mode of a
-    Gaussian state is vacuum and adds nothing to either sum.
+    with P and g3 the state's memoized blocks and g3 tensor, which
+    ``g2_tensor`` and ``g3_tensor`` read too, both taken on the occupied
+    modes: an empty mode of a Gaussian state is vacuum and adds nothing to
+    either sum.
     """
     keep = moments.nbar > 0
-    if not keep.all():
-        sub = np.ix_(keep, keep)
-        moments = MomentSummary(moments.nbar[keep], moments.g1[sub], moments.cov[sub],
-                                moments.alpha[keep])
-    n = moments.nbar
+    occupied = keep.all()
+    n = moments.nbar if occupied else moments.nbar[keep]
     t1 = float(n.sum())
     if not t1 > 0:
         raise UndefinedCorrelationError("bucket correlations undefined: Tr G = 0")
-    c, b, pair = _pair_blocks(moments)
-    g3 = _g3_kernel(moments.g1, c, b, pair)
+    pair = _pair_blocks(moments)[-1]
+    g3 = _g3_array(moments)
+    if not occupied:
+        pair, g3 = pair[np.ix_(keep, keep)], g3[np.ix_(keep, keep, keep)]
     return BucketObservables(float(1.0 + n @ pair @ n / t1**2),
                              float(g3 @ n @ n @ n / t1**3), t1)
 

@@ -88,12 +88,9 @@ def measurement_to_json(m: MeasurementSet) -> dict:
         "g3": [{"modes": list(k), "value": v} for k, v in sorted(m.g3.items())],
         "sigma": dict(m.sigma),
     }
-    for name in ("nbar", "p0"):
-        val = getattr(m, name)
-        doc[name] = None if val is None else [float(x) for x in val]
-    for name in ("g1_abs", "g1_phase", "g2"):
-        val = getattr(m, name)
-        doc[name] = None if val is None else [[float(x) for x in row] for row in val]
+    for name in ("nbar", "p0", "g1_abs", "g1_phase", "g2"):
+        val = getattr(m, name)  # float arrays, so tolist() gives Python floats
+        doc[name] = None if val is None else val.tolist()
     return doc
 
 

@@ -9,15 +9,24 @@ vector b = (a, a†) is affine, b -> L b + A, with
     E = cosh(r) e^{i phi},   F = -sinh(r) e^{i theta} e^{-i phi^T},
     L = [[E, F], [F*, E*]],  A = (alpha, alpha*).
 
-All second moments follow from L acting on the thermal second moments, which
-is how ``derive_moments`` populates mean photon numbers, first-order
-coherences g1, and the annihilation covariances cov_ij.
+All second moments follow from the M x M blocks acting on the thermal seed;
+with ``X N`` scaling the columns of X by the occupations N,
+
+    cov      = <δa δa^T>  = (F N) E^T + (E (N + 1)) F^T,
+    <δa† δa> = (E* N) E^T + (F* (N + 1)) F^T,
+
+which is how ``derive_moments`` populates mean photon numbers, first-order
+coherences g1, and the annihilation covariances cov_ij.  A ``MomentSummary``
+holds its arrays read-only and computes its normalized blocks (c, b, P) and
+its full g3 tensor once, on first use, so every g2, g3 and bucket reading of
+one state shares one kernel call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -97,19 +106,51 @@ class GaussianParams:
         )
 
 
+def _idle_modes_kept(x: np.ndarray, blocks, idle):
+    """``blocks(x)`` with the modes whose row of x is all zero taken out first.
+
+    The SVD or eigh of a matrix with a zero row leaves rounding in that row's
+    vectors, so a mode the matrix leaves alone would pick up a mean photon
+    number of about 1e-32.  Such a mode gets, exactly, the identity in each
+    output of ``blocks`` flagged True in ``idle`` and zero in the others, and
+    ``blocks`` acts on the other modes.
+    """
+    # a matrix with no zero entry, the common case, has no zero row
+    if np.count_nonzero(x) == x.size or (live := x.any(axis=1)).all():
+        return blocks(x)
+    out = tuple(np.eye(len(x), dtype=complex) if one else np.zeros_like(x) for one in idle)
+    if live.any():
+        sub = np.ix_(live, live)
+        for arr, block in zip(out, blocks(x[sub])):
+            arr[sub] = block
+    return out
+
+
 def _squeeze_blocks(z: np.ndarray):
     """cosh(r) and sinh(r) e^{i theta} of the left polar form z = r e^{i theta}.
 
     One SVD z = W S V^H gives both: r = W S W^H and e^{i theta} = W V^H, so
-    cosh(r) = W cosh(S) W^H and sinh(r) e^{i theta} = W sinh(S) V^H.
+    cosh(r) = I + W (2 sinh^2(S/2)) W^H and sinh(r) e^{i theta} = W sinh(S) V^H.
+    A mode z leaves alone keeps an exact unit row of cosh(r) and a zero row
+    of sinh(r) e^{i theta}.
     """
-    w, sv, vh = np.linalg.svd(np.asarray(z, dtype=complex))
-    return (w * np.cosh(sv)) @ w.conj().T, (w * np.sinh(sv)) @ vh
+    def blocks(z):
+        w, sv, vh = np.linalg.svd(z)
+        return (np.eye(len(z)) + (w * (2.0 * np.sinh(0.5 * sv) ** 2)) @ w.conj().T,
+                (w * np.sinh(sv)) @ vh)
+
+    return _idle_modes_kept(np.asarray(z, dtype=complex), blocks, (True, False))
 
 
 def _unitary_from_hermitian(phi: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (phi + phi.conj().T))
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    """e^{i phi} as I + V (e^{iw} - 1) V^H from phi = V w V^H; a mode phi
+    leaves alone keeps an exact unit row."""
+    def blocks(phi):
+        vals, vecs = np.linalg.eigh(phi)
+        return (np.eye(len(phi)) + (vecs * np.expm1(1j * vals)) @ vecs.conj().T,)
+
+    phi = np.asarray(phi, dtype=complex)
+    return _idle_modes_kept(0.5 * (phi + phi.conj().T), blocks, (True,))[0]
 
 
 @dataclass(frozen=True)
@@ -123,10 +164,6 @@ class BogoliubovMap:
     @property
     def modes(self) -> int:
         return self.E.shape[0]
-
-    @property
-    def L(self) -> np.ndarray:
-        return np.block([[self.E, self.F], [self.F.conj(), self.E.conj()]])
 
 
 def bogoliubov_map(params: GaussianParams) -> BogoliubovMap:
@@ -145,25 +182,39 @@ def bogoliubov_map(params: GaussianParams) -> BogoliubovMap:
     return BogoliubovMap(E, F, disp)
 
 
+def _read_only(arr: np.ndarray, source) -> np.ndarray:
+    """``arr`` made read-only; a writeable ``arr`` that is the caller's
+    ``source`` or a view of some array is copied first."""
+    if arr.flags.writeable:
+        if arr is source or arr.base is not None:
+            arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Derived first/second moments: mean photon numbers, g1, cov, displacements.
 
     ``g1`` is hermitian with unit diagonal where defined; entries touching a
     mode with nbar = 0 are NaN (undefined, never infinite).  ``cov`` is the
-    symmetric matrix of centered <a_i a_j> covariances.
+    symmetric matrix of centered <a_i a_j> covariances.  The arrays are
+    read-only, so the blocks and the g3 tensor memoized from them on first use
+    cannot go stale.
     """
 
     nbar: np.ndarray
     g1: np.ndarray
     cov: np.ndarray
     alpha: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nbar", np.atleast_1d(np.asarray(self.nbar, dtype=float)))
-        object.__setattr__(self, "g1", np.asarray(self.g1, dtype=complex))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=complex))
-        object.__setattr__(self, "alpha", np.atleast_1d(np.asarray(self.alpha, dtype=complex)))
+        for name, arr in (("nbar", np.atleast_1d(np.asarray(self.nbar, dtype=float))),
+                          ("g1", np.asarray(self.g1, dtype=complex)),
+                          ("cov", np.asarray(self.cov, dtype=complex)),
+                          ("alpha", np.atleast_1d(np.asarray(self.alpha, dtype=complex)))):
+            object.__setattr__(self, name, _read_only(arr, getattr(self, name)))
 
     @property
     def modes(self) -> int:
@@ -195,23 +246,14 @@ class MomentSummary:
         return cls(nbar, g1, np.asarray(cov, dtype=complex), np.asarray(alpha, dtype=complex))
 
 
-def _thermal_second_moments(occupations: np.ndarray) -> np.ndarray:
-    """<b_mu b_nu> of the thermal seed in the stacked (a, a†) basis."""
-    m = occupations.shape[0]
-    t = np.zeros((2 * m, 2 * m), dtype=complex)
-    t[:m, m:] = np.diag(occupations + 1.0)
-    t[m:, :m] = np.diag(occupations)
-    return t
-
-
 def derive_moments(params: GaussianParams) -> MomentSummary:
     """Mean photon numbers, g1, covariances and displacements of the state."""
-    m = params.modes
-    big_l = bogoliubov_map(params).L
+    bog = bogoliubov_map(params)
+    e, f = bog.E, bog.F
+    n, n1 = params.thermal, params.thermal + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        second = big_l @ _thermal_second_moments(params.thermal) @ big_l.T
-        cov = second[:m, :m]
-        centered_g = second[m:, :m]  # <δa_i† δa_j> at row i, column j
+        cov = (f * n) @ e.T + (e * n1) @ f.T
+        centered_g = (e.conj() * n) @ e.T + (f.conj() * n1) @ f.T  # <δa_i† δa_j>
         coherence = centered_g + np.outer(params.alpha.conj(), params.alpha)
         # g1 is normalized by nbar_i nbar_j, which must not overflow either
         finite = np.isfinite(np.abs(np.diag(coherence)).max() ** 2)
@@ -238,14 +280,20 @@ def _pair_blocks(moments: MomentSummary):
              = |g_ij|^2 + |h_ij|^2 - 2 a_i a_j = g2_ij - 1.
 
     Entries touching a mode with nbar = 0 are NaN, and no warning is raised.
+    Computed once per state and returned read-only.
     """
-    inv_root = 1.0 / np.sqrt(np.where(moments.nbar > 0, moments.nbar, np.nan))
-    b = moments.alpha * inv_root
-    c = moments.cov * np.outer(inv_root, inv_root)
-    h = c + np.outer(b, b)
-    a = np.abs(b) ** 2
-    pair = np.abs(moments.g1) ** 2 + np.abs(h) ** 2 - 2.0 * np.outer(a, a)
-    return c, b, pair
+    blocks = moments._memo.get("pair_blocks")
+    if blocks is None:
+        inv_root = 1.0 / np.sqrt(np.where(moments.nbar > 0, moments.nbar, np.nan))
+        b = moments.alpha * inv_root
+        c = moments.cov * np.outer(inv_root, inv_root)
+        h = c + np.outer(b, b)
+        a = np.abs(b) ** 2
+        pair = np.abs(moments.g1) ** 2 + np.abs(h) ** 2 - 2.0 * np.outer(a, a)
+        for arr in (c, b, pair):
+            arr.setflags(write=False)
+        blocks = moments._memo["pair_blocks"] = (c, b, pair)
+    return blocks
 
 
 def _g3_kernel(g: np.ndarray, c: np.ndarray, b: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -284,8 +332,14 @@ def _g3_kernel(g: np.ndarray, c: np.ndarray, b: np.ndarray, pair: np.ndarray) ->
 
 
 def _g3_array(moments: MomentSummary) -> np.ndarray:
-    """All g3[i, j, k] of a state: ``_g3_kernel`` on its ``_pair_blocks``."""
-    return _g3_kernel(moments.g1, *_pair_blocks(moments))
+    """All g3[i, j, k] of a state: ``_g3_kernel`` on its ``_pair_blocks``,
+    computed once per state and returned read-only."""
+    g3 = moments._memo.get("g3")
+    if g3 is None:
+        g3 = _g3_kernel(moments.g1, *_pair_blocks(moments))
+        g3.setflags(write=False)
+        moments._memo["g3"] = g3
+    return g3
 
 
 def g2_tensor(moments: MomentSummary) -> np.ndarray:
@@ -306,20 +360,29 @@ def g3_value(moments: MomentSummary, i: int, j: int, k: int) -> float:
     return float(_g3_array(moments)[i, j, k])
 
 
+@lru_cache(maxsize=32)
+def _all_triples(modes: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """Every triple i <= j <= k of ``modes`` modes, and its read-only index arrays."""
+    triples = tuple(combinations_with_replacement(range(modes), 3))
+    index = np.array(triples, dtype=int).T.copy()
+    index.setflags(write=False)
+    return triples, tuple(index)
+
+
 def g3_tensor(moments: MomentSummary, triples=None) -> dict[tuple[int, int, int], float]:
     """g3 for the requested triples (default: all i <= j <= k).
 
     Each value is read at the sorted triple, so permutation symmetry is exact.
     """
     if triples is None:
-        triples = combinations_with_replacement(range(moments.modes), 3)
-    triples = [tuple(t) for t in triples]
-    index = np.sort(np.array(triples, dtype=int).reshape(-1, 3), axis=1)
+        triples, index = _all_triples(moments.modes)
+    else:
+        triples = [tuple(t) for t in triples]
+        index = tuple(np.sort(np.array(triples, dtype=int).reshape(-1, 3), axis=1).T)
     if not moments.nbar.min() > 0:
         for t in triples:
             _require_occupied(moments, sorted(t))
-    values = _g3_array(moments)[index[:, 0], index[:, 1], index[:, 2]]
-    return dict(zip(triples, values.tolist()))
+    return dict(zip(triples, _g3_array(moments)[index].tolist()))
 
 
 def single_mode_g2_g3(params: GaussianParams) -> tuple[float, float]:

@@ -1,5 +1,7 @@
 """State engine: Bogoliubov data, derived moments, correlation tensors."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (
@@ -9,8 +11,11 @@ from conftest import (
     random_symmetric,
 )
 
+from gausstat.bucket import bucket_correlations
+from gausstat.classify import synthesize_measurements
 from gausstat.errors import NumericalError, UndefinedCorrelationError, ValidationError
 from gausstat.fock import build_density, moment_bruteforce, vacuum_overlap
+from gausstat.recon_multi import measurement_residual
 from gausstat.states import (
     BogoliubovMap,
     GaussianParams,
@@ -23,12 +28,18 @@ from gausstat.states import (
     g3_value,
     mode_vacuum_probability,
     single_mode_g2_g3,
+    _g3_array,
     _g3_kernel,
     _pair_blocks,
     _squeeze_blocks,
     _unitary_from_hermitian,
 )
 from gausstat.words import LadderWord, gaussian_moment
+
+
+def big_l(bog: BogoliubovMap) -> np.ndarray:
+    """The 2M x 2M linear part L = [[E, F], [F*, E*]] of a Bogoliubov map."""
+    return np.block([[bog.E, bog.F], [bog.F.conj(), bog.E.conj()]])
 
 
 def oracle_moments(rho):
@@ -62,8 +73,8 @@ class TestBogoliubov:
         for modes in (1, 2, 3):
             sigma = np.diag(np.r_[np.ones(modes), -np.ones(modes)])
             for _ in range(5):
-                big_l = bogoliubov_map(random_params(rng, modes)).L
-                assert np.abs(big_l @ sigma @ big_l.conj().T - sigma).max() < 1e-10
+                lin = big_l(bogoliubov_map(random_params(rng, modes)))
+                assert np.abs(lin @ sigma @ lin.conj().T - sigma).max() < 1e-10
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValidationError):
@@ -293,7 +304,7 @@ def compose_bogoliubov(maps) -> BogoliubovMap:
     A = np.zeros(2 * m, dtype=complex)
     for bm in maps:
         A = L @ bm.disp + A
-        L = L @ bm.L
+        L = L @ big_l(bm)
     return BogoliubovMap(L[:m, :m], L[:m, m:], A)
 
 
@@ -375,7 +386,7 @@ class TestReorderIdentities:
         composed = compose_bogoliubov([_elementary_bogoliubov(k, v, m) for k, v in ops])
         params = canonical_order(ops, m)
         canon = bogoliubov_map(params)
-        assert np.allclose(canon.L, composed.L, atol=1e-10)
+        assert np.allclose(big_l(canon), big_l(composed), atol=1e-10)
         assert np.allclose(canon.disp, composed.disp, atol=1e-10)
 
 
@@ -673,3 +684,155 @@ class TestVacuumProbabilityVsFormerRoutes:
                             np.zeros(1))
         with pytest.raises(ValidationError, match="single-mode physicality"):
             mode_vacuum_probability(mom, 0)
+
+
+# The former moments route, kept as a reference for the M x M block formulas
+# that replaced it.
+
+def derive_moments_via_L(params):
+    """The former ``derive_moments``: the former Bogoliubov blocks, cosh(r) =
+    W cosh(S) W^H and e^{i phi} = V e^{iw} V^H, stacked into the 2M x 2M
+    matrix L, which acts on the thermal second moments of the stacked
+    (a, a†) basis as L T L^T."""
+    m = params.modes
+    w, sv, vh = np.linalg.svd(params.squeeze)
+    vals, vecs = np.linalg.eigh(params.rotation)
+    expiphi = (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    e = ((w * np.cosh(sv)) @ w.conj().T) @ expiphi
+    f = -((w * np.sinh(sv)) @ vh) @ expiphi.conj()
+    thermal = np.zeros((2 * m, 2 * m), dtype=complex)
+    thermal[:m, m:] = np.diag(params.thermal + 1.0)
+    thermal[m:, :m] = np.diag(params.thermal)
+    lin = big_l(BogoliubovMap(e, f, np.concatenate([params.alpha, params.alpha.conj()])))
+    second = lin @ thermal @ lin.T
+    cov = second[:m, :m]
+    coherence = second[m:, :m] + np.outer(params.alpha.conj(), params.alpha)
+    return MomentSummary.from_unnormalized(coherence, 0.5 * (cov + cov.T), params.alpha)
+
+
+def _moment_arrays(mom):
+    return {"nbar": mom.nbar, "g1": mom.g1, "cov": mom.cov, "g2": g2_tensor(mom),
+            "g3": _g3_array(mom)}
+
+
+class TestMomentsVsFormerRoute:
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 6, 8, 16])
+    def test_seeded_draws(self, modes):
+        # every entry within 1e-14 of max(1, |x|), but a cov entry within 1e-14
+        # of its state's largest |cov|: it sums terms of about that size, so
+        # where they cancel both routes round it far beyond its own size (each
+        # missed a 40-digit reference by up to 3.3e-14 of max(1, |x|))
+        rng = np.random.default_rng(60 + modes)
+        for _ in range(50):
+            params = random_params(rng, modes, alpha_max=1.5, r_max=3.0, n_max=1.5)
+            ref = _moment_arrays(derive_moments_via_L(params))
+            for name, new in _moment_arrays(derive_moments(params)).items():
+                size = np.abs(ref[name])
+                scale = np.maximum(1.0, size.max() if name == "cov" else size)
+                assert (np.abs(new - ref[name]) / scale).max() <= 1e-14, name
+
+
+def embed_vacuum(params: GaussianParams, pos: int) -> GaussianParams:
+    """``params`` on every mode but ``pos``, which is a vacuum coupled to nothing."""
+    m = params.modes + 1
+    rest = [i for i in range(m) if i != pos]
+    sub = np.ix_(rest, rest)
+    alpha = np.zeros(m, dtype=complex)
+    z, phi = np.zeros((m, m), dtype=complex), np.zeros((m, m), dtype=complex)
+    thermal = np.zeros(m)
+    alpha[rest], z[sub], phi[sub], thermal[rest] = (params.alpha, params.squeeze,
+                                                    params.rotation, params.thermal)
+    return GaussianParams(alpha, z, phi, thermal)
+
+
+class TestUncoupledVacuumMode:
+    """A vacuum mode that no squeeze or rotation entry touches has nbar = 0
+    exactly, so its normalized correlations are undefined, as for a vacuum
+    state built at the moment level."""
+
+    def _assert_empty(self, mom, pos):
+        assert mom.nbar[pos] == 0.0
+        assert not mom.cov[pos].any() and not mom.cov[:, pos].any() and mom.alpha[pos] == 0
+        assert np.isnan(mom.g1[pos]).all() and np.isnan(mom.g1[:, pos]).all()
+        with pytest.raises(UndefinedCorrelationError, match=f"mode {pos} has nbar = 0"):
+            g2_tensor(mom)
+        with pytest.raises(UndefinedCorrelationError, match=f"mode {pos} has nbar = 0"):
+            g3_tensor(mom)
+
+    def test_reproducer(self):
+        params = random_params(np.random.default_rng(0), 2, alpha_max=1.4, r_max=1.1,
+                               n_max=1.5)
+        self._assert_empty(derive_moments(embed_vacuum(params, 1)), 1)
+
+    @pytest.mark.parametrize("modes", [2, 3, 4, 5, 6])
+    def test_seeded_sweep_every_position(self, modes):
+        rng = np.random.default_rng(70 + modes)
+        for pos in range(modes):
+            for caps in ((0.8, 0.7, 0.5), (1.4, 1.1, 1.5), (2.0, 3.0, 1.5)):
+                for _ in range(4):
+                    params = random_params(rng, modes - 1, *caps)
+                    mom = derive_moments(embed_vacuum(params, pos))
+                    self._assert_empty(mom, pos)
+                    alone = bucket_correlations(derive_moments(params))
+                    with_vacuum = bucket_correlations(mom)
+                    assert with_vacuum.g2_b == pytest.approx(alone.g2_b, rel=1e-13)
+                    assert with_vacuum.g3_b == pytest.approx(alone.g3_b, rel=1e-13)
+
+
+class TestMomentMemo:
+    """The blocks and the g3 tensor a MomentSummary memoizes cannot go stale,
+    and every reader gets the same bits whichever computes them first."""
+
+    def test_arrays_are_read_only(self, rng):
+        mom = derive_moments(random_params(rng, 3))
+        for name in ("nbar", "g1", "cov", "alpha"):
+            arr = getattr(mom, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.0
+        for arr in (*_pair_blocks(mom), _g3_array(mom)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.0
+
+    def test_writeable_input_is_copied(self, rng):
+        full = derive_moments(random_params(rng, 2))
+        parts = [np.array(x) for x in (full.nbar, full.g1, full.cov, full.alpha)]
+        mom = MomentSummary(*parts)
+        g2 = g2_tensor(mom)
+        for arr in parts:
+            assert arr.flags.writeable
+            arr[...] = 0.0
+        assert mom.nbar.min() > 0 and np.array_equal(g2_tensor(mom), g2)
+        # a read-only input is held as it is
+        again = MomentSummary(mom.nbar, mom.g1, mom.cov, mom.alpha)
+        assert again.g1 is mom.g1 and again.nbar is mom.nbar
+
+    def test_readers_agree_whichever_runs_first(self, rng):
+        for modes in (1, 2, 3, 5):
+            params = random_params(rng, modes)
+            data = synthesize_measurements(derive_moments(params))
+            readers = [g2_tensor, g3_tensor, bucket_correlations,
+                       lambda mom: measurement_residual(params, data)]
+            first = None
+            for order in itertools.permutations(range(len(readers))):
+                mom = derive_moments(params)
+                out = [None] * len(readers)
+                for k in order:
+                    out[k] = readers[k](mom)
+                assert np.array_equal(_g3_array(mom), _g3_kernel(mom.g1, *_pair_blocks(mom)))
+                if first is None:
+                    first = out
+                    continue
+                assert np.array_equal(out[0], first[0])
+                assert out[1:] == first[1:]
+
+    def test_default_triples_equal_every_triple(self, rng):
+        for modes in range(1, 17):
+            params = random_params(rng, modes)
+            mom = derive_moments(params)
+            every = list(itertools.combinations_with_replacement(range(modes), 3))
+            default = g3_tensor(mom)
+            assert list(default) == every
+            assert default == g3_tensor(mom, every)
+            # the explicit list read first, on a state with nothing memoized yet
+            fresh = derive_moments(params)
+            assert g3_tensor(fresh, every) == g3_tensor(fresh) == default
