@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,13 @@ from .phases import (
     solve_covariance_phases,
     solve_displacement_phases,
 )
-from .states import MomentSummary, g2_tensor, g3_tensor, mode_vacuum_probability, _g3_kernel
+from .states import (
+    MomentSummary,
+    _g3_kernel,
+    g2_tensor,
+    g3_tensor,
+    mode_vacuum_probability,
+)
 
 NON_DISPLACED = "NonDisplaced"
 NON_SQUEEZED = "NonSqueezed"
@@ -56,6 +63,8 @@ class MeasurementSet:
 
     ``g3`` maps sorted mode triples (i, j, k) to values.  ``sigma`` holds
     per-observable standard uncertainties keyed by the names in SIGMA_NAMES.
+    The arrays are converted to float and checked once, and a number beyond
+    float range is a ValidationError naming its field.
     """
 
     modes: int
@@ -74,22 +83,31 @@ class MeasurementSet:
                 object.__setattr__(self, "g1_abs", np.ones((1, 1)))
             if self.g1_phase is None:
                 object.__setattr__(self, "g1_phase", np.zeros((1, 1)))
-        for name in ("nbar", "p0"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float).reshape(m))
-        for name in ("g1_abs", "g1_phase", "g2"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=float)
-                if v.shape != (m, m):
-                    raise ValidationError(f"{name} must be {m}x{m}")
-                object.__setattr__(self, name, v)
-        # a JSON null inside an array arrives here as NaN
+        # every shape is checked before any entry's finiteness; the least and
+        # largest entry of each array (NaN when one is NaN, and 0 taken as an
+        # entry, which no check rejects) serve its finiteness and range checks
+        nonfinite, bounds = None, {}
         for name in ("nbar", "p0", "g1_abs", "g1_phase", "g2"):
             v = getattr(self, name)
-            if v is not None and not np.isfinite(v).all():
-                raise ValidationError(f"{name} entries must be finite")
+            if v is None:
+                continue
+            try:
+                v = np.asarray(v, dtype=float)
+            except OverflowError:
+                raise ValidationError(f"{name} entries must lie within float range") from None
+            if name in ("nbar", "p0"):
+                v = v.reshape(m)
+            elif v.shape != (m, m):
+                raise ValidationError(f"{name} must be {m}x{m}")
+            lo = np.minimum.reduce(v, axis=None, initial=0.0)
+            hi = np.maximum.reduce(v, axis=None, initial=0.0)
+            # a JSON null inside an array arrives here as NaN
+            if nonfinite is None and not (math.isfinite(lo) and math.isfinite(hi)):
+                nonfinite = name
+            bounds[name] = lo, hi
+            object.__setattr__(self, name, v)
+        if nonfinite is not None:
+            raise ValidationError(f"{nonfinite} entries must be finite")
         if not isinstance(self.sigma, dict):
             raise ValidationError("sigma must map observable names to numbers")
         sigma = {}
@@ -101,27 +119,20 @@ class MeasurementSet:
                 sigma[key] = float(val)
             except (TypeError, ValueError):
                 raise ValidationError(f"sigma {key} must be a number, got {val!r}") from None
+            except OverflowError:
+                raise ValidationError(f"sigma {key} must lie within float range") from None
             if not (math.isfinite(sigma[key]) and sigma[key] >= 0.0):
                 raise ValidationError(f"sigma {key} must be finite and nonnegative, got {val}")
         object.__setattr__(self, "sigma", sigma)
-        if self.g1_abs is not None:
-            if ((self.g1_abs < -1e-12) | (self.g1_abs > 1 + 1e-6)).any():
+        if "g1_abs" in bounds:
+            lo, hi = bounds["g1_abs"]
+            if lo < -1e-12 or hi > 1 + 1e-6:
                 raise ValidationError("|g1| entries must lie in [0, 1]")
         if self.g1_phase is not None and np.abs(self.g1_phase + self.g1_phase.T).max() > 1e-8:
             raise ValidationError("g1 phases must be antisymmetric")
-        if self.g2 is not None and (self.g2 < 0).any():
+        if "g2" in bounds and bounds["g2"][0] < 0:
             raise ValidationError("g2 entries must be nonnegative")
-        cleaned = {}
-        for key, val in self.g3.items():
-            key, val = tuple(sorted(key)), float(val)
-            if len(key) != 3 or key[0] < 0 or key[2] >= m:
-                raise ValidationError(f"g3 key {key} must be three mode indices in [0, {m})")
-            if not math.isfinite(val):
-                raise ValidationError(f"g3 entry {key} must be finite, got {val}")
-            if val < 0:
-                raise ValidationError("g3 entries must be nonnegative")
-            cleaned[key] = val
-        object.__setattr__(self, "g3", cleaned)
+        object.__setattr__(self, "g3", _checked_g3(self.g3, m))
 
     def g1_complex(self) -> np.ndarray:
         if self.g1_abs is None:
@@ -133,14 +144,59 @@ class MeasurementSet:
         return float(self.sigma.get(name, 0.0))
 
 
+def _sorted_g3_key(key, m: int) -> tuple:
+    """A g3 key as a sorted tuple: three integer (not bool) mode indices in [0, m)."""
+    key = tuple(sorted(key))
+    if len(key) != 3 or key[0] < 0 or key[2] >= m:
+        raise ValidationError(f"g3 key {key} must be three mode indices in [0, {m})")
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in key):
+        raise ValidationError(f"g3 key {key} must hold integer mode indices")
+    return key
+
+
+def _checked_g3(g3: dict, m: int) -> dict:
+    """``g3`` keyed by sorted triples, with float values: each key is checked
+    by ``_sorted_g3_key``, and each value must be finite and nonnegative, under
+    a sorted key no earlier entry has.  The first bad entry raises."""
+    cleaned = {}
+    for key, val in g3.items():
+        # a sorted tuple of three ints in [0, m) is kept as it is
+        if type(key) is tuple and len(key) == 3:
+            i, j, k = key
+            if not (type(i) is type(j) is type(k) is int and 0 <= i <= j <= k < m):
+                key = _sorted_g3_key(key, m)
+        else:
+            key = _sorted_g3_key(key, m)
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ValidationError(f"g3 entry {key} must lie within float range") from None
+        if not 0.0 <= val < math.inf:
+            if not math.isfinite(val):
+                raise ValidationError(f"g3 entry {key} must be finite, got {val}")
+            raise ValidationError("g3 entries must be nonnegative")
+        if key in cleaned:
+            raise ValidationError(f"g3 entry {key} is given more than once")
+        cleaned[key] = val
+    return cleaned
+
+
+@lru_cache(maxsize=32)
+def _above_diagonal(m: int) -> np.ndarray:
+    """Read-only mask of the entries above the diagonal of an m x m matrix."""
+    mask = np.arange(m)[:, None] < np.arange(m)
+    mask.setflags(write=False)
+    return mask
+
+
 def synthesize_measurements(moments: MomentSummary, include_p0: bool = False,
                             rng=None, sigma: dict | None = None) -> MeasurementSet:
     """Exact observables of a state, optionally perturbed by Gaussian noise."""
     m = moments.modes
+    upper = _above_diagonal(m)
     g2 = g2_tensor(moments)
     g3 = g3_tensor(moments)
-    g1 = moments.g1.copy()
-    nbar = moments.nbar.copy()
+    g1, nbar = moments.g1, moments.nbar  # read-only: nothing below writes to them
     p0 = None
     if include_p0:
         p0 = np.array([mode_vacuum_probability(moments, i) for i in range(m)])
@@ -154,17 +210,18 @@ def synthesize_measurements(moments: MomentSummary, include_p0: bool = False,
         g2 = 0.5 * (g2 + g2.T)
         g3 = {k: float(jitter(v, sigma.get("g3", 0.0))) for k, v in g3.items()}
         mag = np.clip(jitter(np.abs(g1), sigma.get("g1_abs", 0.0)), 0.0, 1.0)
-        mag = np.triu(mag, 1) + np.triu(mag, 1).T
+        mag = np.where(upper, mag, 0.0)
+        mag = mag + mag.T
         np.fill_diagonal(mag, 1.0)
         ph = jitter(np.angle(g1), sigma.get("g1_phase", 0.0))
-        ph = np.triu(ph, 1) - np.triu(ph, 1).T
+        ph = np.where(upper, ph, 0.0)
+        ph = ph - ph.T
         g1 = mag * np.exp(1j * ph)
         if p0 is not None:
             p0 = np.clip(jitter(p0, sigma.get("p0", 0.0)), 1e-12, 1.0)
-    phase = np.angle(g1)
-    phase = np.triu(phase, 1) - np.triu(phase, 1).T
-    return MeasurementSet(m, nbar=nbar, g1_abs=np.abs(g1), g1_phase=phase,
-                          g2=np.asarray(g2, dtype=float), g3=g3, p0=p0, sigma=sigma)
+    phase = np.where(upper, np.angle(g1), 0.0)
+    return MeasurementSet(m, nbar=nbar, g1_abs=np.abs(g1), g1_phase=phase - phase.T,
+                          g2=g2, g3=g3, p0=p0, sigma=sigma)
 
 
 @dataclass(frozen=True)

@@ -65,15 +65,22 @@ def params_to_json(params: GaussianParams) -> dict:
     }
 
 
+_PARAMS_FIELDS = (("alpha", lambda v: np.array([_j2c(x) for x in v])),
+                  ("squeeze", _j2cmat),
+                  ("rotation", _j2cmat),
+                  ("thermal", lambda v: np.array(v, dtype=float)))
+
+
 def params_from_json(doc: dict) -> GaussianParams:
     _check_schema(doc, "gaussian_params")
+    values = []
     try:
-        return GaussianParams(
-            np.array([_j2c(v) for v in doc["alpha"]]),
-            _j2cmat(doc["squeeze"]),
-            _j2cmat(doc["rotation"]),
-            np.array(doc["thermal"], dtype=float),
-        )
+        for name, read in _PARAMS_FIELDS:
+            try:
+                values.append(read(doc[name]))
+            except OverflowError:  # an integer too large for a float
+                raise ValidationError(f"{name} entries must lie within float range") from None
+        return GaussianParams(*values)
     except KeyError as err:
         raise ValidationError(f"gaussian_params document missing field {err}") from err
     except (TypeError, ValueError) as err:
@@ -97,16 +104,16 @@ def measurement_to_json(m: MeasurementSet) -> dict:
 def measurement_from_json(doc: dict) -> MeasurementSet:
     _check_schema(doc, "measurement_set")
     try:
-        g3 = {tuple(entry["modes"]): float(entry["value"]) for entry in doc.get("g3", [])}
-        kwargs = {}
-        for name in ("nbar", "p0"):
-            val = doc.get(name)
-            kwargs[name] = None if val is None else np.array(val, dtype=float)
-        for name in ("g1_abs", "g1_phase", "g2"):
-            val = doc.get(name)
-            kwargs[name] = None if val is None else np.array(val, dtype=float)
-        return MeasurementSet(int(doc["modes"]), g3=g3, sigma=doc.get("sigma", {}), **kwargs)
-    except (KeyError, TypeError, ValueError) as err:
+        entries = doc.get("g3", [])
+        # MeasurementSet converts and checks the values and arrays; entries whose
+        # keys are equal, such as two [0, 0, 1] or [false, 0, 0] and [0, 0, 0],
+        # collapse here, so they are counted
+        g3 = {tuple(entry["modes"]): entry["value"] for entry in entries}
+        if len(g3) != len(entries):
+            raise ValidationError("g3 lists a mode triple more than once")
+        arrays = {name: doc.get(name) for name in ("nbar", "p0", "g1_abs", "g1_phase", "g2")}
+        return MeasurementSet(int(doc["modes"]), g3=g3, sigma=doc.get("sigma", {}), **arrays)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:  # int(inf) overflows
         raise ValidationError(f"malformed measurement_set document: {err}") from err
 
 

@@ -16,10 +16,15 @@ with ``X N`` scaling the columns of X by the occupations N,
     <δa† δa> = (E* N) E^T + (F* (N + 1)) F^T,
 
 which is how ``derive_moments`` populates mean photon numbers, first-order
-coherences g1, and the annihilation covariances cov_ij.  A ``MomentSummary``
-holds its arrays read-only and computes its normalized blocks (c, b, P) and
-its full g3 tensor once, on first use, so every g2, g3 and bucket reading of
-one state shares one kernel call.
+coherences g1, and the annihilation covariances cov_ij.  One routine,
+``_bogoliubov_blocks``, builds E and F; ``derive_moments`` reads them
+directly, and ``bogoliubov_map`` adds the displacement for callers that want
+the whole map.  ``MomentSummary.from_unnormalized`` is the one constructor
+from <a_i† a_j>, cov and alpha: it normalizes g1 and rejects an nbar whose
+square overflows.  A ``MomentSummary`` holds its arrays read-only (arrays a
+caller still owns are copied first) and computes its normalized blocks
+(c, b, P) and its full g3 tensor once, on first use, so every g2, g3 and
+bucket reading of one state shares one kernel call.
 """
 
 from __future__ import annotations
@@ -35,6 +40,17 @@ from .errors import NumericalError, UndefinedCorrelationError, ValidationError
 from .words import MomentTable
 
 _HERM_TOL = 1e-10
+
+
+def _as_vector(x, dtype) -> np.ndarray:
+    """``np.atleast_1d(np.asarray(x, dtype=dtype))`` without its Python wrapper."""
+    arr = np.asarray(x, dtype=dtype)
+    return arr.reshape(1) if arr.ndim == 0 else arr
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite (one ufunc and one reduction)."""
+    return bool(np.logical_and.reduce(np.isfinite(x), axis=None))
 
 
 def _as_complex_matrix(x, m: int, name: str) -> np.ndarray:
@@ -60,31 +76,39 @@ class GaussianParams:
     thermal: np.ndarray
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
+        alpha = _as_vector(self.alpha, complex)
         m = alpha.shape[0]
         if m < 1:
             raise ValidationError("need at least one mode")
         squeeze = _as_complex_matrix(self.squeeze, m, "squeeze")
         rotation = _as_complex_matrix(self.rotation, m, "rotation")
-        thermal = np.atleast_1d(np.asarray(self.thermal, dtype=float))
+        thermal = _as_vector(self.thermal, float)
         if thermal.shape != (m,):
             raise ValidationError(f"thermal must have length {m}")
-        for name, value in (("alpha", alpha), ("squeeze", squeeze), ("rotation", rotation),
-                            ("thermal", thermal)):
-            if not np.isfinite(value).all():
-                raise ValidationError(f"{name} must be finite")
-        scale = 1.0 + np.abs(squeeze).max()
-        if np.abs(squeeze - squeeze.T).max() > _HERM_TOL * scale:
+        if not _all_finite(alpha):
+            raise ValidationError("alpha must be finite")
+        # a finite largest |entry| means finite entries; it also scales the
+        # symmetry tolerance
+        z_top, phi_top = np.abs(squeeze).max(), np.abs(rotation).max()
+        if not (math.isfinite(z_top) or _all_finite(squeeze)):
+            raise ValidationError("squeeze must be finite")
+        if not (math.isfinite(phi_top) or _all_finite(rotation)):
+            raise ValidationError("rotation must be finite")
+        low, high = (np.minimum.reduce(thermal, initial=0.0),
+                     np.maximum.reduce(thermal, initial=0.0))
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValidationError("thermal must be finite")
+        squeeze_t, rotation_h = squeeze.T, rotation.conj().T
+        if np.abs(squeeze - squeeze_t).max() > _HERM_TOL * (1.0 + z_top):
             raise ValidationError("squeeze matrix z must be symmetric")
-        scale = 1.0 + np.abs(rotation).max()
-        if np.abs(rotation - rotation.conj().T).max() > _HERM_TOL * scale:
+        if np.abs(rotation - rotation_h).max() > _HERM_TOL * (1.0 + phi_top):
             raise ValidationError("rotation matrix phi must be hermitian")
-        if thermal.min() < -1e-12:
+        if low < -1e-12:
             raise ValidationError("thermal occupations must be nonnegative")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "squeeze", 0.5 * (squeeze + squeeze.T))
-        object.__setattr__(self, "rotation", 0.5 * (rotation + rotation.conj().T))
-        object.__setattr__(self, "thermal", np.clip(thermal, 0.0, None))
+        object.__setattr__(self, "squeeze", 0.5 * (squeeze + squeeze_t))
+        object.__setattr__(self, "rotation", 0.5 * (rotation + rotation_h))
+        object.__setattr__(self, "thermal", np.maximum(thermal, 0.0))
 
     @property
     def modes(self) -> int:
@@ -143,14 +167,14 @@ def _squeeze_blocks(z: np.ndarray):
 
 
 def _unitary_from_hermitian(phi: np.ndarray) -> np.ndarray:
-    """e^{i phi} as I + V (e^{iw} - 1) V^H from phi = V w V^H; a mode phi
+    """e^{i phi} as I + V (e^{iw} - 1) V^H from a hermitian complex phi = V w V^H
+    (``GaussianParams`` stores its rotation exactly hermitian); a mode phi
     leaves alone keeps an exact unit row."""
     def blocks(phi):
         vals, vecs = np.linalg.eigh(phi)
         return (np.eye(len(phi)) + (vecs * np.expm1(1j * vals)) @ vecs.conj().T,)
 
-    phi = np.asarray(phi, dtype=complex)
-    return _idle_modes_kept(0.5 * (phi + phi.conj().T), blocks, (True,))[0]
+    return _idle_modes_kept(phi, blocks, (True,))[0]
 
 
 @dataclass(frozen=True)
@@ -166,30 +190,29 @@ class BogoliubovMap:
         return self.E.shape[0]
 
 
+def _bogoliubov_blocks(params: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
+    """E and F of the unitary D(alpha) S(z) R(phi).  Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``: cosh(r) and sinh(r) of a
+    huge r overflow before they are checked.
+
+    Raises NumericalError when cosh(r) overflows (r beyond about 710).
+    """
+    cosh_r, sinh_r_expith = _squeeze_blocks(params.squeeze)
+    if not (_all_finite(cosh_r) and _all_finite(sinh_r_expith)):
+        raise NumericalError("squeezing too large: cosh(r) overflows a float")
+    expiphi = _unitary_from_hermitian(params.rotation)
+    # e^{-i phi^T} = conj(e^{i phi})
+    return cosh_r @ expiphi, -sinh_r_expith @ expiphi.conj()
+
+
 def bogoliubov_map(params: GaussianParams) -> BogoliubovMap:
     """Bogoliubov blocks of the unitary D(alpha) S(z) R(phi).
 
     Raises NumericalError when cosh(r) overflows (r beyond about 710).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        cosh_r, sinh_r_expith = _squeeze_blocks(params.squeeze)
-    if not (np.isfinite(cosh_r).all() and np.isfinite(sinh_r_expith).all()):
-        raise NumericalError("squeezing too large: cosh(r) overflows a float")
-    expiphi = _unitary_from_hermitian(params.rotation)
-    E = cosh_r @ expiphi
-    F = -sinh_r_expith @ expiphi.conj()  # e^{-i phi^T} = conj(e^{i phi})
-    disp = np.concatenate([params.alpha, params.alpha.conj()])
-    return BogoliubovMap(E, F, disp)
-
-
-def _read_only(arr: np.ndarray, source) -> np.ndarray:
-    """``arr`` made read-only; a writeable ``arr`` that is the caller's
-    ``source`` or a view of some array is copied first."""
-    if arr.flags.writeable:
-        if arr is source or arr.base is not None:
-            arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
+        E, F = _bogoliubov_blocks(params)
+    return BogoliubovMap(E, F, np.concatenate([params.alpha, params.alpha.conj()]))
 
 
 @dataclass(frozen=True)
@@ -210,11 +233,17 @@ class MomentSummary:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, arr in (("nbar", np.atleast_1d(np.asarray(self.nbar, dtype=float))),
+        for name, arr in (("nbar", _as_vector(self.nbar, float)),
                           ("g1", np.asarray(self.g1, dtype=complex)),
                           ("cov", np.asarray(self.cov, dtype=complex)),
-                          ("alpha", np.atleast_1d(np.asarray(self.alpha, dtype=complex)))):
-            object.__setattr__(self, name, _read_only(arr, getattr(self, name)))
+                          ("alpha", _as_vector(self.alpha, complex))):
+            # made read-only; a writeable array the caller passed, or a view
+            # of some array, is copied first
+            if arr.flags.writeable:
+                if arr is getattr(self, name) or arr.base is not None:
+                    arr = arr.copy()
+                arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def modes(self) -> int:
@@ -222,47 +251,57 @@ class MomentSummary:
 
     def coherence_matrix(self) -> np.ndarray:
         """Unnormalized hermitian G with G_ij = <a_i† a_j> and G_ii = nbar_i."""
-        root = np.sqrt(np.outer(self.nbar, self.nbar))
+        root = np.sqrt(self.nbar[:, None] * self.nbar)
         g = self.g1 * root
         return np.where(np.isfinite(g), g, 0.0)
 
     def centered_coherence(self) -> np.ndarray:
         """<a_i† a_j> - alpha_i* alpha_j."""
-        return self.coherence_matrix() - np.outer(self.alpha.conj(), self.alpha)
+        return self.coherence_matrix() - self.alpha.conj()[:, None] * self.alpha
 
     def to_moment_table(self) -> MomentTable:
         """Uncentered first/second moments for the moment kernel."""
-        aa = self.cov + np.outer(self.alpha, self.alpha)
+        aa = self.cov + self.alpha[:, None] * self.alpha
         return MomentTable(self.alpha, aa, self.coherence_matrix())
 
     @classmethod
     def from_unnormalized(cls, coherence: np.ndarray, cov: np.ndarray,
                           alpha: np.ndarray) -> "MomentSummary":
+        """The summary of <a_i† a_j> (``coherence``), the centered <a_i a_j>
+        (``cov``) and the displacements; ``cov`` and ``alpha`` are copied unless
+        they are read-only.
+
+        Raises NumericalError when nbar_i nbar_j, g1's normalization,
+        overflows a float.
+        """
         coherence = np.asarray(coherence, dtype=complex)
-        nbar = np.diag(coherence).real.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g1 = coherence / np.sqrt(np.outer(nbar, nbar))
+        nbar = coherence.diagonal().real.copy()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if not np.isfinite(np.abs(nbar).max() ** 2):
+                raise NumericalError("mean photon numbers too large: nbar^2 overflows a float")
+            g1 = coherence / np.sqrt(nbar[:, None] * nbar)
         g1[~np.isfinite(g1)] = np.nan
-        return cls(nbar, g1, np.asarray(cov, dtype=complex), np.asarray(alpha, dtype=complex))
+        nbar.setflags(write=False)
+        g1.setflags(write=False)
+        return cls(nbar, g1, cov, alpha)
 
 
 def derive_moments(params: GaussianParams) -> MomentSummary:
     """Mean photon numbers, g1, covariances and displacements of the state."""
-    bog = bogoliubov_map(params)
-    e, f = bog.E, bog.F
-    n, n1 = params.thermal, params.thermal + 1.0
+    alpha, n = params.alpha, params.thermal
+    n1 = n + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
+        e, f = _bogoliubov_blocks(params)
         cov = (f * n) @ e.T + (e * n1) @ f.T
         centered_g = (e.conj() * n) @ e.T + (f.conj() * n1) @ f.T  # <δa_i† δa_j>
-        coherence = centered_g + np.outer(params.alpha.conj(), params.alpha)
-        # g1 is normalized by nbar_i nbar_j, which must not overflow either
-        finite = np.isfinite(np.abs(np.diag(coherence)).max() ** 2)
-    if not finite:
-        raise NumericalError("mean photon numbers too large: nbar^2 overflows a float")
-    return MomentSummary.from_unnormalized(coherence, 0.5 * (cov + cov.T), params.alpha)
+        coherence = centered_g + alpha.conj()[:, None] * alpha
+        cov = 0.5 * (cov + cov.T)
+    cov.setflags(write=False)
+    return MomentSummary.from_unnormalized(coherence, cov, alpha)
 
 
 def _require_occupied(moments: MomentSummary, modes) -> None:
+    """UndefinedCorrelationError naming the first of ``modes`` with nbar = 0."""
     for i in modes:
         if not (moments.nbar[i] > 0):
             raise UndefinedCorrelationError(
@@ -286,10 +325,10 @@ def _pair_blocks(moments: MomentSummary):
     if blocks is None:
         inv_root = 1.0 / np.sqrt(np.where(moments.nbar > 0, moments.nbar, np.nan))
         b = moments.alpha * inv_root
-        c = moments.cov * np.outer(inv_root, inv_root)
-        h = c + np.outer(b, b)
+        c = moments.cov * (inv_root[:, None] * inv_root)
+        h = c + b[:, None] * b
         a = np.abs(b) ** 2
-        pair = np.abs(moments.g1) ** 2 + np.abs(h) ** 2 - 2.0 * np.outer(a, a)
+        pair = np.abs(moments.g1) ** 2 + np.abs(h) ** 2 - 2.0 * (a[:, None] * a)
         for arr in (c, b, pair):
             arr.setflags(write=False)
         blocks = moments._memo["pair_blocks"] = (c, b, pair)
@@ -348,7 +387,8 @@ def g2_tensor(moments: MomentSummary) -> np.ndarray:
     g2_ij = 1 + |g1_ij|^2 + (|cov_ij + alpha_i alpha_j|^2
             - 2 |alpha_i|^2 |alpha_j|^2) / (nbar_i nbar_j).
     """
-    _require_occupied(moments, range(moments.modes))
+    if not moments.nbar.min() > 0:
+        _require_occupied(moments, range(moments.modes))
     g2 = 1.0 + _pair_blocks(moments)[-1]
     return 0.5 * (g2 + g2.T)
 

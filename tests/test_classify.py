@@ -105,10 +105,40 @@ class TestMeasurementSetRejectsBadData:
         with pytest.raises(ValidationError, match="unknown sigma name"):
             MeasurementSet(2, sigma={key: 1e-3}, **self.fields(rng))
 
-    @pytest.mark.parametrize("value", [-1e-3, np.nan, np.inf, "abc", None])
+    @pytest.mark.parametrize("value", [-1e-3, np.nan, np.inf, "abc", None,
+                                       pytest.param(10 ** 400, id="beyond-float")])
     def test_bad_sigma_value(self, rng, value):
         with pytest.raises(ValidationError, match="sigma g2"):
             MeasurementSet(2, sigma={"g2": value}, **self.fields(rng))
+
+    @pytest.mark.parametrize("name", ["nbar", "p0", "g2", "g1_abs"])
+    def test_entry_beyond_float_range(self, rng, name):
+        fields = self.fields(rng)
+        fields[name] = fields[name].tolist()
+        row = fields[name] if name in ("nbar", "p0") else fields[name][1]
+        row[0] = 10 ** 400
+        with pytest.raises(ValidationError, match=f"{name} entries must lie within float range"):
+            MeasurementSet(2, **fields)
+
+    @pytest.mark.parametrize("g3,message", [
+        ({(0, 0, 0.5): 1.0}, r"g3 key \(0, 0, 0.5\) must hold integer mode indices"),
+        ({(0, 0, 1.0): 1.0}, r"g3 key \(0, 0, 1.0\) must hold integer mode indices"),
+        ({(False, 0, 1): 1.0}, r"g3 key \(False, 0, 1\) must hold integer mode indices"),
+        ({(0, 0, 1): 1.0, (1, 0, 0): 2.0}, r"g3 entry \(0, 0, 1\) is given more than once"),
+        ({(0, 0, 2): 1.0}, r"g3 key \(0, 0, 2\) must be three mode indices in \[0, 2\)"),
+        ({(0, 1): 1.0}, r"g3 key \(0, 1\) must be three mode indices"),
+        ({(0, 0, 1): 10 ** 400}, r"g3 entry \(0, 0, 1\) must lie within float range"),
+        ({(0, 0, 1): -1.0}, "g3 entries must be nonnegative"),
+        ({(0, 0, 1): np.inf}, r"g3 entry \(0, 0, 1\) must be finite, got inf"),
+    ], ids=["fractional", "integral-float", "bool", "permuted-duplicate", "out-of-range",
+            "pair", "beyond-float", "negative", "inf"])
+    def test_bad_g3_entry(self, rng, g3, message):
+        with pytest.raises(ValidationError, match=message):
+            MeasurementSet(2, **{**self.fields(rng), "g3": g3})
+
+    def test_g3_keys_sorted_and_numpy_integers_accepted(self):
+        g3 = {(1, np.int64(0), 0): 2, (1, 1, 0): 3.5}
+        assert MeasurementSet(2, g3=g3).g3 == {(0, 0, 1): 2.0, (0, 1, 1): 3.5}
 
 
 class TestSingleMode:

@@ -131,6 +131,10 @@ def cli_inputs(tmp_path):
             "missing": tmp_path / "missing.json", "nodir": tmp_path / "no-such-dir" / "out"}
 
 
+# a JSON integer that no float holds: json reads it, float() overflows on it
+BEYOND_FLOAT = 10 ** 400
+
+
 def _edit_json(path, edit):
     doc = load(path)
     edit(doc)
@@ -158,6 +162,19 @@ def _edit_scan_cell(path, column, value):
     (["simulate", "state"],
      lambda f: _edit_json(f["state"], lambda d: d.update(alpha=[["a", 1]]))),
     (["simulate", "state"], lambda f: _edit_json(f["state"], lambda d: d.update(squeeze=5))),
+    (["simulate", "state"],
+     lambda f: _edit_json(f["state"], lambda d: d.update(alpha=[[BEYOND_FLOAT, 0]]))),
+    (["simulate", "state"],
+     lambda f: _edit_json(f["state"], lambda d: d.update(thermal=[BEYOND_FLOAT]))),
+    (["classify", "meas"],
+     lambda f: _edit_json(f["meas"], lambda d: d["g3"][0].update(value=BEYOND_FLOAT))),
+    (["classify", "meas"],
+     lambda f: _edit_json(f["meas"], lambda d: d["nbar"].__setitem__(0, BEYOND_FLOAT))),
+    (["classify", "meas"],
+     lambda f: _edit_json(f["meas"], lambda d: d.update(sigma={"g3": BEYOND_FLOAT}))),
+    (["classify", "meas"],  # json reads 1e400 as inf, which int() cannot convert
+     lambda f: f["meas"].write_text(
+         f["meas"].read_text().replace('"modes": 1,', '"modes": 1e400,'))),
     (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
      lambda f: _edit_scan_cell(f["scan"], "g3", "abc")),
     (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
@@ -175,6 +192,8 @@ def _edit_scan_cell(path, column, value):
 ], ids=["classify-tol-nan", "bucket-g2b-nan", "bucket-g2b-inf", "scan-nbar-nan",
         "scan-nbar-inf", "scan-phase-step-nan", "curves-g2-min-nan", "curves-num-negative",
         "params-thermal-string", "params-alpha-string", "params-squeeze-scalar",
+        "params-alpha-beyond-float", "params-thermal-beyond-float", "meas-g3-beyond-float",
+        "meas-nbar-beyond-float", "meas-sigma-beyond-float", "meas-modes-beyond-float",
         "scan-g3-not-a-number", "scan-g2-nan", "scan-cell-past-header",
         "reconstruct-without-input", "classify-missing-file", "verify-missing-file",
         "scan-missing-file", "measurements-not-utf8", "curves-out-no-dir",
@@ -722,7 +741,11 @@ class TestClassifyReconstruct:
         lambda doc: doc["g2"][0].__setitem__(0, float("nan")),
         lambda doc: doc["nbar"].__setitem__(0, float("nan")),
         lambda doc: doc["nbar"].__setitem__(0, 0.0),
-    ], ids=["g3-mode-out-of-range", "g3-nan", "g3-inf", "g2-nan", "nbar-nan", "nbar-zero"])
+        lambda doc: doc["g3"].append({"modes": [0, 0, 0.5], "value": 1.0}),
+        lambda doc: doc["g3"].append({"modes": [False, 0, 0], "value": 1.0}),
+        lambda doc: doc["g3"].append({"modes": [0, 0, 0], "value": 3.0}),
+    ], ids=["g3-mode-out-of-range", "g3-nan", "g3-inf", "g2-nan", "nbar-nan", "nbar-zero",
+            "g3-mode-fractional", "g3-mode-bool", "g3-duplicate"])
     def test_classify_rejects_malformed_single_mode_data(self, tmp_path, corrupt):
         params = GaussianParams.single_mode(alpha=0.5 * np.exp(0.4j), r=0.45,
                                             theta=0.3, occupation=0.1)
