@@ -78,6 +78,10 @@ class MeasurementSet:
 
     def __post_init__(self):
         m = self.modes
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValidationError(f"modes must be a positive integer, got {m!r}")
+        m = int(m)
+        object.__setattr__(self, "modes", m)
         if m == 1:  # one mode's g1 is 1 by definition
             if self.g1_abs is None:
                 object.__setattr__(self, "g1_abs", np.ones((1, 1)))

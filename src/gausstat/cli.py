@@ -61,6 +61,27 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# the most points ``curves --num`` writes (about 3 MB of CSV); a fixed bound, so
+# a larger --num stops as a validation error before numpy allocates anything
+MAX_CURVE_POINTS = 100_000
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """The argparse ``type`` of an integer flag that must lie in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # also a string beyond int()'s digit limit
+            raise ValidationError(f"expected an integer, got {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bound = f"of at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise ValidationError(f"expected an integer {bound}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_noise(spec: str | None) -> dict:
     if not spec:
         return {}
@@ -324,8 +345,6 @@ def cmd_verify(args) -> int:
 
 def cmd_curves(args) -> int:
     lo, hi = args.g2_min, args.g2_max
-    if args.num < 1:
-        raise ValidationError("--num must be at least 1")
     if args.relation == "eq21" and max(lo, hi) > 2.0:
         raise ValidationError("the non-squeezed relation is defined for g2 <= 2")
     g2s = np.linspace(lo, hi, args.num)
@@ -397,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", help="GaussianParams JSON file")
     p.add_argument("--noise", default=None,
                    help="per-observable sigmas, e.g. g2=1e-3,g3=2e-3")
-    p.add_argument("--seed", type=int, default=0, help="random seed of --noise")
+    p.add_argument("--seed", type=_int_in(0), default=0, help="random seed of --noise")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("classify", help="sort measured correlations into sectors")
@@ -431,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eq20: non-displaced line; eq21: non-squeezed curve")
     p.add_argument("--g2-min", type=_finite_float, default=1.0)
     p.add_argument("--g2-max", type=_finite_float, default=2.0)
-    p.add_argument("--num", type=int, default=51)
+    p.add_argument("--num", type=_int_in(1, MAX_CURVE_POINTS), default=51)
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("bucket", help="bucket correlations, bounds, mode estimate")

@@ -12,10 +12,12 @@ first.  Each non-root mode has a few options: the sign sigma_i of its tree
 edge, and for the covariance kind also the branch eps_i, which together fix
 phi_i or Theta_ii.  The modes are placed in order; placing mode i tests every
 pair (k, i) with k already placed, which needs only the two placed values, and
-cuts the branch at the first pair that fails.  The solution set is the one
-exhaustive enumeration (2^(M-1) signatures, 4^(M-1) for the covariance kind)
-returns, but generic data costs O(M^2) pair tests; degenerate data costs that
-times the number of branches that survive.  ``SearchStats`` counts the
+cuts the branch at the first pair that fails.  The pair test lives in one
+table per search, over all pairs and options: the search prunes with it, and
+the kept solutions are read from it.  The solution set is the one exhaustive
+enumeration (2^(M-1) signatures, 4^(M-1) for the covariance kind) returns,
+but generic data costs O(M^2) pair tests; degenerate data costs that times
+the number of branches that survive.  ``SearchStats`` counts the
 branches explored, pruned and kept.
 
 NaN entries of c mark unconstrained edges (e.g. a correlation whose phase
@@ -25,7 +27,8 @@ is NaN takes the gauge value 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -40,10 +43,6 @@ def wrap_angle(x):
     out = np.mod(np.asarray(x, dtype=float) + np.pi, 2 * np.pi) - np.pi
     return np.where(out == -np.pi, np.pi, out) if np.ndim(out) else (
         np.pi if out == -np.pi else float(out))
-
-
-def _angles_close(a, b, tol):
-    return abs(wrap_angle(a - b)) <= tol
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ class PhaseSolution:
     epsilon: tuple[int, ...] | None = None
     theta: np.ndarray | None = None
     residual: float = 0.0
-    degeneracy_notes: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _clamped(c: np.ndarray, tol: float) -> np.ndarray:
@@ -228,8 +226,11 @@ def solve_covariance_phases(system: PhaseSystem, tol: float = 1e-8,
 
     Gauge Theta_11 = 0.  Mode i's options are its (eps_i, sigma_i) choices,
     which fix Theta_ii; a pair (k, i) passes when some Theta_ki satisfies both
-    of its edge equations, which needs only Theta_kk and Theta_ii.  Returns
-    solutions carrying the full symmetric Theta.  The two-mode case
+    of its edge equations, which needs only Theta_kk and Theta_ii.  One table
+    holds, for both arccos branches of every pair and option, Theta_ki and its
+    residual: the search prunes with it, and each kept choice reads its
+    Theta_ki from it, every standing branch of a pair giving a solution.
+    Returns solutions carrying the full symmetric Theta.  The two-mode case
     generically yields four discrete solutions (one sigma and one epsilon
     branch with nothing to constrain them).
     """
@@ -257,71 +258,46 @@ def solve_covariance_phases(system: PhaseSystem, tol: float = 1e-8,
                 options[i].append((eps, sig))
                 values[i].append(2 * phi[0, i] + sig * ctilde)
     diag = _padded(values)
-    # pair (k, i): does one of the two arccos branches of the (k, i) equation
-    # also satisfy the (i, k) equation?
-    base = phi[:, None, :, None] + diag[:, :, None, None]
-    tilde = np.arccos(c)[:, None, :, None]
-    compatible = ~(np.isfinite(c) & np.isfinite(c.T))[:, None, :, None]
-    for s in (1, -1):
-        theta = base - s * tilde
-        res = np.abs(np.cos(-phi[:, None, :, None] + diag[None, None, :, :] - theta)
-                     - c.T[:, None, :, None])
-        compatible = compatible | (res <= tol)
+    # pair (k, i), branch s of the (k, i) equation: Theta_ki, and its residual
+    # in the (i, k) equation; the branch stands when that is within tol
+    s = np.array([1.0, -1.0])[:, None, None, None]
+    theta = phi[:, None, :] + diag[:, :, None] - s * np.arccos(c)[:, None, :]
+    res = np.abs(np.cos(-phi[:, None, :, None] + diag[None, None, :, :] - theta[..., None])
+                 - c.T[:, None, :, None])
+    free = ~(np.isfinite(c) & np.isfinite(c.T))
+    compatible = (res <= tol).any(axis=0) | free[:, None, :, None]
     chosen = _depth_first([len(o) for o in options], compatible, stats)
     # the eps-major order of exhaustive enumeration (+1 before -1), so that
     # _dedupe keeps the same copies
     chosen.sort(key=lambda t: ([-options[i][b][0] for i, b in enumerate(t)],
                                [-options[i][b][1] for i, b in enumerate(t)]))
     nodes = np.arange(m)
+    rows, cols = np.triu_indices(m, 1)
+    constrained = ~free[rows, cols]
+    rows, cols = rows[constrained], cols[constrained]
     solutions: list[PhaseSolution] = []
     for choice in chosen:
         picked = [options[i][b] for i, b in enumerate(choice)][1:]
-        theta_diag = diag[nodes, list(choice)]
-        for theta, worst in _offdiag_candidates(c, phi, theta_diag, tol) or []:
+        pick = np.array(choice)
+        theta_diag = diag[nodes, pick]
+        a = pick[rows]
+        pair_theta = theta[:, rows, a, cols]
+        pair_res = res[:, rows, a, cols, pick[cols]]
+        kept = pair_res <= tol
+        # the search passed every constrained pair, so some branch stands; a
+        # pair gives a solution per branch where both stand more than 10 tol apart
+        second = ~kept[0]
+        both = np.flatnonzero(kept[0] & kept[1] & (
+            np.abs(wrap_angle(pair_theta[0] - pair_theta[1])) > 10 * tol))
+        for branches in product((False, True), repeat=len(both)):
+            second[both] = branches
+            full = np.diag(theta_diag)
+            full[rows, cols] = full[cols, rows] = np.where(second, pair_theta[1], pair_theta[0])
             solutions.append(PhaseSolution(
                 wrap_angle(theta_diag), tuple(o[1] for o in picked),
-                epsilon=tuple(o[0] for o in picked), theta=wrap_angle(theta),
-                residual=worst))
+                epsilon=tuple(o[0] for o in picked), theta=wrap_angle(full),
+                residual=float(np.where(second, pair_res[1], pair_res[0]).max(initial=0.0))))
     return _dedupe(solutions, 10 * tol)
-
-
-def _offdiag_candidates(c, phi, diag, tol):
-    """Fix every Theta_ij from the two edge equations, or report inconsistency.
-
-    For each pair the (i,j) equation offers two arccos branches; a branch
-    survives only if it also satisfies the (j,i) equation.  Degenerate data can
-    leave both branches alive, in which case all combinations are returned.
-    """
-    m = diag.shape[0]
-    combos: list[list[tuple[int, int, float, float]]] = [[]]
-    for i in range(m):
-        for j in range(i + 1, m):
-            cij, cji = c[i, j], c[j, i]
-            if not (np.isfinite(cij) and np.isfinite(cji)):
-                candidates = [(i, j, 0.0, 0.0)]  # unconstrained phase, value arbitrary
-            else:
-                candidates = []
-                tilde = np.arccos(cij)
-                for s in (1, -1):
-                    theta_ij = phi[i, j] + diag[i] - s * tilde
-                    res = abs(np.cos(-phi[i, j] + diag[j] - theta_ij) - cji)
-                    if res <= tol:
-                        candidates.append((i, j, theta_ij, res))
-                if not candidates:
-                    return None
-                if len(candidates) == 2 and _angles_close(candidates[0][2], candidates[1][2],
-                                                          10 * tol):
-                    candidates = candidates[:1]
-            combos = [combo + [cand] for combo in combos for cand in candidates]
-    results = []
-    for combo in combos:
-        theta = np.diag(diag).astype(float).copy()
-        worst = 0.0
-        for i, j, val, res in combo:
-            theta[i, j] = theta[j, i] = val
-            worst = max(worst, res)
-        results.append((theta, worst))
-    return results
 
 
 def degeneracy_report(system: PhaseSystem, solutions: list[PhaseSolution]) -> list[str]:

@@ -80,11 +80,17 @@ def params_from_json(doc: dict) -> GaussianParams:
                 values.append(read(doc[name]))
             except OverflowError:  # an integer too large for a float
                 raise ValidationError(f"{name} entries must lie within float range") from None
-        return GaussianParams(*values)
+        params = GaussianParams(*values)
     except KeyError as err:
         raise ValidationError(f"gaussian_params document missing field {err}") from err
     except (TypeError, ValueError) as err:
         raise ValidationError(f"malformed gaussian_params document: {err}") from err
+    # the optional modes field must agree with the arrays
+    modes = doc.get("modes", params.modes)
+    if isinstance(modes, bool) or not isinstance(modes, int) or modes != params.modes:
+        raise ValidationError(f"modes must equal the length of alpha ({params.modes}), "
+                              f"got {modes!r}")
+    return params
 
 
 def measurement_to_json(m: MeasurementSet) -> dict:
@@ -112,8 +118,8 @@ def measurement_from_json(doc: dict) -> MeasurementSet:
         if len(g3) != len(entries):
             raise ValidationError("g3 lists a mode triple more than once")
         arrays = {name: doc.get(name) for name in ("nbar", "p0", "g1_abs", "g1_phase", "g2")}
-        return MeasurementSet(int(doc["modes"]), g3=g3, sigma=doc.get("sigma", {}), **arrays)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:  # int(inf) overflows
+        return MeasurementSet(doc["modes"], g3=g3, sigma=doc.get("sigma", {}), **arrays)
+    except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"malformed measurement_set document: {err}") from err
 
 

@@ -158,6 +158,9 @@ def _edit_scan_cell(path, column, value):
     (["reconstruct", "--scan", "scan", "--nbar", "nbar", "--phase-steps", "nan,1.0"], None),
     (["curves", "--relation", "eq20", "--g2-min", "nan"], None),
     (["curves", "--relation", "eq20", "--num", "-1"], None),
+    (["curves", "--relation", "eq20", "--num", "99999999999"], None),
+    (["curves", "--relation", "eq20", "--num", "9" * 400], None),
+    (["simulate", "state", "--noise", "g2=1e-3", "--seed", "-1"], None),
     (["simulate", "state"], lambda f: _edit_json(f["state"], lambda d: d.update(thermal=["x"]))),
     (["simulate", "state"],
      lambda f: _edit_json(f["state"], lambda d: d.update(alpha=[["a", 1]]))),
@@ -172,7 +175,7 @@ def _edit_scan_cell(path, column, value):
      lambda f: _edit_json(f["meas"], lambda d: d["nbar"].__setitem__(0, BEYOND_FLOAT))),
     (["classify", "meas"],
      lambda f: _edit_json(f["meas"], lambda d: d.update(sigma={"g3": BEYOND_FLOAT}))),
-    (["classify", "meas"],  # json reads 1e400 as inf, which int() cannot convert
+    (["classify", "meas"],  # json reads 1e400 as inf, which is not an integer
      lambda f: f["meas"].write_text(
          f["meas"].read_text().replace('"modes": 1,', '"modes": 1e400,'))),
     (["reconstruct", "--scan", "scan", "--nbar", "nbar"],
@@ -191,6 +194,7 @@ def _edit_scan_cell(path, column, value):
     (["verify", "state", "--photon-csv", "nodir"], None),
 ], ids=["classify-tol-nan", "bucket-g2b-nan", "bucket-g2b-inf", "scan-nbar-nan",
         "scan-nbar-inf", "scan-phase-step-nan", "curves-g2-min-nan", "curves-num-negative",
+        "curves-num-huge", "curves-num-400-digits", "simulate-seed-negative",
         "params-thermal-string", "params-alpha-string", "params-squeeze-scalar",
         "params-alpha-beyond-float", "params-thermal-beyond-float", "meas-g3-beyond-float",
         "meas-nbar-beyond-float", "meas-sigma-beyond-float", "meas-modes-beyond-float",
@@ -208,6 +212,26 @@ def test_bad_input_is_a_validation_error(cli_inputs, capfd, argv, corrupt):
     assert run(*[cli_inputs.get(a, a) for a in argv]) == 2
     out, err = capfd.readouterr()
     assert "validation error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command,name,modes,message", [
+    ("classify", "meas", 1.5, "modes must be a positive integer, got 1.5"),
+    ("classify", "meas", True, "modes must be a positive integer, got True"),
+    ("classify", "meas", "1", "modes must be a positive integer, got '1'"),
+    ("classify", "meas", 0, "modes must be a positive integer, got 0"),
+    ("simulate", "state", 3, "modes must equal the length of alpha (1), got 3"),
+], ids=["meas-modes-fractional", "meas-modes-bool", "meas-modes-string", "meas-modes-zero",
+        "params-modes-mismatch"])
+def test_modes_field_is_checked_where_it_enters(cli_inputs, capfd, command, name, modes,
+                                                message):
+    """A document's modes is a positive integer, and a state's (optional) modes
+    equals the number of modes its arrays describe."""
+    _edit_json(cli_inputs[name], lambda d: d.update(modes=modes))
+    capfd.readouterr()
+    assert run(command, cli_inputs[name]) == 2
+    out, err = capfd.readouterr()
+    assert err.splitlines() == [f"validation error: {message}"]
     assert out == ""
 
 

@@ -22,7 +22,6 @@ from gausstat.phases import (
     PhaseSolution,
     PhaseSystem,
     SearchStats,
-    _angles_close,
     _clamped,
     degeneracy_report,
     wrap_angle,
@@ -106,6 +105,10 @@ def exhaustive_displacement_phases(system, tol=1e-8):
         if ok:
             solutions.append(PhaseSolution(wrap_angle(ph), tuple(sig), residual=worst))
     return checked_dedupe(solutions, 10 * tol)
+
+
+def _angles_close(a, b, tol):
+    return abs(wrap_angle(a - b)) <= tol
 
 
 def _exhaustive_offdiag(c, phi, diag, tol):
@@ -487,6 +490,14 @@ class TestDepthFirstVsExhaustive:
                     system = engineered_system(kind, 3, shape, seed)
                     assert ([(s.epsilon, s.signature) for s in solve(system)]
                             == [(s.epsilon, s.signature) for s in reference(system)])
+
+    def test_both_branches_of_an_off_tree_pair_stand(self):
+        # Theta_jj - Theta_ii - 2 Phi_ij = 0 mod pi lets both arccos branches of
+        # pair (i, j) stand; each is a solution with the same (eps, sigma)
+        sols = solve_covariance_phases(engineered_system(COVARIANCE, 6, "pm_sigma", 0), tol=1e-3)
+        assert len(sols) == 4
+        keys = [(s.epsilon, s.signature) for s in sols]
+        assert len(set(keys)) < len(keys)
 
     def test_pm_sigma_pairs_survive(self):
         for kind, solve in ((DISPLACEMENT, solve_displacement_phases),
