@@ -36,7 +36,7 @@ from .recon_multi import (
     recon_displaced_thermal_multi,
     recon_squeezed_thermal_multi,
 )
-from .recon_single import recon_dst_scan, reconstruct_single_mode
+from .recon_single import recon_dst_scan
 from .states import derive_moments, g2_tensor, g3_tensor, mode_vacuum_probability
 from .words import correlation_word
 
@@ -219,12 +219,9 @@ def cmd_reconstruct(args) -> int:
                                              tol=tol)
     elif len(msets) > 1 or args.ref_port:
         raise ValidationError(f"sector {sector} reads one measurement file and no --ref-port")
-    elif primary.modes == 1:
-        rec = reconstruct_single_mode(primary, sector, tol=tol)
     else:
-        # the reconstruction builds on the phase solutions of the classification
-        if verdict is None:
-            verdict = classify(primary, tol=tol)
+        # several modes build on the classification's phase solutions; the
+        # entry classifies an explicit sector's data itself
         recon = recon_squeezed_thermal_multi if sector == "nd" else recon_displaced_thermal_multi
         rec = recon(primary, verdict, tol=tol)
     meta = {"inputs": digests, "config": {"tolerance": args.tol}, "sector": sector,

@@ -1,8 +1,10 @@
-"""Multimode reconstruction: spectral route for displaced thermal states,
-Williamson route for squeezed thermal states, beam-splitter reduction for the
-general displaced squeezed case (at every mode count, one mode included).
-The first two take ``classify``'s verdict and build their candidates from the
-phase solutions it found; they solve no phase system of their own.
+"""Reconstruction at every mode count: spectral route for displaced thermal
+states, Williamson route for squeezed thermal states, beam-splitter reduction
+for the general displaced squeezed case.  On one mode the first two run the
+closed forms of ``recon_single``, on the measured nbar or on the nbar that p0
+gives.  On several they take ``classify``'s verdict and build their
+candidates from the phase solutions it found; they solve no phase system of
+their own.
 
 Quadrature convention: x = (a + a†)/sqrt(2), p = (a - a†)/(i sqrt(2)),
 ordering (x_1..x_M, p_1..p_M), vacuum variance 1/2, symplectic form
@@ -36,7 +38,15 @@ from .errors import (
     ValidationError,
 )
 from .phases import SearchStats, _depth_first, _padded, wrap_angle
-from .recon_single import Ambiguity, ReconstructedState
+from .recon_single import (
+    Ambiguity,
+    ReconstructedState,
+    _g2_cosine,
+    recon_displaced_thermal,
+    recon_displaced_thermal_click,
+    recon_squeezed_thermal,
+    recon_squeezed_thermal_click,
+)
 from .states import (
     GaussianParams,
     MomentSummary,
@@ -249,6 +259,23 @@ def _ranked(candidates: list, tol: float, notes: list, kind: str | None = None):
     return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
 
 
+def _one_mode_data(m: MeasurementSet) -> tuple[float, float | None, float | None]:
+    """(g2, nbar, p0) of one-mode data; p0 is read only where nbar is not measured."""
+    _require(m, "single-mode reconstruction", "g2")
+    g2 = float(m.g2[0, 0])
+    if m.nbar is not None:
+        return g2, float(m.nbar[0]), None
+    if m.p0 is None:
+        raise ValidationError("need nbar or p0 for reconstruction")
+    return g2, None, float(m.p0[0])
+
+
+def _one_mode_state(m: MeasurementSet, params: GaussianParams, note: str) -> ReconstructedState:
+    """One mode's closed-form solution, whose only ambiguity is a gauge phase."""
+    return ReconstructedState(params, Ambiguity(notes=(note,)),
+                              residual=measurement_residual(params, m))
+
+
 def _classified_phases(verdict: Classification, sector: str, label: str, kind: str) -> list:
     """The phase solutions ``classify`` found for a sector; none is a
     SectorMismatchError citing the sector's failing residuals and the notes."""
@@ -261,16 +288,27 @@ def _classified_phases(verdict: Classification, sector: str, label: str, kind: s
                               f"{kind}-phase solution ({'; '.join([verdict.sector] + why)})")
 
 
-def recon_displaced_thermal_multi(m: MeasurementSet, verdict: Classification,
+def recon_displaced_thermal_multi(m: MeasurementSet, verdict: Classification | None = None,
                                   tol: float = 1e-7) -> ReconstructedState:
     """Displacements, thermal occupations and mode rotation of a non-squeezed state.
 
-    ``verdict`` is ``classify(m, ...)``.  Moduli come from the diagonal g2 and
-    phases from the displacement-phase solutions of its non-squeezed
-    hypothesis; then the hermitian matrix sqrt(nbar_i nbar_j) g1_ij -
-    alpha_i* alpha_j is diagonalized: eigenvalues are the occupations,
-    eigenvectors the rotation.
+    One mode takes ``recon_displaced_thermal`` on nbar, or
+    ``recon_displaced_thermal_click`` on p0 where nbar is not measured, and
+    ignores ``verdict``.  Several modes need ``verdict = classify(m, tol)``,
+    computed here when None.  Moduli come from the diagonal g2 and phases
+    from the displacement-phase solutions of its non-squeezed hypothesis;
+    then the hermitian matrix sqrt(nbar_i nbar_j) g1_ij - alpha_i* alpha_j is
+    diagonalized: eigenvalues are the occupations, eigenvectors the rotation.
     """
+    if m.modes == 1:
+        g2, nbar, p0 = _one_mode_data(m)
+        alpha_abs, occupation = (recon_displaced_thermal(g2, nbar) if nbar is not None
+                                 else recon_displaced_thermal_click(g2, p0))
+        return _one_mode_state(m, GaussianParams.single_mode(alpha=alpha_abs,
+                                                             occupation=occupation),
+                               "displacement phase is gauge")
+    if verdict is None:
+        verdict = classify(m, tol)
     _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs", "g1_phase")
     mm = m.modes
     alpha_abs = np.sqrt(m.nbar) * np.clip(2.0 - np.diag(m.g2), 0.0, None) ** 0.25
@@ -285,8 +323,8 @@ def recon_displaced_thermal_multi(m: MeasurementSet, verdict: Classification,
                                      "global displacement phase fixed by phi_1 = 0",))
         return ReconstructedState(params, ambiguity,
                                   residual=float(measurement_residual(params, m)))
-    phase_sets = [np.zeros(1)] if mm == 1 else [s.phases for s in _classified_phases(
-        verdict, NON_SQUEEZED, "non-squeezed", "displacement")]
+    phase_sets = [s.phases for s in _classified_phases(verdict, NON_SQUEEZED, "non-squeezed",
+                                                       "displacement")]
     candidates = []
     g1 = m.g1_complex()
     root = np.sqrt(np.outer(m.nbar, m.nbar))
@@ -309,28 +347,32 @@ def recon_displaced_thermal_multi(m: MeasurementSet, verdict: Classification,
     return _ranked(candidates, tol, notes, kind="phase")
 
 
-def recon_squeezed_thermal_multi(m: MeasurementSet, verdict: Classification,
+def recon_squeezed_thermal_multi(m: MeasurementSet, verdict: Classification | None = None,
                                  tol: float = 1e-7) -> ReconstructedState:
     """Squeeze matrix, rotation and occupations of a non-displaced state.
 
-    ``verdict`` is ``classify(m, ...)``.  Covariance moduli come from g2/g1,
-    clipped at 0 as classify clips them, and phases from the covariance-phase
-    solutions of its non-displaced hypothesis; then Williamson runs on the
-    assembled covariance matrix.
+    One mode takes ``recon_squeezed_thermal`` on nbar, or
+    ``recon_squeezed_thermal_click`` on p0 where nbar is not measured, and
+    ignores ``verdict``.  Several modes need ``verdict = classify(m, tol)``,
+    computed here when None.  Covariance moduli come from g2/g1, clipped at 0
+    as classify clips them, and phases from the covariance-phase solutions of
+    its non-displaced hypothesis; then Williamson runs on the assembled
+    covariance matrix.
     """
+    if m.modes == 1:
+        g2, nbar, p0 = _one_mode_data(m)
+        r, occupation = (recon_squeezed_thermal(g2, nbar) if nbar is not None
+                         else recon_squeezed_thermal_click(g2, p0)[0])
+        return _one_mode_state(m, GaussianParams.single_mode(r=r, occupation=occupation),
+                               "squeeze phase theta is gauge")
+    if verdict is None:
+        verdict = classify(m, tol)
     _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs")
     mm = m.modes
     root = np.sqrt(np.outer(m.nbar, m.nbar))
-    q = _covariance_q(m)
-    if mm == 1:  # no phase system, and classify_single_mode has no modulus gate
-        if q.min() < -100 * tol:
-            raise InconsistentDataError(
-                f"g2_ij - |g1_ij|^2 - 1 = {q.min():.3e} < 0: covariance moduli undefined")
-        thetas = [np.full((1, 1), np.pi)]
-    else:
-        thetas = [s.theta for s in _classified_phases(verdict, NON_DISPLACED,
-                                                      "non-displaced", "covariance")]
-    cov_abs = root * np.sqrt(np.clip(q, 0.0, None))
+    thetas = [s.theta for s in _classified_phases(verdict, NON_DISPLACED, "non-displaced",
+                                                  "covariance")]
+    cov_abs = root * np.sqrt(np.clip(_covariance_q(m), 0.0, None))
     g1 = m.g1_complex()
     candidates = []
     for theta in thetas:
@@ -406,9 +448,7 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
                 candidates_per_mode.append([None])
                 pinned = True
                 continue
-            nbar_ref_i = m_ref.nbar[i]
-            val = (nbar_ref_i**2 * (m_ref.g2[i, i] - 2.0) - abs(cov_ii) ** 2
-                   + ai_ref**4) / (2.0 * ai_ref**2 * abs(cov_ii))
+            val = _g2_cosine(m_ref.g2[i, i], m_ref.nbar[i], ai_ref**2, ai_ref**4, abs(cov_ii))
             if abs(val) > 1.0 + max(100 * tol, 1e-9):
                 continue
             w = np.arccos(np.clip(val, -1.0, 1.0))

@@ -1,7 +1,11 @@
 """Single-mode parameter reconstruction from correlations plus one loss-sensitive observable.
 
 Loss-invariant (g2, g3) data fixes ratios only; adding the mean photon number
-nbar or the no-click probability p0 pins the parameters down.  Displaced
+nbar or the no-click probability p0 pins the parameters down.  p0 enters only
+through the nbar it gives (a quadratic for squeezed thermal states, a
+bisection for displaced thermal ones), which then takes the nbar route.  The
+reconstruction entries ``recon_multi.recon_squeezed_thermal_multi`` and
+``recon_displaced_thermal_multi`` run these closed forms on one mode.  Displaced
 squeezed states keep a Z2 reflection of the noise ellipse through the
 displacement axis (the cosine of the relative phase is observable, its sign
 is not) unless a phase scan with known ordering breaks it.  Their two-port
@@ -19,14 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import MeasurementSet, _nd_line, _require
+from .classify import _nd_line
 from .errors import (
     InconsistentDataError,
     InfeasibleError,
     SectorMismatchError,
     ValidationError,
 )
-from .states import GaussianParams, derive_moments, g2_tensor, mode_vacuum_probability
+from .states import GaussianParams
 
 _COS_CLAMP = 1e-9
 
@@ -52,6 +56,18 @@ def _clamp_cosine(value: float, tol: float = _COS_CLAMP) -> float:
     if abs(value) > 1.0 + tol:
         raise InconsistentDataError(f"|cos| = {abs(value):.6g} exceeds 1 beyond tolerance")
     return float(np.clip(value, -1.0, 1.0))
+
+
+def _g2_cosine(g2: float, nbar: float, alpha2: float, alpha4: float, cov_abs: float) -> float:
+    """cos(2 arg alpha - arg cov) of a mode, unclamped, from its g2 relation
+
+        nbar^2 (g2 - 2) = |cov|^2 - |alpha|^4 + 2 |alpha|^2 |cov| cos(2 arg alpha - arg cov).
+
+    alpha2 = |alpha|^2 and alpha4 = |alpha|^4 come rounded as each caller
+    derives them (the scan squares its fitted |alpha|^2, the two-port route
+    raises a measured |alpha| to the fourth), so each keeps its results bit
+    for bit.  Each caller judges a value beyond [-1, 1] by its own tolerance."""
+    return (nbar**2 * (g2 - 2.0) - cov_abs**2 + alpha4) / (2.0 * alpha2 * cov_abs)
 
 
 def _squeezed_thermal_inversion(m_c: float, cov2: float) -> tuple[float, float, float]:
@@ -88,55 +104,28 @@ def recon_squeezed_thermal(g2: float, nbar: float, tol: float = 1e-9):
     return _squeeze_radius(sinh2), float(max(occupation, 0.0))
 
 
-def recon_squeezed_thermal_click(g2: float, p0: float, tol: float = 1e-8):
-    """All (r, N) compatible with g2 and the no-click probability.
+def recon_squeezed_thermal_click(g2: float, p0: float):
+    """[(r, N)], the one squeezed thermal state with this g2 and no-click
+    probability.
 
-    Eliminating cosh^2 r between p0^(-2) = N^2 + (2N+1) cosh^2 r and
-    g2 = 2 + |cov|^2/nbar^2 leaves (after removing the spurious (2N+1)^2
-    factor) the quartic, with P = 1/p0^2,
+    At alpha = 0, ``mode_vacuum_probability`` gives, with c = 1/p0^2 - 1,
 
-        (g2 - 3) N^4 + 2 (g2 - 3) N^3
-        + (3 g2 - 2 g2 P + 6 P - 7) N^2 + (2 g2 - 2 g2 P + 6 P - 4) N
-        + g2 (P - 1)^2 - 3 P^2 + 5 P - 2 = 0.
+        (3 - g2) nbar^2 + 2 nbar - c = 0,
 
-    Every admissible root is kept (best agreement first) since the quartic
-    can admit several nonnegative solutions.
+    whose root nbar = c / (1 + sqrt(1 + (3 - g2) c)) goes to
+    ``recon_squeezed_thermal``; nbar = 0 (p0 = 1) is the vacuum.  Any root
+    has thermal occupation N = sqrt(4 (c - nbar) + 1)/2 - 1/2.  The other
+    root is negative for g2 <= 3; for g2 > 3 it is (1 + sqrt(...)) / (g2 - 3),
+    which exceeds c, so its N is negative except where the two roots meet: no
+    second state exists.
     """
     if not 0.0 < p0 <= 1.0:
         raise ValidationError("p0 must lie in (0, 1]")
     if g2 < 2.0 - 1e-9:
         raise SectorMismatchError(f"g2 = {g2} < 2: not a squeezed thermal state")
-    big_p = 1.0 / p0**2
-    coeffs = [g2 - 3.0,
-              2.0 * (g2 - 3.0),
-              3.0 * g2 - 2.0 * g2 * big_p + 6.0 * big_p - 7.0,
-              2.0 * g2 - 2.0 * g2 * big_p + 6.0 * big_p - 4.0,
-              g2 * (big_p - 1.0) ** 2 - 3.0 * big_p**2 + 5.0 * big_p - 2.0]
-    if abs(coeffs[0]) < 1e-12 * max(abs(c) for c in coeffs):
-        coeffs = coeffs[1:]  # the g2 -> 3 limit drops the quartic to a cubic
-    roots = np.roots(coeffs)  # companion-matrix eigenvalues
-    out = []
-    for root in roots:
-        if abs(root.imag) > 1e-8:
-            continue
-        occupation = float(root.real)
-        if occupation < -1e-10:
-            continue
-        occupation = max(occupation, 0.0)
-        sinh2 = (1.0 - (occupation + 1.0) ** 2 * p0**2) / ((2 * occupation + 1.0) * p0**2)
-        if sinh2 < -1e-10:
-            continue
-        r = _squeeze_radius(sinh2)
-        mom = derive_moments(GaussianParams.single_mode(r=r, occupation=occupation))
-        err = abs(mode_vacuum_probability(mom, 0) - p0)
-        if mom.nbar[0] > 0:  # vacuum root leaves g2 unconstrained
-            err = max(err, abs(g2_tensor(mom)[0, 0] - g2))
-        if err <= max(tol, 1e-6 * (1 + abs(g2))):
-            out.append((err, r, occupation))
-    if not out:
-        raise InfeasibleError("no admissible root of the click quartic")
-    out.sort()
-    return [(r, occ) for _, r, occ in out]
+    c = 1.0 / p0**2 - 1.0
+    nbar = c / (1.0 + np.sqrt(max(1.0 + (3.0 - g2) * c, 0.0)))
+    return [recon_squeezed_thermal(g2, nbar) if nbar > 0 else (0.0, 0.0)]
 
 
 def recon_displaced_thermal(g2: float, nbar: float, tol: float = 1e-9):
@@ -155,39 +144,29 @@ def recon_displaced_thermal(g2: float, nbar: float, tol: float = 1e-9):
 
 
 def recon_displaced_thermal_click(g2: float, p0: float, tol: float = 1e-10):
-    """(|alpha|, N) from g2 and the no-click probability, by bisection in N.
+    """(|alpha|, N) from g2 and the no-click probability, by bisection in nbar.
 
-    Combines p0 = e^{-|alpha|^2/(N+1)}/(N+1) with
-    sqrt(2 - g2) = |alpha|^2/(|alpha|^2 + N).
+    With s = sqrt(2 - g2), |alpha|^2 = s nbar and N = (1 - s) nbar, so
+    p0 = e^{-s nbar / (1 + (1 - s) nbar)} / (1 + (1 - s) nbar) falls from 1 at
+    nbar = 0 to at most 1/(1 + nbar), which brackets nbar in [0, 1/p0 - 1].
+    That nbar goes to ``recon_displaced_thermal``; nbar = 0 (p0 = 1) is the
+    vacuum.
     """
     if not 0.0 < p0 <= 1.0:
         raise ValidationError("p0 must lie in (0, 1]")
     if g2 > 2.0 + 1e-9 or g2 < 1.0 - 1e-9:
         raise SectorMismatchError(f"g2 = {g2} outside [1, 2]: not a displaced thermal state")
-    q = np.sqrt(np.clip(2.0 - g2, 0.0, 1.0))
-    if q >= 1.0 - 1e-12:  # displaced vacuum: N = 0
-        return float(np.sqrt(-np.log(p0))), 0.0
-    if q <= 1e-12:  # thermal: alpha = 0
-        return 0.0, 1.0 / p0 - 1.0
-
-    def model(occupation):
-        a2 = q * occupation / (1.0 - q)
-        return np.exp(-a2 / (occupation + 1.0)) / (occupation + 1.0)
-
-    lo, hi = 0.0, 10.0 / p0
-    if model(hi) > p0:
-        raise InfeasibleError("no occupation reproduces the observed p0")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model(mid) > p0:
-            lo = mid
+    s = np.sqrt(np.clip(2.0 - g2, 0.0, 1.0))
+    lo, hi = 0.0, 1.0 / p0 - 1.0
+    while hi - lo > tol * (1.0 + hi):
+        nbar = 0.5 * (lo + hi)
+        spread = 1.0 + (1.0 - s) * nbar
+        if np.exp(-s * nbar / spread) / spread > p0:
+            lo = nbar
         else:
-            hi = mid
-        if hi - lo < tol * (1.0 + hi):
-            break
-    occupation = 0.5 * (lo + hi)
-    alpha_abs = float(np.sqrt(q * occupation / (1.0 - q)))
-    return alpha_abs, float(occupation)
+            hi = nbar
+    nbar = 0.5 * (lo + hi)
+    return recon_displaced_thermal(g2, nbar) if nbar > 0 else (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +185,7 @@ class ScanReconstruction:
     z2_resolved: bool
 
 
-def _st_params_from_moduli(nbar: float, alpha2: float, cov_abs: float, tol: float = 1e-9):
+def _st_params_from_moduli(nbar: float, alpha2: float, cov_abs: float):
     """(r, N) from the centered occupation nbar - |alpha|^2 and |cov|."""
     disc, sinh2, occupation = _squeezed_thermal_inversion(nbar - alpha2, cov_abs**2)
     if disc < -1e-9:
@@ -278,7 +257,8 @@ def recon_dst_scan(points, nbar: float, sigmas=None, phase_steps=None,
         if alpha2 < 1e-12 or cov_abs < 1e-12:
             cosines.append(0.0)
             continue
-        val = (nbar**2 * (g2 - 2.0) - cov_abs**2 + alpha2**2) / (-2.0 * alpha2 * cov_abs)
+        # arg cov = theta + pi, so cos(2 phi_d - theta) is the negated g2 cosine
+        val = -_g2_cosine(g2, nbar, alpha2, alpha2**2, cov_abs)
         cosines.append(_clamp_cosine(val, max(tol, _COS_CLAMP)))
     rel_phases = None
     z2_resolved = False
@@ -321,46 +301,3 @@ def _resolve_scan_phases(cosines, steps, tol):
         raise InconsistentDataError("no arccos branch matches the declared phase steps")
     degenerate = all(min(abs(np.sin(s)), 1.0) < 1e-9 for s in steps)
     return best[1], not degenerate
-
-
-def reconstruct_single_mode(m: MeasurementSet, sector: str, tol: float = 1e-8) -> ReconstructedState:
-    """Dispatch reconstruction of single-mode data in a decided sector.
-
-    Uses nbar when present, otherwise the no-click probability.  ``residual``
-    is ``recon_multi.measurement_residual``, as for every multimode route.
-    """
-    if m.modes != 1:
-        raise ValidationError("reconstruct_single_mode needs single-mode data")
-    _require(m, "single-mode reconstruction", "g2")
-    g2 = float(m.g2[0, 0])
-    nbar = float(m.nbar[0]) if m.nbar is not None else None
-    p0 = float(m.p0[0]) if m.p0 is not None else None
-    if sector == "nd":
-        if nbar is not None:
-            r, occupation = recon_squeezed_thermal(g2, nbar)
-            extra = ()
-        else:
-            if p0 is None:
-                raise ValidationError("need nbar or p0 for reconstruction")
-            candidates = recon_squeezed_thermal_click(g2, p0)
-            (r, occupation), extra = candidates[0], tuple(
-                GaussianParams.single_mode(r=rr, occupation=oo)
-                for rr, oo in candidates[1:])
-        params = GaussianParams.single_mode(r=r, occupation=occupation)
-        ambiguity = Ambiguity(discrete_solutions=extra,
-                              notes=("squeeze phase theta is gauge",))
-    elif sector == "ns":
-        if nbar is not None:
-            alpha_abs, occupation = recon_displaced_thermal(g2, nbar)
-        else:
-            if p0 is None:
-                raise ValidationError("need nbar or p0 for reconstruction")
-            alpha_abs, occupation = recon_displaced_thermal_click(g2, p0)
-        params = GaussianParams.single_mode(alpha=alpha_abs, occupation=occupation)
-        ambiguity = Ambiguity(notes=("displacement phase is gauge",))
-    else:
-        raise ValidationError(f"unsupported single-mode sector {sector!r} "
-                              "(displaced-squeezed needs scan or beam-splitter data)")
-    # imported here: recon_multi imports this module's result types
-    from .recon_multi import measurement_residual
-    return ReconstructedState(params, ambiguity, residual=measurement_residual(params, m))

@@ -742,14 +742,17 @@ class TestClassifyReconstruct:
         assert rec["ambiguity"]["z2_reflection"] is True
         alpha = complex(*rec["params"]["alpha"][0])
         assert abs(alpha) == pytest.approx(0.3, abs=1e-7)
-        # both ports reproduced: the reference port with sqrt(2) alpha under plus
-        got = params_from_json(rec["params"])
+        # every listed solution reproduces both ports: the reference port with
+        # sqrt(2) alpha under plus
+        listed = [rec["params"]] + rec["ambiguity"]["discrete_solutions"]
+        assert len(listed) == 2
         scale = 1.0 if ref_port == "orig" else np.sqrt(2.0)
-        for alpha_scale, port in ((scale, m_ref), (0.0, m_minus)):
-            state = GaussianParams(alpha_scale * got.alpha, got.squeeze, got.rotation,
-                                   got.thermal)
-            assert measurement_residual(state, measurement_from_json(load(port))) < 1e-8
-        assert rec["residual"] < 1e-8
+        for got in map(params_from_json, listed):
+            for alpha_scale, port in ((scale, m_ref), (0.0, m_minus)):
+                state = GaussianParams(alpha_scale * got.alpha, got.squeeze, got.rotation,
+                                       got.thermal)
+                assert measurement_residual(state, measurement_from_json(load(port))) < 1e-9
+        assert rec["residual"] < 1e-9
 
     def test_sector_mismatch_exit_code(self, tmp_path):
         params = GaussianParams.single_mode(r=0.5, occupation=0.2)  # g2 > 2
@@ -844,18 +847,21 @@ def test_malformed_measurement_document_is_rejected(tmp_path, corrupt):
     assert run("reconstruct", meas) == 2
 
 
+def write_measurements(tmp_path, params, name="meas.json", **fields):
+    """The simulated measurement file of a state, with the given fields replaced."""
+    meas = tmp_path / name
+    assert run("simulate", write_params(tmp_path, params, "state_" + name), "--out", meas) == 0
+    doc = load(meas)
+    doc.update(fields)
+    dump(doc, meas)
+    return meas
+
+
 class TestMissingFieldIsNamed:
     """A measurement file whose needed field is null stops with an error naming
     the field (exit 2), not a misleading message or a traceback."""
 
-    @staticmethod
-    def measurements(tmp_path, params, name="meas.json", **nulls):
-        meas = tmp_path / name
-        assert run("simulate", write_params(tmp_path, params, "state_" + name), "--out", meas) == 0
-        doc = load(meas)
-        doc.update(nulls)
-        dump(doc, meas)
-        return meas
+    measurements = staticmethod(write_measurements)
 
     @pytest.mark.parametrize("argv", [["classify"], ["reconstruct"],
                                       ["reconstruct", "--sector", "ns"],
@@ -902,6 +908,47 @@ class TestMissingFieldIsNamed:
         capsys.readouterr()
         assert run("reconstruct", m_minus, m_orig, "--sector", "dst") == 2
         assert f"the {port} port needs {field}" in capsys.readouterr().err
+
+
+class TestOneModeReconstruct:
+    """One-mode nd/ns data through the same entries as several modes: the
+    closed forms on nbar, or on the nbar that p0 gives."""
+
+    @staticmethod
+    def draw(rng, sector):
+        if sector == "nd":
+            return GaussianParams.single_mode(r=rng.uniform(0.0, 1.5),
+                                              theta=rng.uniform(-np.pi, np.pi),
+                                              occupation=rng.uniform(1e-3, 1.0))
+        return GaussianParams.single_mode(alpha=rng.uniform(0.0, 1.5)
+                                          * np.exp(1j * rng.uniform(-np.pi, np.pi)),
+                                          occupation=rng.uniform(1e-3, 1.0))
+
+    @pytest.mark.parametrize("sector,atol", [("nd", 1e-9), ("ns", 1e-7)])
+    def test_p0_route_matches_nbar_route(self, tmp_path, sector, atol):
+        rng = np.random.default_rng(2031)
+        for k in range(20):
+            params = self.draw(rng, sector)
+            meas = write_measurements(tmp_path, params, f"m{k}.json")
+            p0_only = write_measurements(tmp_path, params, f"p{k}.json", nbar=None)
+            docs = []
+            for path, name in ((meas, "nbar"), (p0_only, "p0")):
+                out = tmp_path / f"rec-{name}{k}.json"
+                assert run("reconstruct", path, "--sector", sector, "--out", out) == 0
+                docs.append(load(out))
+            by_nbar, by_p0 = (params_from_json(doc["params"]) for doc in docs)
+            assert docs[1]["ambiguity"]["discrete_solutions"] == []
+            for field in ("alpha", "squeeze", "rotation", "thermal"):
+                assert np.abs(getattr(by_p0, field) - getattr(by_nbar, field)).max() <= atol
+
+    @pytest.mark.parametrize("sector", ["nd", "ns"])
+    def test_explicit_sector_needs_no_g3(self, tmp_path, sector):
+        """An explicit sector reads no classification, so one mode needs no g3."""
+        params = self.draw(np.random.default_rng(7), sector)
+        meas = write_measurements(tmp_path, params, g3=[])
+        out = tmp_path / "rec.json"
+        assert run("reconstruct", meas, "--sector", sector, "--out", out) == 0
+        assert load(out)["meta"]["sector"] == sector
 
 
 class TestScanCli:

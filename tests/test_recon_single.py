@@ -7,17 +7,21 @@ from conftest import balanced_beamsplitter_duplicate
 from gausstat.classify import MeasurementSet, synthesize_measurements
 from gausstat.errors import (
     InconsistentDataError,
+    InfeasibleError,
     SectorMismatchError,
     ValidationError,
 )
-from gausstat.recon_multi import recon_displaced_squeezed_multi
+from gausstat.recon_multi import (
+    recon_displaced_squeezed_multi,
+    recon_displaced_thermal_multi,
+    recon_squeezed_thermal_multi,
+)
 from gausstat.recon_single import (
     recon_displaced_thermal,
     recon_displaced_thermal_click,
     recon_dst_scan,
     recon_squeezed_thermal,
     recon_squeezed_thermal_click,
-    reconstruct_single_mode,
 )
 from gausstat.states import (
     GaussianParams,
@@ -67,7 +71,98 @@ class TestSqueezedThermal:
             recon_squeezed_thermal(1.5, 0.5)
 
 
+def quartic_click_reference(g2, p0, tol=1e-8):
+    """Every (r, N) that the former quartic route admitted, best agreement first.
+
+    Eliminating cosh^2 r between p0^(-2) = N^2 + (2N+1) cosh^2 r and
+    g2 = 2 + |cov|^2/nbar^2 leaves, with P = 1/p0^2,
+
+        (g2 - 3) N^4 + 2 (g2 - 3) N^3
+        + (3 g2 - 2 g2 P + 6 P - 7) N^2 + (2 g2 - 2 g2 P + 6 P - 4) N
+        + g2 (P - 1)^2 - 3 P^2 + 5 P - 2 = 0,
+
+    a cubic at g2 = 3.  Each real root N >= 0 with sinh^2 r >= 0 is kept when
+    the forward model reproduces p0 and g2.
+    """
+    big_p = 1.0 / p0**2
+    coeffs = [g2 - 3.0,
+              2.0 * (g2 - 3.0),
+              3.0 * g2 - 2.0 * g2 * big_p + 6.0 * big_p - 7.0,
+              2.0 * g2 - 2.0 * g2 * big_p + 6.0 * big_p - 4.0,
+              g2 * (big_p - 1.0) ** 2 - 3.0 * big_p**2 + 5.0 * big_p - 2.0]
+    if abs(coeffs[0]) < 1e-12 * max(abs(c) for c in coeffs):
+        coeffs = coeffs[1:]
+    out = []
+    for root in np.roots(coeffs):
+        if abs(root.imag) > 1e-8:
+            continue
+        occupation = float(root.real)
+        if occupation < -1e-10:
+            continue
+        occupation = max(occupation, 0.0)
+        sinh2 = (1.0 - (occupation + 1.0) ** 2 * p0**2) / ((2 * occupation + 1.0) * p0**2)
+        if sinh2 < -1e-10:
+            continue
+        r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
+        mom = derive_moments(GaussianParams.single_mode(r=r, occupation=occupation))
+        err = abs(mode_vacuum_probability(mom, 0) - p0)
+        if mom.nbar[0] > 0:  # vacuum root leaves g2 unconstrained
+            err = max(err, abs(g2_tensor(mom)[0, 0] - g2))
+        if err <= max(tol, 1e-6 * (1 + abs(g2))):
+            out.append((err, r, occupation))
+    if not out:
+        raise InfeasibleError("no admissible root of the click quartic")
+    out.sort()
+    return [(r, occ) for _, r, occ in out]
+
+
+def _click_roots(solve, g2, p0):
+    try:
+        return sorted(solve(g2, p0))
+    except InfeasibleError:
+        return None
+
+
 class TestSqueezedThermalClick:
+    def test_matches_quartic_reference(self):
+        """The quadratic in nbar admits what the quartic in N admitted, within
+        1e-9: on states with N >= 1e-3, at g2 = 3 exactly (the quartic's cubic
+        case), at g2 > 3 (where many (g2, p0) pairs admit no state, and both
+        say so) and at the vacuum boundary.  Nearer N = 0 the quartic's double
+        root loses digits (1.6e-9 at N ~ 1e-5), then splits: see
+        test_near_pure_state."""
+        rng = np.random.default_rng(611)
+        cases = []
+        for _ in range(500):
+            g2, _, _, p0 = observables(GaussianParams.single_mode(
+                r=rng.uniform(0.0, 1.5), occupation=rng.uniform(1e-3, 1.0)))
+            cases.append((g2, p0))
+        cases += [(3.0, p0) for p0 in rng.uniform(0.05, 1.0, 50)]
+        cases += list(zip(rng.uniform(3.0, 12.0, 100), rng.uniform(0.05, 1.0, 100)))
+        cases.append((2.0 + 1e-12, 1.0))
+        admitted = 0
+        for g2, p0 in cases:
+            want = _click_roots(quartic_click_reference, g2, p0)
+            got = _click_roots(recon_squeezed_thermal_click, g2, p0)
+            assert (want is None) == (got is None), (g2, p0)
+            if want is not None:
+                admitted += 1
+                assert len(got) == len(want) == 1, (g2, p0)
+                assert np.abs(np.subtract(got, want)).max() <= 1e-9, (g2, p0)
+        assert admitted >= 551  # every state, every g2 = 3 pair, the vacuum
+
+    def test_near_pure_state(self, rng):
+        """Near N = 0 the two nbar roots meet, and (g2, p0) fixes the state only
+        to about sqrt(eps): one solution within 1e-6, where the quartic
+        returned the root twice or lost it."""
+        for _ in range(50):
+            r0 = rng.uniform(0.05, 1.5)
+            n0 = 0.0 if rng.uniform() < 0.2 else 10 ** rng.uniform(-12, -4)
+            g2, _, _, p0 = observables(GaussianParams.single_mode(r=r0, occupation=n0))
+            (r, occ), = recon_squeezed_thermal_click(g2, p0)
+            assert r == pytest.approx(r0, abs=1e-6)
+            assert occ == pytest.approx(n0, abs=1e-6)
+
     def test_round_trip(self, rng):
         for _ in range(20):
             r0 = rng.uniform(0.05, 1.0)
@@ -237,7 +332,7 @@ class TestDispatch:
     def test_nd_with_nbar(self):
         params = GaussianParams.single_mode(r=0.5, occupation=0.2)
         m = synthesize_measurements(derive_moments(params))
-        rec = reconstruct_single_mode(m, "nd")
+        rec = recon_squeezed_thermal_multi(m)
         assert abs(rec.params.squeeze[0, 0]) == pytest.approx(0.5, abs=1e-8)
         assert rec.residual < 1e-9
 
@@ -247,7 +342,7 @@ class TestDispatch:
         m = synthesize_measurements(mom, include_p0=True)
         stripped = type(m)(1, nbar=None, g1_abs=m.g1_abs, g1_phase=m.g1_phase,
                            g2=m.g2, g3=m.g3, p0=m.p0)
-        rec = reconstruct_single_mode(stripped, "ns")
+        rec = recon_displaced_thermal_multi(stripped)
         assert abs(rec.params.alpha[0]) == pytest.approx(0.4, abs=1e-7)
         assert rec.params.thermal[0] == pytest.approx(0.3, abs=1e-7)
 
