@@ -64,15 +64,15 @@ class BucketVerdict:
     caveat: str = GAUSSIAN_CAVEAT
 
 
-def bucket_bounds_check(obs: BucketObservables, tol: float = 1e-9) -> BucketVerdict:
+def bucket_bounds_check(obs: BucketObservables) -> BucketVerdict:
     """Locate g2_B relative to the non-squeezed window 1 <= g2_B <= 2.
 
     Exceeding 2 certifies a nontrivial squeezing parameter; falling below 1
-    requires both squeezing and displacement.  Values within ``tol`` of a
+    requires both squeezing and displacement.  Values within 1e-9 of a
     boundary are inconclusive.  All verdicts assume a Gaussian state.
     """
     g2_b = obs.g2_b
-    if abs(g2_b - 2.0) <= tol or abs(g2_b - 1.0) <= tol:
+    if abs(g2_b - 2.0) <= 1e-9 or abs(g2_b - 1.0) <= 1e-9:
         return BucketVerdict(INCONCLUSIVE)
     if g2_b > 2.0:
         return BucketVerdict(CERTIFIES_SQUEEZING)
@@ -101,8 +101,7 @@ def equal_squeezer_bucket(k: int | float, sinh2: float) -> tuple[float, float]:
     return g2_b, g3_b
 
 
-def pure_squeezer_mode_estimate(g2_b: float, g3_b: float,
-                                tol: float = 1e-9) -> ModeCountEstimate:
+def pure_squeezer_mode_estimate(g2_b: float, g3_b: float) -> ModeCountEstimate:
     """Estimate the squeezer count K from bucket correlations.
 
     Under the equal-squeezer model, with u = 1/Tr G and v = 1/K,
@@ -116,10 +115,10 @@ def pure_squeezer_mode_estimate(g2_b: float, g3_b: float,
     root = np.sqrt(disc)
     admissible = []
     for v in ((3.0 * (g2_b - 1.0) + root) / 4.0, (3.0 * (g2_b - 1.0) - root) / 4.0):
-        if not tol < v <= 1.0 + 1e-9:
+        if not 1e-9 < v <= 1.0 + 1e-9:
             continue
         u = g2_b - 1.0 - 2.0 * v
-        if u <= tol:
+        if u <= 1e-9:
             continue
         k = 1.0 / v
         sinh2 = v / u

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bucket as bucket_mod
 from . import fock, serialize
-from .classify import SIGMA_NAMES, classify, synthesize_measurements, _nd_line, _ns_curve, _require
+from .classify import SIGMA_NAMES, classify, synthesize_measurements, _nd_line, _ns_curve
 from .errors import (
     GausstatError,
     InfeasibleError,
@@ -212,11 +212,7 @@ def cmd_reconstruct(args) -> int:
         if len(msets) != 2:
             raise ValidationError(f"{reason} needs two measurement files: "
                                   "zero-mean port and reference port")
-        m_minus, m_ref = msets
-        for port, mset in (("zero-mean port", m_minus), ("reference port", m_ref)):
-            _require(mset, f"--sector dst: the {port}", "nbar", "g2")
-        rec = recon_displaced_squeezed_multi(m_minus, m_ref, ref_port=args.ref_port or "orig",
-                                             tol=tol)
+        rec = recon_displaced_squeezed_multi(*msets, ref_port=args.ref_port or "orig", tol=tol)
     elif len(msets) > 1 or args.ref_port:
         raise ValidationError(f"sector {sector} reads one measurement file and no --ref-port")
     else:

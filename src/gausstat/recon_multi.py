@@ -1,10 +1,10 @@
 """Reconstruction at every mode count: spectral route for displaced thermal
 states, Williamson route for squeezed thermal states, beam-splitter reduction
-for the general displaced squeezed case.  On one mode the first two run the
-closed forms of ``recon_single``, on the measured nbar or on the nbar that p0
-gives.  On several they take ``classify``'s verdict and build their
-candidates from the phase solutions it found; they solve no phase system of
-their own.
+for the general displaced squeezed case.  The first two read each mode's
+nbar, measured or given by its p0 through the steps of ``recon_single``.  On
+one mode they run its closed forms.  On several they take ``classify``'s
+verdict and build their candidates from the phase solutions it found; they
+solve no phase system of their own.
 
 Quadrature convention: x = (a + a†)/sqrt(2), p = (a - a†)/(i sqrt(2)),
 ordering (x_1..x_M, p_1..p_M), vacuum variance 1/2, symplectic form
@@ -42,10 +42,10 @@ from .recon_single import (
     Ambiguity,
     ReconstructedState,
     _g2_cosine,
+    displaced_thermal_nbar,
     recon_displaced_thermal,
-    recon_displaced_thermal_click,
     recon_squeezed_thermal,
-    recon_squeezed_thermal_click,
+    squeezed_thermal_nbar,
 )
 from .states import (
     GaussianParams,
@@ -53,6 +53,7 @@ from .states import (
     derive_moments,
     g2_tensor,
     g3_tensor,
+    mode_vacuum_probability,
 )
 
 
@@ -197,15 +198,14 @@ def squeeze_from_blocks(e_block: np.ndarray, f_block: np.ndarray):
     return z, rotation_from_unitary(expiphi)
 
 
-def params_from_covariance(cov: ComplexCovariance, alpha: np.ndarray,
-                           tol: float = 1e-8) -> GaussianParams:
+def params_from_covariance(cov: ComplexCovariance, alpha: np.ndarray) -> GaussianParams:
     """Gaussian parameters (up to gauge) reproducing a physical covariance.
 
     Raises ValidationError when a symplectic eigenvalue of the covariance lies
     below the vacuum limit 1/2.
     """
     v = complex_to_real_cov(cov)
-    res = williamson(v, tol=max(tol, 1e-8))
+    res = williamson(v)
     dmin = float(res.D.min())
     if dmin < 0.5 - 1e-9:
         raise ValidationError(
@@ -227,6 +227,9 @@ def measurement_residual(params: GaussianParams, m: MeasurementSet) -> float:
     worst = 0.0
     if m.nbar is not None:
         worst = max(worst, float(np.abs(mom.nbar - m.nbar).max()))
+    elif m.p0 is not None:  # reconstruction reads p0 where nbar is absent
+        p0 = [mode_vacuum_probability(mom, i) for i in range(m.modes)]
+        worst = max(worst, float(np.abs(np.subtract(p0, m.p0)).max()))
     if m.g2 is not None:
         worst = max(worst, float(np.abs(g2_tensor(mom) - m.g2).max()))
     if m.g1_abs is not None:
@@ -259,15 +262,20 @@ def _ranked(candidates: list, tol: float, notes: list, kind: str | None = None):
     return ReconstructedState(keep[0][1], ambiguity, residual=float(keep[0][0]))
 
 
-def _one_mode_data(m: MeasurementSet) -> tuple[float, float | None, float | None]:
-    """(g2, nbar, p0) of one-mode data; p0 is read only where nbar is not measured."""
-    _require(m, "single-mode reconstruction", "g2")
-    g2 = float(m.g2[0, 0])
+def _mode_nbar(m: MeasurementSet, step) -> np.ndarray:
+    """Each mode's nbar: measured or, where nbar is absent, step(g2_ii, p0_i).
+    An empty mode (p0 = 1) has no g2, so every nbar must be positive."""
+    purpose = "single-mode reconstruction" if m.modes == 1 else "multimode reconstruction"
+    _require(m, purpose, "g2")
     if m.nbar is not None:
-        return g2, float(m.nbar[0]), None
-    if m.p0 is None:
-        raise ValidationError("need nbar or p0 for reconstruction")
-    return g2, None, float(m.p0[0])
+        nbar = m.nbar
+    elif m.p0 is not None:
+        nbar = np.array([step(g2, p0) for g2, p0 in zip(np.diag(m.g2).tolist(), m.p0.tolist())])
+    else:
+        raise ValidationError(f"{purpose} needs nbar or p0")
+    if not nbar.min() > 0:
+        raise ValidationError(f"nbar must be positive, got {nbar.min():.6g}")
+    return nbar
 
 
 def _one_mode_state(m: MeasurementSet, params: GaussianParams, note: str) -> ReconstructedState:
@@ -292,26 +300,24 @@ def recon_displaced_thermal_multi(m: MeasurementSet, verdict: Classification | N
                                   tol: float = 1e-7) -> ReconstructedState:
     """Displacements, thermal occupations and mode rotation of a non-squeezed state.
 
-    One mode takes ``recon_displaced_thermal`` on nbar, or
-    ``recon_displaced_thermal_click`` on p0 where nbar is not measured, and
-    ignores ``verdict``.  Several modes need ``verdict = classify(m, tol)``,
-    computed here when None.  Moduli come from the diagonal g2 and phases
-    from the displacement-phase solutions of its non-squeezed hypothesis;
-    then the hermitian matrix sqrt(nbar_i nbar_j) g1_ij - alpha_i* alpha_j is
-    diagonalized: eigenvalues are the occupations, eigenvectors the rotation.
+    nbar is measured or, per mode, ``displaced_thermal_nbar`` of g2_ii and p0_i.
+    One mode takes ``recon_displaced_thermal`` on it and ignores ``verdict``.
+    Several modes need ``verdict = classify(m, tol)``, computed here when None.
+    Moduli come from the diagonal g2 and phases from the displacement-phase
+    solutions of its non-squeezed hypothesis; then the hermitian matrix
+    sqrt(nbar_i nbar_j) g1_ij - alpha_i* alpha_j is diagonalized: eigenvalues
+    are the occupations, eigenvectors the rotation.
     """
+    nbar = _mode_nbar(m, displaced_thermal_nbar)
     if m.modes == 1:
-        g2, nbar, p0 = _one_mode_data(m)
-        alpha_abs, occupation = (recon_displaced_thermal(g2, nbar) if nbar is not None
-                                 else recon_displaced_thermal_click(g2, p0))
-        return _one_mode_state(m, GaussianParams.single_mode(alpha=alpha_abs,
-                                                             occupation=occupation),
-                               "displacement phase is gauge")
+        alpha_abs, occupation = recon_displaced_thermal(float(m.g2[0, 0]), float(nbar[0]))
+        params = GaussianParams.single_mode(alpha=alpha_abs, occupation=occupation)
+        return _one_mode_state(m, params, "displacement phase is gauge")
     if verdict is None:
         verdict = classify(m, tol)
-    _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs", "g1_phase")
+    _require(m, "multimode reconstruction", "g1_abs", "g1_phase")
     mm = m.modes
-    alpha_abs = np.sqrt(m.nbar) * np.clip(2.0 - np.diag(m.g2), 0.0, None) ** 0.25
+    alpha_abs = np.sqrt(nbar) * np.clip(2.0 - np.diag(m.g2), 0.0, None) ** 0.25
     if np.abs(np.diag(m.g2) - 1.0).max() <= max(10 * tol, 1e-8):
         # displaced vacuum: the cosine system is degenerate (c = 1 identically)
         # but g1 carries the phases directly, g1_ij = e^{i(phi_j - phi_i)}
@@ -327,7 +333,7 @@ def recon_displaced_thermal_multi(m: MeasurementSet, verdict: Classification | N
                                                        "displacement")]
     candidates = []
     g1 = m.g1_complex()
-    root = np.sqrt(np.outer(m.nbar, m.nbar))
+    root = np.sqrt(np.outer(nbar, nbar))
     for phases in phase_sets:
         alpha = alpha_abs * np.exp(1j * phases)
         h = (root * g1 - np.outer(alpha.conj(), alpha)).T  # K_ji = G_ij - conj(a_i) a_j
@@ -351,25 +357,23 @@ def recon_squeezed_thermal_multi(m: MeasurementSet, verdict: Classification | No
                                  tol: float = 1e-7) -> ReconstructedState:
     """Squeeze matrix, rotation and occupations of a non-displaced state.
 
-    One mode takes ``recon_squeezed_thermal`` on nbar, or
-    ``recon_squeezed_thermal_click`` on p0 where nbar is not measured, and
-    ignores ``verdict``.  Several modes need ``verdict = classify(m, tol)``,
-    computed here when None.  Covariance moduli come from g2/g1, clipped at 0
-    as classify clips them, and phases from the covariance-phase solutions of
-    its non-displaced hypothesis; then Williamson runs on the assembled
-    covariance matrix.
+    nbar is measured or, per mode, ``squeezed_thermal_nbar`` of g2_ii and p0_i.
+    One mode takes ``recon_squeezed_thermal`` on it and ignores ``verdict``.
+    Several modes need ``verdict = classify(m, tol)``, computed here when None.
+    Covariance moduli come from g2/g1, clipped at 0 as classify clips them,
+    and phases from the covariance-phase solutions of its non-displaced
+    hypothesis; then Williamson runs on the assembled covariance matrix.
     """
+    nbar = _mode_nbar(m, squeezed_thermal_nbar)
     if m.modes == 1:
-        g2, nbar, p0 = _one_mode_data(m)
-        r, occupation = (recon_squeezed_thermal(g2, nbar) if nbar is not None
-                         else recon_squeezed_thermal_click(g2, p0)[0])
+        r, occupation = recon_squeezed_thermal(float(m.g2[0, 0]), float(nbar[0]))
         return _one_mode_state(m, GaussianParams.single_mode(r=r, occupation=occupation),
                                "squeeze phase theta is gauge")
     if verdict is None:
         verdict = classify(m, tol)
-    _require(m, "multimode reconstruction", "nbar", "g2", "g1_abs")
+    _require(m, "multimode reconstruction", "g1_abs")
     mm = m.modes
-    root = np.sqrt(np.outer(m.nbar, m.nbar))
+    root = np.sqrt(np.outer(nbar, nbar))
     thetas = [s.theta for s in _classified_phases(verdict, NON_DISPLACED, "non-displaced",
                                                   "covariance")]
     cov_abs = root * np.sqrt(np.clip(_covariance_q(m), 0.0, None))
@@ -416,14 +420,14 @@ def recon_displaced_squeezed_multi(m_minus: MeasurementSet, m_ref: MeasurementSe
     """
     if ref_port not in ("orig", "plus"):
         raise ValidationError("ref_port must be 'orig' or 'plus'")
+    for port, mset in (("zero-mean port", m_minus), ("reference port", m_ref)):
+        _require(mset, f"two-port reconstruction: the {port}", "nbar", "g2")
     verdict = classify(m_minus, tol=max(tol, 1e-7))
     if verdict.sector not in (NON_DISPLACED, THERMAL_LIKE):
         raise SectorMismatchError(
             f"zero-mean port classifies as {verdict.sector}, not NonDisplaced")
     base = recon_squeezed_thermal_multi(m_minus, verdict, tol=tol)
     cov_solutions = (base.params,) + base.ambiguity.discrete_solutions
-    if m_ref.nbar is None or m_ref.g2 is None:
-        raise ValidationError("reference port needs nbar and g2")
     scale = 1.0 if ref_port == "orig" else 2.0
     alpha2 = (m_ref.nbar - m_minus.nbar) / scale
     if alpha2.min() < -100 * tol:

@@ -2,10 +2,10 @@
 
 Loss-invariant (g2, g3) data fixes ratios only; adding the mean photon number
 nbar or the no-click probability p0 pins the parameters down.  p0 enters only
-through the nbar it gives (a quadratic for squeezed thermal states, a
-bisection for displaced thermal ones), which then takes the nbar route.  The
-reconstruction entries ``recon_multi.recon_squeezed_thermal_multi`` and
-``recon_displaced_thermal_multi`` run these closed forms on one mode.  Displaced
+through the nbar of each mode, which ``squeezed_thermal_nbar`` (a quadratic)
+and ``displaced_thermal_nbar`` (a bisection) give at every mode count.  The
+entries ``recon_multi.recon_squeezed_thermal_multi`` and
+``recon_displaced_thermal_multi`` run the closed forms on one mode.  Displaced
 squeezed states keep a Z2 reflection of the noise ellipse through the
 displacement axis (the cosine of the relative phase is observable, its sign
 is not) unless a phase scan with known ordering breaks it.  Their two-port
@@ -33,6 +33,7 @@ from .errors import (
 from .states import GaussianParams
 
 _COS_CLAMP = 1e-9
+_NBAR_MAX = 2.0**341  # the largest nbar a p0 step returns: nbar^3 stays a float
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _squeeze_radius(sinh2: float) -> float:
     return float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
 
 
-def recon_squeezed_thermal(g2: float, nbar: float, tol: float = 1e-9):
+def recon_squeezed_thermal(g2: float, nbar: float):
     """(r, N) of a squeezed thermal state from g2 and the mean photon number.
 
     sinh^2 r = (2 nbar + 1) / (2 sqrt(D)) - 1/2 and N = sqrt(D)/2 - 1/2 with
@@ -99,43 +100,19 @@ def recon_squeezed_thermal(g2: float, nbar: float, tol: float = 1e-9):
     disc, sinh2, occupation = _squeezed_thermal_inversion(nbar, nbar**2 * (g2 - 2.0))
     if disc < 0:
         raise InfeasibleError(f"negative discriminant {disc:.3e}: (g2, nbar) outside the sector")
-    if occupation < -tol or sinh2 < -tol:
+    if occupation < -1e-9 or sinh2 < -1e-9:
         raise InfeasibleError("inverted parameters fall below zero")
     return _squeeze_radius(sinh2), float(max(occupation, 0.0))
 
 
-def recon_squeezed_thermal_click(g2: float, p0: float):
-    """[(r, N)], the one squeezed thermal state with this g2 and no-click
-    probability.
-
-    At alpha = 0, ``mode_vacuum_probability`` gives, with c = 1/p0^2 - 1,
-
-        (3 - g2) nbar^2 + 2 nbar - c = 0,
-
-    whose root nbar = c / (1 + sqrt(1 + (3 - g2) c)) goes to
-    ``recon_squeezed_thermal``; nbar = 0 (p0 = 1) is the vacuum.  Any root
-    has thermal occupation N = sqrt(4 (c - nbar) + 1)/2 - 1/2.  The other
-    root is negative for g2 <= 3; for g2 > 3 it is (1 + sqrt(...)) / (g2 - 3),
-    which exceeds c, so its N is negative except where the two roots meet: no
-    second state exists.
-    """
-    if not 0.0 < p0 <= 1.0:
-        raise ValidationError("p0 must lie in (0, 1]")
-    if g2 < 2.0 - 1e-9:
-        raise SectorMismatchError(f"g2 = {g2} < 2: not a squeezed thermal state")
-    c = 1.0 / p0**2 - 1.0
-    nbar = c / (1.0 + np.sqrt(max(1.0 + (3.0 - g2) * c, 0.0)))
-    return [recon_squeezed_thermal(g2, nbar) if nbar > 0 else (0.0, 0.0)]
-
-
-def recon_displaced_thermal(g2: float, nbar: float, tol: float = 1e-9):
+def recon_displaced_thermal(g2: float, nbar: float):
     """(|alpha|, N) of a displaced thermal state from g2 and nbar.
 
     |alpha|^2 = nbar sqrt(2 - g2), N = nbar (1 - sqrt(2 - g2)).
     """
     if not nbar > 0:
         raise ValidationError("nbar must be positive")
-    if g2 > 2.0 + tol or g2 < 1.0 - tol:
+    if g2 > 2.0 + 1e-9 or g2 < 1.0 - 1e-9:
         raise SectorMismatchError(f"g2 = {g2} outside [1, 2]: not a displaced thermal state")
     root = np.sqrt(np.clip(2.0 - g2, 0.0, 1.0))
     alpha_abs = float(np.sqrt(nbar * root))
@@ -143,30 +120,54 @@ def recon_displaced_thermal(g2: float, nbar: float, tol: float = 1e-9):
     return alpha_abs, occupation
 
 
-def recon_displaced_thermal_click(g2: float, p0: float, tol: float = 1e-10):
-    """(|alpha|, N) from g2 and the no-click probability, by bisection in nbar.
+def _check_p0(p0: float) -> None:
+    """0 < p0 <= 1, and p0 >= 1/_NBAR_MAX: 1/p0 - 1 bounds nd's nbar below, ns's above."""
+    if not 1.0 / _NBAR_MAX <= p0 <= 1.0:
+        raise ValidationError(f"p0 must lie in [2^-341, 1] for nbar to stay in float range, "
+                              f"got {p0:.3g}")
+
+
+def squeezed_thermal_nbar(g2: float, p0: float) -> float:
+    """nbar of the squeezed thermal mode with this g2 and no-click probability.
+
+    At alpha = 0, ``mode_vacuum_probability`` gives, with c = 1/p0^2 - 1,
+
+        (3 - g2) nbar^2 + 2 nbar - c = 0,
+
+    whose root nbar = c / (1 + sqrt(1 + (3 - g2) c)) this returns; nbar = 0
+    (p0 = 1) is the vacuum.  Any root has thermal occupation
+    N = sqrt(4 (c - nbar) + 1)/2 - 1/2.  The other root is negative for
+    g2 <= 3; for g2 > 3 it is (1 + sqrt(...)) / (g2 - 3), which exceeds c, so
+    its N is negative except where the two roots meet: no second state
+    exists.  At g2 >= 2, 1/p0^2 <= (nbar + 1)^2, so nbar >= 1/p0 - 1.
+    """
+    _check_p0(p0)
+    c = 1.0 / p0**2 - 1.0
+    nbar = c / (1.0 + np.sqrt(max(1.0 + (3.0 - g2) * c, 0.0)))
+    if nbar > _NBAR_MAX:  # as g2 nears 3, nbar grows toward c / 2
+        raise ValidationError(f"p0 = {p0:.3g} gives nbar = {nbar:.3g}: nbar^3 leaves float range")
+    return nbar
+
+
+def displaced_thermal_nbar(g2: float, p0: float) -> float:
+    """nbar of the displaced thermal mode with this g2 and p0, by bisection.
 
     With s = sqrt(2 - g2), |alpha|^2 = s nbar and N = (1 - s) nbar, so
     p0 = e^{-s nbar / (1 + (1 - s) nbar)} / (1 + (1 - s) nbar) falls from 1 at
     nbar = 0 to at most 1/(1 + nbar), which brackets nbar in [0, 1/p0 - 1].
-    That nbar goes to ``recon_displaced_thermal``; nbar = 0 (p0 = 1) is the
-    vacuum.
+    nbar = 0 (p0 = 1) is the vacuum.
     """
-    if not 0.0 < p0 <= 1.0:
-        raise ValidationError("p0 must lie in (0, 1]")
-    if g2 > 2.0 + 1e-9 or g2 < 1.0 - 1e-9:
-        raise SectorMismatchError(f"g2 = {g2} outside [1, 2]: not a displaced thermal state")
+    _check_p0(p0)
     s = np.sqrt(np.clip(2.0 - g2, 0.0, 1.0))
     lo, hi = 0.0, 1.0 / p0 - 1.0
-    while hi - lo > tol * (1.0 + hi):
+    while hi - lo > 1e-10 * (1.0 + hi):
         nbar = 0.5 * (lo + hi)
         spread = 1.0 + (1.0 - s) * nbar
         if np.exp(-s * nbar / spread) / spread > p0:
             lo = nbar
         else:
             hi = nbar
-    nbar = 0.5 * (lo + hi)
-    return recon_displaced_thermal(g2, nbar) if nbar > 0 else (0.0, 0.0)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

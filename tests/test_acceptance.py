@@ -51,11 +51,11 @@ from gausstat.recon_multi import (
     williamson,
 )
 from gausstat.recon_single import (
+    displaced_thermal_nbar,
     recon_displaced_thermal,
-    recon_displaced_thermal_click,
     recon_dst_scan,
     recon_squeezed_thermal,
-    recon_squeezed_thermal_click,
+    squeezed_thermal_nbar,
 )
 from gausstat.states import (
     GaussianParams,
@@ -202,7 +202,7 @@ def test_criterion_4_reconstruction_round_trips():
             GaussianParams.single_mode(r=r0, occupation=n0))
         r, occ = recon_squeezed_thermal(g2, nbar)
         assert abs(r - r0) < 1e-7 and abs(occ - n0) < 1e-7
-        r, occ = recon_squeezed_thermal_click(g2, p0)[0]
+        r, occ = recon_squeezed_thermal(g2, squeezed_thermal_nbar(g2, p0))
         assert abs(r - r0) < 1e-7 and abs(occ - n0) < 1e-7
         back = GaussianParams.single_mode(r=r, occupation=occ)
         g2b, g3b, nbarb, p0b = _single_mode_observables(back)
@@ -215,7 +215,7 @@ def test_criterion_4_reconstruction_round_trips():
             GaussianParams.single_mode(alpha=a0, occupation=n0))
         aa, occ = recon_displaced_thermal(g2, nbar)
         assert abs(aa - a0) < 1e-7 and abs(occ - n0) < 1e-7
-        aa, occ = recon_displaced_thermal_click(g2, p0)
+        aa, occ = recon_displaced_thermal(g2, displaced_thermal_nbar(g2, p0))
         assert abs(aa - a0) < 1e-7 and abs(occ - n0) < 1e-7
         back = GaussianParams.single_mode(alpha=aa, occupation=occ)
         g2b, g3b, nbarb, _ = _single_mode_observables(back)
@@ -311,6 +311,18 @@ def test_criterion_4_reconstruction_round_trips():
                               rec.params.rotation, rec.params.thermal)
         assert measurement_residual(zero, m_minus) < 1e-8
         assert_no_sign_copies(rec)
+
+    # multimode nd and ns from p0 alone: each mode's nbar from (g2_ii, p0_i)
+    for make, recon in ((st_params, recon_squeezed_thermal_multi),
+                        (dt_params, recon_displaced_thermal_multi)):
+        params = make(3)
+        m = synthesize_measurements(derive_moments(params), include_p0=True)
+        p0_only = MeasurementSet(3, g1_abs=m.g1_abs, g1_phase=m.g1_phase, g2=m.g2, g3=m.g3,
+                                 p0=m.p0)
+        rec = recon(p0_only, classify(p0_only, 1e-7))
+        assert rec.residual < 1e-8
+        assert measurement_residual(rec.params, m) < 1e-8
+        assert np.abs(np.sort(rec.params.thermal) - np.sort(params.thermal)).max() < 1e-7
     elapsed = time.time() - t0
     assert elapsed < 600
     report(f"4 reconstruction round-trips ({elapsed:.0f}s)")

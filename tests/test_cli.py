@@ -951,6 +951,74 @@ class TestOneModeReconstruct:
         assert load(out)["meta"]["sector"] == sector
 
 
+class TestP0Only:
+    """Files with p0 and no nbar reconstruct at every mode count: p0 stands in
+    for each mode's nbar."""
+
+    STATES = {
+        "nd": GaussianParams(np.zeros(3),
+                             np.array([[0.3, 0.1, 0.05], [0.1, -0.25, 0.08j],
+                                       [0.05, 0.08j, 0.2]]),
+                             np.array([[0.0, 0.4, 0.2j], [0.4, 0.1, 0.3], [-0.2j, 0.3, 0.0]]),
+                             np.array([0.1, 0.3, 0.6])),
+        "ns": GaussianParams(np.array([0.5 * np.exp(0.3j), 0.6 * np.exp(-1.1j),
+                                       0.4 * np.exp(2.0j)]),
+                             np.zeros((3, 3)),
+                             np.array([[0.0, 0.4, 0.2], [0.4, 0.0, 0.3], [0.2, 0.3, 0.0]]),
+                             np.array([0.1, 0.3, 0.6])),
+    }
+
+    def state(self, sector, modes):
+        params = self.STATES[sector]
+        keep = slice(0, modes)
+        return GaussianParams(params.alpha[keep], params.squeeze[keep, keep],
+                              params.rotation[keep, keep], params.thermal[keep])
+
+    @pytest.mark.parametrize("sector,given", [("nd", "nd"), ("nd", "auto"),
+                                              ("ns", "ns"), ("ns", "auto")])
+    def test_three_modes_from_p0(self, tmp_path, sector, given):
+        params = self.state(sector, 3)
+        meas = write_measurements(tmp_path, params, nbar=None)
+        out = tmp_path / "rec.json"
+        assert run("reconstruct", meas, "--sector", given, "--out", out) == 0
+        doc = load(out)
+        assert doc["meta"]["sector"] == sector
+        rec = params_from_json(doc["params"])
+        full = measurement_from_json(load(write_measurements(tmp_path, params, "full.json")))
+        assert measurement_residual(rec, full) < 1e-8
+
+    @pytest.mark.parametrize("p0", [1e-300, 5e-324])
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("sector", ["nd", "ns"])
+    def test_tiny_p0_is_a_validation_error(self, tmp_path, capsys, sector, modes, p0):
+        """A p0 whose nbar leaves float range stops in one stderr line, not a
+        ZeroDivisionError or an infinite state."""
+        meas = write_measurements(tmp_path, self.state(sector, modes), nbar=None)
+        doc = load(meas)
+        doc["p0"][0] = p0
+        dump(doc, meas)
+        capsys.readouterr()
+        assert run("reconstruct", meas, "--sector", sector) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "float range" in err
+
+    @pytest.mark.parametrize("modes", [2, 3])
+    @pytest.mark.parametrize("sector", ["nd", "ns"])
+    def test_p0_of_one_stops_in_one_line(self, tmp_path, capsys, sector, modes):
+        """p0_i = 1 is an empty mode, which has no g2: exit 2 or 3, never a
+        state with a NaN or an absurd residual."""
+        meas = write_measurements(tmp_path, self.state(sector, modes), nbar=None)
+        doc = load(meas)
+        doc["p0"][0] = 1.0
+        dump(doc, meas)
+        for given in (sector, "auto"):
+            capsys.readouterr()
+            assert run("reconstruct", meas, "--sector", given) in (2, 3)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert "Traceback" not in err and "nan" not in err
+
+
 class TestScanCli:
     def test_scan_csv(self, tmp_path):
         from gausstat.states import derive_moments, single_mode_g2_g3

@@ -14,8 +14,13 @@ from conftest import (
 from scipy.linalg import block_diag, expm, logm, schur, sqrtm
 
 from gausstat import recon_multi
-from gausstat.classify import classify, synthesize_measurements
-from gausstat.errors import InconsistentDataError, SectorMismatchError, ValidationError
+from gausstat.classify import MeasurementSet, classify, synthesize_measurements
+from gausstat.errors import (
+    InconsistentDataError,
+    InsufficientDataError,
+    SectorMismatchError,
+    ValidationError,
+)
 from gausstat.phases import SearchStats
 from gausstat.recon_multi import (
     ComplexCovariance,
@@ -33,6 +38,7 @@ from gausstat.recon_multi import (
 from gausstat.recon_single import recon_squeezed_thermal
 from gausstat.states import (
     GaussianParams,
+    apply_uniform_loss,
     bogoliubov_map,
     derive_moments,
 )
@@ -251,6 +257,83 @@ def side_by_side(monkeypatch):
 
 
 @pytest.mark.usefixtures("side_by_side")
+def p0_only(m):
+    """The measurement set without nbar: each mode's nbar must come from its p0."""
+    return MeasurementSet(m.modes, g1_abs=m.g1_abs, g1_phase=m.g1_phase, g2=m.g2, g3=m.g3,
+                          p0=m.p0)
+
+
+class TestP0Route:
+    """Data with p0 and no nbar, at every mode count: each mode's nbar comes
+    from its g2_ii and p0_i, then the nbar route runs."""
+
+    SECTORS = {"nd": (TestSqueezedThermalMulti, recon_squeezed_thermal_multi),
+               "ns": (TestDisplacedThermalMulti, recon_displaced_thermal_multi)}
+
+    @staticmethod
+    def moments(params):
+        mom = derive_moments(params)
+        return mom.alpha, mom.cov, mom.coherence_matrix()
+
+    @pytest.mark.parametrize("modes", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sector,atol", [("nd", 1e-9), ("ns", 1e-7)])
+    def test_matches_nbar_route(self, sector, atol, modes):
+        """Seeded exact draws: the same number of solutions, each paired with
+        one of the nbar route's by its moments; nd agrees to rounding, ns to
+        the bisection's stop.  A draw the nbar route rejects (a near-unit
+        cosine, ROADMAP item 1) is rejected by the p0 route with the same
+        message."""
+        cls, recon = self.SECTORS[sector]
+        rng = np.random.default_rng([modes, sector == "ns"])
+        rejected = 0
+        for _ in range(40):
+            m = synthesize_measurements(derive_moments(cls().make(rng, modes)), include_p0=True)
+            verdict = classify(m, 1e-7)
+            try:
+                by_nbar = recon(m, verdict)
+            except SectorMismatchError as err:
+                with pytest.raises(SectorMismatchError) as by_p0:
+                    recon(p0_only(m), verdict)
+                assert str(by_p0.value) == str(err)
+                rejected += 1
+                continue
+            by_p0 = recon(p0_only(m), verdict)
+            unmatched = [self.moments(p) for p in
+                         (by_nbar.params, *by_nbar.ambiguity.discrete_solutions)]
+            for params in (by_p0.params, *by_p0.ambiguity.discrete_solutions):
+                got = self.moments(params)
+                match = next(k for k, want in enumerate(unmatched)
+                             if all(np.abs(x - y).max() <= atol for x, y in zip(got, want)))
+                unmatched.pop(match)
+            assert not unmatched
+            assert by_p0.residual <= 1e-9
+            assert measurement_residual(by_p0.params, m) <= 1e-9
+        assert rejected <= 2
+
+    @pytest.mark.parametrize("sector", ["nd", "ns"])
+    def test_follows_the_lossy_state(self, sector):
+        """Loss leaves g1, g2 and g3 alone and moves p0; the reconstruction
+        from p0 follows the lossy state, not the source."""
+        cls, recon = self.SECTORS[sector]
+        mom = derive_moments(cls().make(np.random.default_rng(91), 3))
+        for eta in (0.5, 0.1):
+            lossy = apply_uniform_loss(mom, eta)
+            m = synthesize_measurements(lossy, include_p0=True)
+            rec = recon(p0_only(m))
+            nbar = derive_moments(rec.params).nbar
+            assert np.abs(nbar - lossy.nbar).max() < 1e-8
+            assert np.abs(nbar - mom.nbar).min() > 1e-3
+            assert measurement_residual(rec.params, m) < 1e-8
+
+    @pytest.mark.parametrize("sector", ["nd", "ns"])
+    def test_without_nbar_or_p0_names_both(self, sector):
+        cls, recon = self.SECTORS[sector]
+        m = synthesize_measurements(derive_moments(cls().make(np.random.default_rng(5), 3)))
+        bare = MeasurementSet(3, g1_abs=m.g1_abs, g1_phase=m.g1_phase, g2=m.g2, g3=m.g3)
+        with pytest.raises(ValidationError, match="multimode reconstruction needs nbar or p0"):
+            recon(bare)
+
+
 class TestDisplacedSqueezedMulti:
     def make(self, rng, modes):
         amp = rng.uniform(0.25, 0.6, modes)
@@ -273,6 +356,21 @@ class TestDisplacedSqueezedMulti:
         assert measurement_residual(
             GaussianParams(np.zeros(3), rec.params.squeeze, rec.params.rotation,
                            rec.params.thermal), m_minus) < 1e-6
+
+    @pytest.mark.parametrize("port", ["zero-mean", "reference"])
+    def test_port_without_nbar_is_named(self, port):
+        """Each port needs its own nbar and g2: a zero-mean port with p0 and no
+        nbar would reconstruct, then leave no nbar to subtract."""
+        params = self.make(np.random.default_rng(3), 1)
+        _, minus = balanced_beamsplitter_duplicate(params)
+        m_minus = synthesize_measurements(derive_moments(minus), include_p0=True)
+        m_ref = synthesize_measurements(derive_moments(params), include_p0=True)
+        if port == "zero-mean":
+            m_minus = p0_only(m_minus)
+        else:
+            m_ref = p0_only(m_ref)
+        with pytest.raises(InsufficientDataError, match=f"the {port} port needs nbar"):
+            recon_displaced_squeezed_multi(m_minus, m_ref)
 
     def test_alpha_zero_reduces(self, rng):
         base = self.make(rng, 2)

@@ -17,11 +17,11 @@ from gausstat.recon_multi import (
     recon_squeezed_thermal_multi,
 )
 from gausstat.recon_single import (
+    displaced_thermal_nbar,
     recon_displaced_thermal,
-    recon_displaced_thermal_click,
     recon_dst_scan,
     recon_squeezed_thermal,
-    recon_squeezed_thermal_click,
+    squeezed_thermal_nbar,
 )
 from gausstat.states import (
     GaussianParams,
@@ -116,6 +116,13 @@ def quartic_click_reference(g2, p0, tol=1e-8):
     return [(r, occ) for _, r, occ in out]
 
 
+def squeezed_thermal_click(g2, p0):
+    """[(r, N)] from g2 and p0: the nbar step, then the closed form; nbar = 0
+    (p0 = 1) is the vacuum, which has no g2 for the closed form to read."""
+    nbar = squeezed_thermal_nbar(g2, p0)
+    return [recon_squeezed_thermal(g2, nbar) if nbar > 0 else (0.0, 0.0)]
+
+
 def _click_roots(solve, g2, p0):
     try:
         return sorted(solve(g2, p0))
@@ -143,7 +150,7 @@ class TestSqueezedThermalClick:
         admitted = 0
         for g2, p0 in cases:
             want = _click_roots(quartic_click_reference, g2, p0)
-            got = _click_roots(recon_squeezed_thermal_click, g2, p0)
+            got = _click_roots(squeezed_thermal_click, g2, p0)
             assert (want is None) == (got is None), (g2, p0)
             if want is not None:
                 admitted += 1
@@ -159,7 +166,7 @@ class TestSqueezedThermalClick:
             r0 = rng.uniform(0.05, 1.5)
             n0 = 0.0 if rng.uniform() < 0.2 else 10 ** rng.uniform(-12, -4)
             g2, _, _, p0 = observables(GaussianParams.single_mode(r=r0, occupation=n0))
-            (r, occ), = recon_squeezed_thermal_click(g2, p0)
+            r, occ = recon_squeezed_thermal(g2, squeezed_thermal_nbar(g2, p0))
             assert r == pytest.approx(r0, abs=1e-6)
             assert occ == pytest.approx(n0, abs=1e-6)
 
@@ -168,8 +175,7 @@ class TestSqueezedThermalClick:
             r0 = rng.uniform(0.05, 1.0)
             n0 = rng.uniform(0.0, 0.8)
             g2, _, _, p0 = observables(GaussianParams.single_mode(r=r0, occupation=n0))
-            solutions = recon_squeezed_thermal_click(g2, p0)
-            r, occ = solutions[0]
+            r, occ = recon_squeezed_thermal(g2, squeezed_thermal_nbar(g2, p0))
             assert r == pytest.approx(r0, abs=1e-8)
             assert occ == pytest.approx(n0, abs=1e-8)
 
@@ -177,19 +183,19 @@ class TestSqueezedThermalClick:
         params = GaussianParams.single_mode(r=0.6, occupation=0.25)
         g2, _, nbar, p0 = observables(params)
         r_a, n_a = recon_squeezed_thermal(g2, nbar)
-        r_b, n_b = recon_squeezed_thermal_click(g2, p0)[0]
+        r_b, n_b = recon_squeezed_thermal(g2, squeezed_thermal_nbar(g2, p0))
         assert r_a == pytest.approx(r_b, abs=1e-7)
         assert n_a == pytest.approx(n_b, abs=1e-7)
 
     def test_vacuum_boundary(self):
-        sols = recon_squeezed_thermal_click(2.0 + 1e-12, 1.0)
+        sols = squeezed_thermal_click(2.0 + 1e-12, 1.0)
         r, occ = sols[0]
         assert r == pytest.approx(0.0, abs=1e-5)
         assert occ == pytest.approx(0.0, abs=1e-6)
 
     def test_invalid_p0(self):
         with pytest.raises(ValidationError):
-            recon_squeezed_thermal_click(3.0, 1.2)
+            squeezed_thermal_nbar(3.0, 1.2)
 
 
 class TestDisplacedThermal:
@@ -212,7 +218,7 @@ class TestDisplacedThermal:
             alpha_abs, occ = recon_displaced_thermal(g2, nbar)
             assert alpha_abs == pytest.approx(a0, abs=1e-8)
             assert occ == pytest.approx(n0, abs=1e-8)
-            alpha_abs, occ = recon_displaced_thermal_click(g2, p0)
+            alpha_abs, occ = recon_displaced_thermal(g2, displaced_thermal_nbar(g2, p0))
             assert alpha_abs == pytest.approx(a0, abs=1e-7)
             assert occ == pytest.approx(n0, abs=1e-7)
 
