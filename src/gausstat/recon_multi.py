@@ -39,6 +39,7 @@ from .errors import (
 )
 from .phases import SearchStats, _depth_first, _padded, wrap_angle
 from .recon_single import (
+    _NBAR_MAX,
     Ambiguity,
     ReconstructedState,
     _g2_cosine,
@@ -263,8 +264,8 @@ def _ranked(candidates: list, tol: float, notes: list, kind: str | None = None):
 
 
 def _mode_nbar(m: MeasurementSet, step) -> np.ndarray:
-    """Each mode's nbar: measured or, where nbar is absent, step(g2_ii, p0_i).
-    An empty mode (p0 = 1) has no g2, so every nbar must be positive."""
+    """Each mode's nbar: measured or, where nbar is absent, step(g2_ii, p0_i); in
+    (0, 2^341], as an empty mode (p0 = 1) has no g2 and g3 divides by nbar^3."""
     purpose = "single-mode reconstruction" if m.modes == 1 else "multimode reconstruction"
     _require(m, purpose, "g2")
     if m.nbar is not None:
@@ -275,6 +276,8 @@ def _mode_nbar(m: MeasurementSet, step) -> np.ndarray:
         raise ValidationError(f"{purpose} needs nbar or p0")
     if not nbar.min() > 0:
         raise ValidationError(f"nbar must be positive, got {nbar.min():.6g}")
+    if not nbar.max() <= _NBAR_MAX:
+        raise ValidationError(f"nbar = {nbar.max():.3g} exceeds 2^341: nbar^3 leaves float range")
     return nbar
 
 

@@ -1019,6 +1019,22 @@ class TestP0Only:
             assert "Traceback" not in err and "nan" not in err
 
 
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("sector", ["nd", "ns"])
+def test_huge_measured_nbar_is_a_validation_error(tmp_path, capsys, sector, modes):
+    """A measured nbar past 2^341 meets the bound a p0 step's nbar meets: one
+    stderr line, not an OverflowError, a LinAlgError or an infeasible verdict."""
+    meas = write_measurements(tmp_path, TestP0Only().state(sector, modes))
+    doc = load(meas)
+    doc["nbar"][0] = 1e200
+    dump(doc, meas)
+    for given in (sector, "auto"):
+        capsys.readouterr()
+        assert run("reconstruct", meas, "--sector", given) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "float range" in err
+
+
 class TestScanCli:
     def test_scan_csv(self, tmp_path):
         from gausstat.states import derive_moments, single_mode_g2_g3

@@ -256,7 +256,6 @@ def side_by_side(monkeypatch):
     return calls
 
 
-@pytest.mark.usefixtures("side_by_side")
 def p0_only(m):
     """The measurement set without nbar: each mode's nbar must come from its p0."""
     return MeasurementSet(m.modes, g1_abs=m.g1_abs, g1_phase=m.g1_phase, g2=m.g2, g3=m.g3,
@@ -334,6 +333,7 @@ class TestP0Route:
             recon(bare)
 
 
+@pytest.mark.usefixtures("side_by_side")
 class TestDisplacedSqueezedMulti:
     def make(self, rng, modes):
         amp = rng.uniform(0.25, 0.6, modes)

@@ -117,8 +117,9 @@ def quartic_click_reference(g2, p0, tol=1e-8):
 
 
 def squeezed_thermal_click(g2, p0):
-    """[(r, N)] from g2 and p0: the nbar step, then the closed form; nbar = 0
-    (p0 = 1) is the vacuum, which has no g2 for the closed form to read."""
+    """[(r, N)] from g2 and p0, shaped like quartic_click_reference's list for
+    comparison with it: the nbar step, then the closed form.  nbar = 0 (p0 = 1)
+    is read as the vacuum, as the quartic reads it; the library rejects it."""
     nbar = squeezed_thermal_nbar(g2, p0)
     return [recon_squeezed_thermal(g2, nbar) if nbar > 0 else (0.0, 0.0)]
 
@@ -188,14 +189,24 @@ class TestSqueezedThermalClick:
         assert n_a == pytest.approx(n_b, abs=1e-7)
 
     def test_vacuum_boundary(self):
-        sols = squeezed_thermal_click(2.0 + 1e-12, 1.0)
-        r, occ = sols[0]
-        assert r == pytest.approx(0.0, abs=1e-5)
-        assert occ == pytest.approx(0.0, abs=1e-6)
+        """p0 = 1 gives nbar = 0, an empty mode whose g2 reads nothing: the
+        entry rejects it rather than return a state."""
+        assert squeezed_thermal_nbar(2.0 + 1e-12, 1.0) == 0.0
+        m = MeasurementSet(1, g2=np.array([[2.0 + 1e-12]]), p0=np.array([1.0]))
+        with pytest.raises(ValidationError, match="nbar must be positive"):
+            recon_squeezed_thermal_multi(m)
 
     def test_invalid_p0(self):
         with pytest.raises(ValidationError):
             squeezed_thermal_nbar(3.0, 1.2)
+
+    def test_nbar_past_float_range_is_rejected(self):
+        """At g2 = 3 the step's nbar is c / 2, past 2^341 for any p0 below
+        2^-171; the entry rejects it before nbar^3 overflows."""
+        assert squeezed_thermal_nbar(3.0, 2.0**-340) > 2.0**341
+        m = MeasurementSet(1, g2=np.array([[3.0]]), p0=np.array([2.0**-340]))
+        with pytest.raises(ValidationError, match="float range"):
+            recon_squeezed_thermal_multi(m)
 
 
 class TestDisplacedThermal:
