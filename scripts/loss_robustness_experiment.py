@@ -13,7 +13,7 @@ from gausstat.states import (
     apply_uniform_loss,
     derive_moments,
     g2_tensor,
-    g3_value,
+    g3_tensor,
 )
 
 
@@ -33,7 +33,7 @@ def main():
     for eta in [float(x) for x in args.etas.split(",")]:
         lossy = apply_uniform_loss(mom, eta)
         g2 = float(g2_tensor(lossy)[0, 0])
-        g3 = g3_value(lossy, 0, 0, 0)
+        g3 = g3_tensor(lossy)[0, 0, 0]
         sector = classify(synthesize_measurements(lossy)).sector
         r_hat, occ_hat = recon_squeezed_thermal(g2, float(lossy.nbar[0]))
         print(f"{eta:5.2f} {lossy.nbar[0]:10.6f} {g2:12.8f} {g3:12.8f} "

@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from gausstat.recon_single import recon_dst_scan
-from gausstat.states import GaussianParams, derive_moments, single_mode_g2_g3
+from gausstat.states import GaussianParams, derive_moments, g2_tensor, g3_tensor
 
 
 def main():
@@ -30,7 +30,8 @@ def main():
     for delta in deltas:
         params = GaussianParams.single_mode(
             alpha=args.alpha * np.exp(0.5j * delta), r=args.r, occupation=args.thermal)
-        g2, g3 = single_mode_g2_g3(params)
+        mom = derive_moments(params)
+        g2, g3 = float(g2_tensor(mom)[0, 0]), g3_tensor(mom)[0, 0, 0]
         if args.noise > 0:
             g2 += rng.normal(0, args.noise)
             g3 += rng.normal(0, args.noise)

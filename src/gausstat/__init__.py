@@ -4,7 +4,6 @@ of multimode Gaussian states, cross-verified against a truncated-Fock oracle."""
 from .states import (
     GaussianParams,
     MomentSummary,
-    bogoliubov_map,
     derive_moments,
     g2_tensor,
     g3_tensor,
@@ -13,7 +12,6 @@ from .states import (
 __all__ = [
     "GaussianParams",
     "MomentSummary",
-    "bogoliubov_map",
     "derive_moments",
     "g2_tensor",
     "g3_tensor",

@@ -257,10 +257,14 @@ class Classification:
 
 
 def _tolerance(m: MeasurementSet, flat_tol: float, dg2: float = 0.0, dg3: float = 0.0) -> float:
-    """3-sigma acceptance from first-order propagation, else the flat tolerance."""
-    s2, s3 = m.sigma_for("g2"), m.sigma_for("g3")
-    propagated = np.sqrt((dg2 * s2) ** 2 + (dg3 * s3) ** 2)
-    return max(flat_tol, 3.0 * propagated)
+    """3-sigma acceptance from first-order propagation, else the flat tolerance;
+    a 3-sigma tolerance that overflows is a ValidationError naming the larger term's sigma."""
+    terms = {"g2": dg2 * m.sigma_for("g2"), "g3": dg3 * m.sigma_for("g3")}
+    propagated = 3.0 * math.hypot(*terms.values())
+    if not math.isfinite(propagated):
+        raise ValidationError(f"sigma {max(terms, key=terms.get)} too large: "
+                              "its 3-sigma tolerance overflows a float")
+    return max(flat_tol, propagated)
 
 
 def _nd_line(g2):

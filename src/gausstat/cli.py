@@ -230,7 +230,6 @@ def cmd_reconstruct(args) -> int:
 # Cutoffs per mode count that verify tries in turn, ending at dimension 1728
 # or less; the first is the default and usually settles it.
 VERIFY_LADDERS = {1: (50, 64, 80), 2: (20, 24, 28), 3: (8, 10, 12)}
-VERIFY_CUTOFFS = {m: ladder[0] for m, ladder in VERIFY_LADDERS.items()}
 
 
 def _closed_forms(moments) -> list[tuple]:
@@ -278,8 +277,8 @@ def _verify_rows(forms, rho) -> list[dict]:
 def cmd_verify(args) -> int:
     """Closed forms versus the truncated-Fock oracle, as a residual table.
 
-    Uses deeper cutoffs than the library defaults (sixth-order moments feel
-    the Fock boundary strongly) and scales its failure threshold with the
+    Picks cutoffs deep enough for sixth-order moments, which feel the Fock
+    boundary strongly, and scales its failure threshold with the
     measured truncation indicators, so an unconverged oracle is reported as
     such instead of masquerading as a closed-form bug.  Without ``--cutoff``
     it walks a short ladder of cutoffs (VERIFY_LADDERS): when the worst error

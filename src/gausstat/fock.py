@@ -98,7 +98,6 @@ from .errors import TruncationError, ValidationError
 from .states import GaussianParams
 from .words import LadderOp, LadderWord
 
-DEFAULT_CUTOFFS = {1: 25, 2: 12, 3: 8}
 MAX_MODES = 3
 MAX_DIMENSION = 4096
 _TAIL_LEVELS = 2
@@ -436,20 +435,20 @@ def _displacement(w: np.ndarray, alpha: complex, mode: int, cutoff: int) -> np.n
     return np.matmul(factor, w.reshape(cutoff**mode, cutoff, -1)).reshape(dim, -1)
 
 
-def build_density(params: GaussianParams, cutoff: int | None = None,
+def build_density(params: GaussianParams, cutoff: int,
                   tail_tol: float = 1e-3) -> TruncatedDensity:
     """Construct the truncated density operator of a Gaussian state.
 
     Args:
         params: state parameters; at most three modes.
-        cutoff: Fock levels per mode (defaults per mode count: 25/12/8).
+        cutoff: Fock levels per mode; the caller picks it for the state.
         tail_tol: raise TruncationError when deficit or top-level occupancy
             exceeds this; pass a larger value to inspect marginal states.
     """
     m = params.modes
     if m > MAX_MODES:
         raise ValidationError(f"oracle supports at most {MAX_MODES} modes, got {m}")
-    d = DEFAULT_CUTOFFS[m] if cutoff is None else int(cutoff)
+    d = int(cutoff)
     if d <= _TAIL_LEVELS:
         raise ValidationError(f"cutoff must be at least {_TAIL_LEVELS + 1}: the truncation "
                               f"gate reads the top {_TAIL_LEVELS} levels of each mode")

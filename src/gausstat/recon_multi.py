@@ -87,12 +87,6 @@ class ComplexCovariance:
     def modes(self) -> int:
         return self.A.shape[0]
 
-    @classmethod
-    def from_moments(cls, moments: MomentSummary) -> "ComplexCovariance":
-        g_c = moments.centered_coherence()
-        a_block = g_c.conj() + 0.5 * np.eye(moments.modes)
-        return cls(a_block, moments.cov)
-
 
 def _ladder_to_quadrature(m: int) -> np.ndarray:
     """Unitary Lambda with (x, p) = Lambda (a, a†)."""
@@ -117,7 +111,6 @@ class WilliamsonResult:
 
     D: np.ndarray
     S: np.ndarray
-    degenerate: bool
 
 
 def williamson(v: np.ndarray, tol: float = 1e-8) -> WilliamsonResult:
@@ -152,8 +145,7 @@ def williamson(v: np.ndarray, tol: float = 1e-8) -> WilliamsonResult:
         raise NumericalError(
             f"williamson failed: symplectic residual {resid_sym:.2e}, "
             f"reconstruction residual {resid_rec:.2e}")
-    degenerate = bool(np.any(np.abs(np.diff(d)) < 1e-7 * (1 + d.max())))
-    return WilliamsonResult(d, s, degenerate)
+    return WilliamsonResult(d, s)
 
 
 def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -152,19 +152,19 @@ def displaced_thermal_nbar(g2: float, p0: float) -> float:
     With s = sqrt(2 - g2), |alpha|^2 = s nbar and N = (1 - s) nbar, so
     p0 = e^{-s nbar / (1 + (1 - s) nbar)} / (1 + (1 - s) nbar) falls from 1 at
     nbar = 0 to at most 1/(1 + nbar), which brackets nbar in [0, 1/p0 - 1].
-    nbar = 0 (p0 = 1) is the vacuum.
+    nbar = 0 (p0 = 1) is the vacuum.  The bracket halves until its midpoint
+    is one of its ends, so nbar is exact to float spacing.
     """
     _check_p0(p0)
     s = np.sqrt(np.clip(2.0 - g2, 0.0, 1.0))
     lo, hi = 0.0, 1.0 / p0 - 1.0
-    while hi - lo > 1e-10 * (1.0 + hi):
-        nbar = 0.5 * (lo + hi)
+    while lo < (nbar := 0.5 * (lo + hi)) < hi:
         spread = 1.0 + (1.0 - s) * nbar
         if np.exp(-s * nbar / spread) / spread > p0:
             lo = nbar
         else:
             hi = nbar
-    return 0.5 * (lo + hi)
+    return nbar
 
 
 @dataclass(frozen=True)

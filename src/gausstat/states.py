@@ -17,9 +17,8 @@ with ``X N`` scaling the columns of X by the occupations N,
 
 which is how ``derive_moments`` populates mean photon numbers, first-order
 coherences g1, and the annihilation covariances cov_ij.  One routine,
-``_bogoliubov_blocks``, builds E and F; ``derive_moments`` reads them
-directly, and ``bogoliubov_map`` adds the displacement for callers that want
-the whole map.  ``MomentSummary.from_unnormalized`` is the one constructor
+``_bogoliubov_blocks``, builds E and F, and ``derive_moments`` reads them
+directly.  ``MomentSummary.from_unnormalized`` is the one constructor
 from <a_i† a_j>, cov and alpha: it normalizes g1 and rejects an nbar whose
 square overflows.  A ``MomentSummary`` holds its arrays read-only (arrays a
 caller still owns are copied first) and computes its normalized blocks
@@ -177,19 +176,6 @@ def _unitary_from_hermitian(phi: np.ndarray) -> np.ndarray:
     return _idle_modes_kept(phi, blocks, (True,))[0]
 
 
-@dataclass(frozen=True)
-class BogoliubovMap:
-    """Blocks E, F of the linear part and the stacked displacement (alpha, alpha*)."""
-
-    E: np.ndarray
-    F: np.ndarray
-    disp: np.ndarray
-
-    @property
-    def modes(self) -> int:
-        return self.E.shape[0]
-
-
 def _bogoliubov_blocks(params: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
     """E and F of the unitary D(alpha) S(z) R(phi).  Callers run it under
     ``np.errstate(over="ignore", invalid="ignore")``: cosh(r) and sinh(r) of a
@@ -203,16 +189,6 @@ def _bogoliubov_blocks(params: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
     expiphi = _unitary_from_hermitian(params.rotation)
     # e^{-i phi^T} = conj(e^{i phi})
     return cosh_r @ expiphi, -sinh_r_expith @ expiphi.conj()
-
-
-def bogoliubov_map(params: GaussianParams) -> BogoliubovMap:
-    """Bogoliubov blocks of the unitary D(alpha) S(z) R(phi).
-
-    Raises NumericalError when cosh(r) overflows (r beyond about 710).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        E, F = _bogoliubov_blocks(params)
-    return BogoliubovMap(E, F, np.concatenate([params.alpha, params.alpha.conj()]))
 
 
 @dataclass(frozen=True)
@@ -254,10 +230,6 @@ class MomentSummary:
         root = np.sqrt(self.nbar[:, None] * self.nbar)
         g = self.g1 * root
         return np.where(np.isfinite(g), g, 0.0)
-
-    def centered_coherence(self) -> np.ndarray:
-        """<a_i† a_j> - alpha_i* alpha_j."""
-        return self.coherence_matrix() - self.alpha.conj()[:, None] * self.alpha
 
     def to_moment_table(self) -> MomentTable:
         """Uncentered first/second moments for the moment kernel."""
@@ -393,13 +365,6 @@ def g2_tensor(moments: MomentSummary) -> np.ndarray:
     return 0.5 * (g2 + g2.T)
 
 
-def g3_value(moments: MomentSummary, i: int, j: int, k: int) -> float:
-    """Third-order correlation g3_ijk, read at the sorted triple of the full tensor."""
-    i, j, k = sorted((i, j, k))
-    _require_occupied(moments, (i, j, k))
-    return float(_g3_array(moments)[i, j, k])
-
-
 @lru_cache(maxsize=32)
 def _all_triples(modes: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
     """Every triple i <= j <= k of ``modes`` modes, and its read-only index arrays."""
@@ -423,14 +388,6 @@ def g3_tensor(moments: MomentSummary, triples=None) -> dict[tuple[int, int, int]
         for t in triples:
             _require_occupied(moments, sorted(t))
     return dict(zip(triples, _g3_array(moments)[index].tolist()))
-
-
-def single_mode_g2_g3(params: GaussianParams) -> tuple[float, float]:
-    """Convenience: (g2, g3) of a single-mode state."""
-    if params.modes != 1:
-        raise ValidationError("single_mode_g2_g3 needs a single-mode state")
-    mom = derive_moments(params)
-    return float(g2_tensor(mom)[0, 0]), g3_value(mom, 0, 0, 0)
 
 
 def mode_vacuum_probability(moments: MomentSummary, mode: int) -> float:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from gausstat.states import GaussianParams
+from gausstat.recon_multi import ComplexCovariance
+from gausstat.states import GaussianParams, derive_moments, g2_tensor, g3_tensor
+
+# Fock cutoffs per mode count for oracle checks of states with small moments
+ORACLE_CUTOFFS = {1: 25, 2: 12, 3: 8}
 
 
 def random_symmetric(rng, m, scale):
@@ -34,6 +38,19 @@ def scale_params(params, s):
     """Shrink all parameter magnitudes by s (thermal and squeeze linearly)."""
     return GaussianParams(s * params.alpha, s * params.squeeze,
                           params.rotation, s * params.thermal)
+
+
+def single_mode_g2_g3(params: GaussianParams) -> tuple[float, float]:
+    """(g2, g3) of a single-mode state."""
+    mom = derive_moments(params)
+    return float(g2_tensor(mom)[0, 0]), g3_tensor(mom)[0, 0, 0]
+
+
+def complex_covariance(moments) -> ComplexCovariance:
+    """Ladder covariance blocks of a state: A = conj(<a_i† a_j> - alpha_i* alpha_j) + I/2
+    and B = cov."""
+    centered = moments.coherence_matrix() - moments.alpha.conj()[:, None] * moments.alpha
+    return ComplexCovariance(centered.conj() + 0.5 * np.eye(moments.modes), moments.cov)
 
 
 def balanced_beamsplitter_duplicate(params: GaussianParams):

@@ -15,12 +15,15 @@ import time
 
 import numpy as np
 from conftest import (
+    ORACLE_CUTOFFS,
     assert_no_sign_copies,
     balanced_beamsplitter_duplicate,
+    complex_covariance,
     random_hermitian,
     random_params,
     random_symmetric,
     scale_params,
+    single_mode_g2_g3,
 )
 
 from gausstat.bucket import bucket_correlations, equal_squeezer_bucket, \
@@ -32,8 +35,7 @@ from gausstat.classify import (
     synthesize_measurements,
 )
 from gausstat.errors import TruncationError
-from gausstat.fock import DEFAULT_CUTOFFS, build_density, moment_bruteforce, \
-    total_number_factorial_moment
+from gausstat.fock import build_density, moment_bruteforce, total_number_factorial_moment
 from gausstat.phases import (
     DISPLACEMENT,
     PhaseSystem,
@@ -41,7 +43,6 @@ from gausstat.phases import (
     wrap_angle,
 )
 from gausstat.recon_multi import (
-    ComplexCovariance,
     complex_to_real_cov,
     measurement_residual,
     recon_displaced_squeezed_multi,
@@ -63,9 +64,7 @@ from gausstat.states import (
     derive_moments,
     g2_tensor,
     g3_tensor,
-    g3_value,
     mode_vacuum_probability,
-    single_mode_g2_g3,
 )
 from gausstat.words import (
     LadderOp,
@@ -131,7 +130,7 @@ def test_criterion_1_sixth_order_decomposition():
     total_states = 0
     worst = 0.0
     for modes, n_states in counts.items():
-        cutoff = DEFAULT_CUTOFFS[modes]
+        cutoff = ORACLE_CUTOFFS[modes]
         for _ in range(n_states):
             params, rho = valid_oracle_state(rng, modes, cutoff)
             table = derive_moments(params).to_moment_table()
@@ -186,7 +185,7 @@ def test_criterion_3_single_mode_relations():
 
 def _single_mode_observables(params):
     mom = derive_moments(params)
-    return (float(g2_tensor(mom)[0, 0]), g3_value(mom, 0, 0, 0),
+    return (float(g2_tensor(mom)[0, 0]), g3_tensor(mom)[0, 0, 0],
             float(mom.nbar[0]), mode_vacuum_probability(mom, 0))
 
 
@@ -335,7 +334,7 @@ def test_criterion_5_williamson_invariants():
     for _ in range(500):
         modes = int(rng.integers(1, 4))
         params = random_params(rng, modes, alpha_max=0.0, r_max=0.9, n_max=1.0)
-        v = complex_to_real_cov(ComplexCovariance.from_moments(derive_moments(params)))
+        v = complex_to_real_cov(complex_covariance(derive_moments(params)))
         res = williamson(v)
         omega = symplectic_form(modes)
         assert np.abs(res.S @ omega @ res.S.T - omega).max() < 1e-9
@@ -470,7 +469,7 @@ def test_criterion_8_bucket():
 
     for modes in (1, 2):
         for _ in range(3):
-            params, rho = bucket_oracle_state(rng, modes, DEFAULT_CUTOFFS[modes])
+            params, rho = bucket_oracle_state(rng, modes, ORACLE_CUTOFFS[modes])
             obs = bucket_correlations(derive_moments(params))
             t1 = total_number_factorial_moment(rho, 1)
             assert abs(obs.g2_b - total_number_factorial_moment(rho, 2) / t1**2) < 1e-6

@@ -17,7 +17,7 @@ from gausstat.bucket import (
 )
 from gausstat.errors import InfeasibleError, UndefinedCorrelationError
 from gausstat.fock import build_density, total_number_factorial_moment
-from gausstat.states import GaussianParams, MomentSummary, derive_moments, g2_tensor, g3_value
+from gausstat.states import GaussianParams, MomentSummary, derive_moments, g2_tensor, g3_tensor
 
 
 class TestBucketCorrelations:
@@ -26,7 +26,7 @@ class TestBucketCorrelations:
         mom = derive_moments(params)
         obs = bucket_correlations(mom)
         assert obs.g2_b == pytest.approx(g2_tensor(mom)[0, 0], rel=1e-12)
-        assert obs.g3_b == pytest.approx(g3_value(mom, 0, 0, 0), rel=1e-12)
+        assert obs.g3_b == pytest.approx(g3_tensor(mom)[0, 0, 0], rel=1e-12)
 
     def test_two_mode_coherent(self):
         params = GaussianParams(np.array([0.4, 0.3j]), np.zeros((2, 2)),

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_symmetric
+from conftest import random_hermitian, random_symmetric, single_mode_g2_g3
 from scipy.optimize import minimize
 
 from gausstat import classify as classify_module
@@ -36,7 +36,6 @@ from gausstat.states import (
     GaussianParams,
     apply_uniform_loss,
     derive_moments,
-    single_mode_g2_g3,
 )
 
 

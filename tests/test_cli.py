@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import balanced_beamsplitter_duplicate
+from conftest import balanced_beamsplitter_duplicate, single_mode_g2_g3
 
 import gausstat
 from gausstat import fock
@@ -26,7 +26,7 @@ from gausstat.serialize import (
     params_from_json,
     params_to_json,
 )
-from gausstat.states import GaussianParams, derive_moments, single_mode_g2_g3
+from gausstat.states import GaussianParams, derive_moments
 
 
 def write_params(tmp_path, params, name="state.json"):
@@ -1035,10 +1035,41 @@ def test_huge_measured_nbar_is_a_validation_error(tmp_path, capsys, sector, mode
         assert err.count("\n") == 1 and "float range" in err
 
 
+@pytest.mark.parametrize("modes", [1, 3])
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_sigma_whose_tolerance_overflows_is_a_validation_error(tmp_path, capsys, command,
+                                                               modes):
+    """A g2 or g3 sigma whose 3-sigma tolerance leaves float range stops in one
+    stderr line naming it, not an OverflowError or an infinite tolerance."""
+    for name in ("g2", "g3"):
+        meas = write_measurements(tmp_path, TestP0Only().state("nd", modes),
+                                  sigma={name: 1e308})
+        capsys.readouterr()
+        assert run(command, meas) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"validation error: sigma {name} too large: its 3-sigma tolerance overflows a float"]
+
+
+@pytest.mark.parametrize("modes", [1, 3])
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_large_sigma_within_float_range_is_served(tmp_path, capsys, command, modes):
+    """A sigma of 1e155, whose square overflows a float but whose 3-sigma
+    tolerance does not, accepts the data: classify reports finite tolerances,
+    and reconstruct answers or calls the data infeasible in one stderr line."""
+    meas = write_measurements(tmp_path, TestP0Only().state("nd", modes), sigma={"g2": 1e155})
+    capsys.readouterr()
+    code = run(command, meas)
+    out, err = capsys.readouterr()
+    if command == "classify":
+        assert code == 0
+        tolerances = [r["tolerance"] for r in json.loads(out)["residuals"]]
+        assert tolerances and all(np.isfinite(tolerances))
+    else:
+        assert (code, err.count("\n")) in ((0, 0), (3, 1))
+
+
 class TestScanCli:
     def test_scan_csv(self, tmp_path):
-        from gausstat.states import derive_moments, single_mode_g2_g3
-
         a0, r0, n0 = 0.3, 0.4, 0.1
         deltas = [0.0, np.pi / 3, 2 * np.pi / 3]
         rows = ["g2,g3"]

@@ -6,17 +6,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import random_params, random_symmetric
+from conftest import ORACLE_CUTOFFS, random_params, random_symmetric
 from scipy import sparse
 from scipy.linalg import expm
 
 from gausstat import fock
-from gausstat.cli import VERIFY_CUTOFFS, VERIFY_LADDERS
+from gausstat.cli import VERIFY_LADDERS
 from gausstat.errors import TruncationError, ValidationError
 from gausstat.fock import (
     _RUN,
     _TAIL_LEVELS,
-    DEFAULT_CUTOFFS,
     MAX_DIMENSION,
     TruncatedDensity,
     _displacement,
@@ -35,6 +34,9 @@ from gausstat.fock import (
 )
 from gausstat.states import GaussianParams, derive_moments
 from gausstat.words import LadderOp, LadderWord, correlation_word, gaussian_moment
+
+# the cutoff verify tries first at each mode count
+VERIFY_CUTOFFS = {m: ladder[0] for m, ladder in VERIFY_LADDERS.items()}
 
 
 def dense(rho: TruncatedDensity) -> np.ndarray:
@@ -173,7 +175,7 @@ def test_truncation_error_carries_measurements():
 
 def test_mode_limit():
     with pytest.raises(ValidationError):
-        build_density(GaussianParams.vacuum(4))
+        build_density(GaussianParams.vacuum(4), cutoff=4)
 
 
 def test_oracle_contract_random_state(rng):
@@ -206,7 +208,7 @@ def test_g3_word_matches_kernel(rng):
 
 def test_dimension_limit_covers_verify_ladders():
     assert max(c**m for m, ladder in VERIFY_LADDERS.items() for c in ladder) <= MAX_DIMENSION
-    assert max(c**m for m, c in DEFAULT_CUTOFFS.items()) <= MAX_DIMENSION
+    assert max(c**m for m, c in ORACLE_CUTOFFS.items()) <= MAX_DIMENSION
 
 
 @pytest.mark.parametrize("modes,cutoff", [(1, MAX_DIMENSION + 1), (2, 65), (3, 17)])
@@ -254,12 +256,12 @@ def _sparse_words(modes, cutoff, max_order):
                 stack.append((ops, prod))
 
 
-@pytest.mark.parametrize("modes,cutoff", sorted(set(DEFAULT_CUTOFFS.items())
+@pytest.mark.parametrize("modes,cutoff", sorted(set(ORACLE_CUTOFFS.items())
                                                 | set(VERIFY_CUTOFFS.items())))
 def test_moment_matches_sparse_product_on_every_word(modes, cutoff):
     """Index arithmetic equals Tr[rho O] with O the sparse matrix product, the
     former ``moment_bruteforce``, on every word of order 1-6 at every cutoff
-    that the oracle uses by default or in verify."""
+    that the oracle tests use or verify tries first."""
     params = random_params(np.random.default_rng(10 * modes + cutoff), modes,
                            alpha_max=0.5, r_max=0.3, n_max=0.3)
     rho = build_density(params, cutoff=cutoff, tail_tol=1.0)
@@ -365,7 +367,7 @@ def _params(alpha, z, phi, occ):
                           np.asarray(phi, dtype=complex).reshape(m, m), occ)
 
 
-_SIDE_BY_SIDE_CUTOFFS = sorted(set(DEFAULT_CUTOFFS.items()) | set(VERIFY_CUTOFFS.items()))
+_SIDE_BY_SIDE_CUTOFFS = sorted(set(ORACLE_CUTOFFS.items()) | set(VERIFY_CUTOFFS.items()))
 _EDGE_CASES = ["vacuum", "z = 0", "phi = 0", "diagonal z", "diagonal phi",
                "displacement only", "thermal only"]
 
@@ -397,7 +399,7 @@ class TestFactorizedBuildVsExpm:
             "displacement only": _params(p.alpha, zero, zero, np.zeros(modes)),
             "thermal only": _params(np.zeros(modes), zero, zero, occ),
         }[case]
-        assert_matches_reference(params, DEFAULT_CUTOFFS[modes])
+        assert_matches_reference(params, ORACLE_CUTOFFS[modes])
 
     @pytest.mark.parametrize("params,cutoff", [
         (GaussianParams.single_mode(r=1.2), 8),

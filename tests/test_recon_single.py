@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import balanced_beamsplitter_duplicate
+from conftest import balanced_beamsplitter_duplicate, single_mode_g2_g3
 
 from gausstat.classify import MeasurementSet, synthesize_measurements
 from gausstat.errors import (
@@ -27,16 +27,15 @@ from gausstat.states import (
     GaussianParams,
     derive_moments,
     g2_tensor,
-    g3_value,
+    g3_tensor,
     mode_vacuum_probability,
-    single_mode_g2_g3,
 )
 
 
 def observables(params):
     mom = derive_moments(params)
     g2 = g2_tensor(mom)[0, 0]
-    g3 = g3_value(mom, 0, 0, 0)
+    g3 = g3_tensor(mom)[0, 0, 0]
     return g2, g3, float(mom.nbar[0]), mode_vacuum_probability(mom, 0)
 
 

@@ -9,7 +9,9 @@ from conftest import (
     random_hermitian,
     random_params,
     random_symmetric,
+    single_mode_g2_g3,
 )
+from scipy.linalg import expm
 
 from gausstat.bucket import bucket_correlations
 from gausstat.classify import synthesize_measurements
@@ -17,17 +19,14 @@ from gausstat.errors import NumericalError, UndefinedCorrelationError, Validatio
 from gausstat.fock import build_density, moment_bruteforce, vacuum_overlap
 from gausstat.recon_multi import measurement_residual
 from gausstat.states import (
-    BogoliubovMap,
     GaussianParams,
     MomentSummary,
     apply_uniform_loss,
-    bogoliubov_map,
     derive_moments,
     g2_tensor,
     g3_tensor,
-    g3_value,
     mode_vacuum_probability,
-    single_mode_g2_g3,
+    _bogoliubov_blocks,
     _g3_array,
     _g3_kernel,
     _pair_blocks,
@@ -37,9 +36,9 @@ from gausstat.states import (
 from gausstat.words import LadderWord, gaussian_moment
 
 
-def big_l(bog: BogoliubovMap) -> np.ndarray:
+def big_l(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The 2M x 2M linear part L = [[E, F], [F*, E*]] of a Bogoliubov map."""
-    return np.block([[bog.E, bog.F], [bog.F.conj(), bog.E.conj()]])
+    return np.block([[e, f], [f.conj(), e.conj()]])
 
 
 def oracle_moments(rho):
@@ -57,15 +56,14 @@ def oracle_moments(rho):
 
 class TestBogoliubov:
     def test_identity_params(self):
-        bog = bogoliubov_map(GaussianParams.vacuum(2))
-        assert np.allclose(bog.E, np.eye(2))
-        assert np.allclose(bog.F, 0)
-        assert np.allclose(bog.disp, 0)
+        e, f = _bogoliubov_blocks(GaussianParams.vacuum(2))
+        assert np.allclose(e, np.eye(2))
+        assert np.allclose(f, 0)
 
     def test_single_mode_hyperbolics(self):
-        bog = bogoliubov_map(GaussianParams.single_mode(r=0.5))
-        assert bog.E[0, 0] == pytest.approx(np.cosh(0.5))
-        assert bog.F[0, 0] == pytest.approx(-np.sinh(0.5))
+        e, f = _bogoliubov_blocks(GaussianParams.single_mode(r=0.5))
+        assert e[0, 0] == pytest.approx(np.cosh(0.5))
+        assert f[0, 0] == pytest.approx(-np.sinh(0.5))
 
     def test_symplectic_condition_random(self, rng):
         # L Sigma L^H = Sigma with Sigma = diag(1, -1): E E^H - F F^H = 1 and
@@ -73,7 +71,7 @@ class TestBogoliubov:
         for modes in (1, 2, 3):
             sigma = np.diag(np.r_[np.ones(modes), -np.ones(modes)])
             for _ in range(5):
-                lin = big_l(bogoliubov_map(random_params(rng, modes)))
+                lin = big_l(*_bogoliubov_blocks(random_params(rng, modes)))
                 assert np.abs(lin @ sigma @ lin.conj().T - sigma).max() < 1e-10
 
     def test_invalid_inputs_rejected(self):
@@ -147,7 +145,7 @@ class TestCorrelationTensors:
     def test_single_mode_thermal(self):
         mom = derive_moments(GaussianParams.single_mode(occupation=0.8))
         assert g2_tensor(mom)[0, 0] == pytest.approx(2.0)
-        assert g3_value(mom, 0, 0, 0) == pytest.approx(6.0)
+        assert g3_tensor(mom)[0, 0, 0] == pytest.approx(6.0)
 
     def test_squeezed_thermal_example(self):
         g2, g3 = single_mode_g2_g3(GaussianParams.single_mode(r=0.5, occupation=0.2))
@@ -163,13 +161,13 @@ class TestCorrelationTensors:
         from gausstat.fock import moment_bruteforce
 
         direct = moment_bruteforce(rho, word).real
-        closed = g3_value(mom, 0, 1, 2) * np.prod(mom.nbar)
+        closed = g3_tensor(mom, [(0, 1, 2)])[0, 1, 2] * np.prod(mom.nbar)
         assert closed == pytest.approx(direct, abs=2e-6)
 
     def test_g3_symmetry(self, rng):
         params = random_params(rng, 3)
         mom = derive_moments(params)
-        vals = {p: g3_value(mom, *p) for p in [(0, 1, 2), (2, 1, 0), (1, 2, 0)]}
+        vals = g3_tensor(mom, [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
         assert len(set(round(v, 12) for v in vals.values())) == 1
 
     def test_zero_mean_mode_raises(self):
@@ -281,31 +279,33 @@ def squeeze_displacement(z: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return cosh_r @ alpha + sinh_r_expith @ alpha.conj()
 
 
-def _elementary_bogoliubov(kind: str, value, modes: int) -> BogoliubovMap:
+def _elementary_bogoliubov(kind: str, value, modes: int):
+    """(L, A) of one factor: its linear part and stacked displacement (alpha, alpha*)."""
     eye = np.eye(modes, dtype=complex)
     zero = np.zeros((modes, modes), dtype=complex)
+    no_shift = np.zeros(2 * modes, dtype=complex)
     if kind == "D":
         alpha = np.atleast_1d(np.asarray(value, dtype=complex))
-        return BogoliubovMap(eye, zero, np.concatenate([alpha, alpha.conj()]))
+        return big_l(eye, zero), np.concatenate([alpha, alpha.conj()])
     if kind == "R":
         u = _unitary_from_hermitian(np.asarray(value, dtype=complex))
-        return BogoliubovMap(u, zero, np.zeros(2 * modes, dtype=complex))
+        return big_l(u, zero), no_shift
     if kind == "S":
         cosh_r, sinh_r_expith = _squeeze_blocks(value)
-        return BogoliubovMap(cosh_r, -sinh_r_expith, np.zeros(2 * modes, dtype=complex))
+        return big_l(cosh_r, -sinh_r_expith), no_shift
     raise ValidationError(f"unknown unitary kind {kind!r}")
 
 
-def compose_bogoliubov(maps) -> BogoliubovMap:
-    """Bogoliubov data of a product U_1 U_2 ... (applied right to left to states)."""
+def compose_bogoliubov(maps):
+    """(L, A) of a product U_1 U_2 ... (applied right to left to states)."""
     maps = list(maps)
-    m = maps[0].modes
-    L = np.eye(2 * m, dtype=complex)
-    A = np.zeros(2 * m, dtype=complex)
-    for bm in maps:
-        A = L @ bm.disp + A
-        L = L @ big_l(bm)
-    return BogoliubovMap(L[:m, :m], L[:m, m:], A)
+    dim = maps[0][0].shape[0]
+    L = np.eye(dim, dtype=complex)
+    A = np.zeros(dim, dtype=complex)
+    for lin, disp in maps:
+        A = L @ disp + A
+        L = L @ lin
+    return L, A
 
 
 def canonical_order(ops: list[tuple[str, np.ndarray]], modes: int,
@@ -383,11 +383,11 @@ class TestReorderIdentities:
             "R": random_hermitian(rng, m),
         }
         ops = [(k, values[k]) for k in order]
-        composed = compose_bogoliubov([_elementary_bogoliubov(k, v, m) for k, v in ops])
+        lin, disp = compose_bogoliubov([_elementary_bogoliubov(k, v, m) for k, v in ops])
         params = canonical_order(ops, m)
-        canon = bogoliubov_map(params)
-        assert np.allclose(big_l(canon), big_l(composed), atol=1e-10)
-        assert np.allclose(canon.disp, composed.disp, atol=1e-10)
+        assert np.allclose(big_l(*_bogoliubov_blocks(params)), lin, atol=1e-10)
+        assert np.allclose(np.concatenate([params.alpha, params.alpha.conj()]), disp,
+                           atol=1e-10)
 
 
 class TestClosedFormsVsKernel:
@@ -415,7 +415,7 @@ class TestClosedFormsVsKernel:
             word = correlation_word(triple)
             denom = np.prod([mom.nbar[t] for t in triple])
             direct = gaussian_moment(word, table).real / denom
-            assert g3_value(mom, *triple) == pytest.approx(direct, rel=1e-11)
+            assert g3_tensor(mom, [triple])[triple] == pytest.approx(direct, rel=1e-11)
 
 
 def _g2_reference(moments):
@@ -496,8 +496,6 @@ class TestG3KernelVsExpansion:
                 assert np.abs(g2_tensor(mom) - ref).max() <= 1e-12 * np.abs(ref).max()
             triples = [tuple(rng.integers(0, m, 3)) for _ in range(5)]
             _assert_matches_reference(mom, triples)
-            for t in triples:
-                assert g3_value(mom, *t) == g3_tensor(mom, [t])[t]
 
     def test_stacked_block_sets_equal_per_slice_calls(self, rng):
         # one call over a stack of block sets gives, to the bit, each set's own tensor:
@@ -536,75 +534,39 @@ class TestG3KernelVsExpansion:
                                match="normalized correlations undefined: mode 1 has nbar = 0"):
                 g3_tensor(mom, [(0, 0, 0), triple])
             with pytest.raises(UndefinedCorrelationError, match="mode 1 has nbar = 0"):
-                g3_value(mom, *triple)
+                g3_tensor(mom, [triple])
         with pytest.raises(UndefinedCorrelationError, match="mode 1 has nbar = 0"):
             g3_tensor(mom)
         with pytest.raises(UndefinedCorrelationError, match="mode 1 has nbar = 0"):
             g2_tensor(mom)
 
 
-# The former squeeze and vacuum-overlap routes, kept as references for the
-# one-SVD squeeze blocks and the moments formula of p0 that replaced them.
+# The scipy-expm Bogoliubov matrix, the reference for the one-SVD squeeze
+# blocks and for the moments formula of p0.
 
-def squeeze_blocks_reference(z):
-    """The former ``_squeeze_blocks``: left polar form z = r e^{i theta} by
-    SVD, then cosh and sinh of r through ``eigh``."""
-    w, sv, vh = np.linalg.svd(np.asarray(z, dtype=complex))
-    r = (w * sv) @ w.conj().T
-    vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    cosh_r = (vecs * np.cosh(vals)) @ vecs.conj().T
-    sinh_r = (vecs * np.sinh(vals)) @ vecs.conj().T
-    return cosh_r, sinh_r @ (w @ vh)
+def expm_bogoliubov_reference(z, phi):
+    """L = [[E, F], [F*, E*]] of S(z) R(phi), as the product of scipy's expm
+    of the two generators instead of from ``_bogoliubov_blocks``."""
+    m = len(z)
+    zero = np.zeros((m, m), dtype=complex)
+    return expm(np.block([[zero, -z], [-z.conj(), zero]])) \
+        @ expm(np.block([[1j * phi, zero], [zero, -1j * phi.conj()]]))
 
 
-def no_click_cosh_reference(params):
-    """The former single-mode closed form
-
-    p0 = exp(-[1 + (2N+1)cosh 2r + (2N+1)sinh 2r cos(2 phi_d - theta)] |alpha|^2
-         / [2N^2 + 2(2N+1)cosh^2 r]) / sqrt(N^2 + (2N+1)cosh^2 r).
-    """
-    z = complex(params.squeeze[0, 0])
-    r, theta = abs(z), float(np.angle(z))
-    occ = float(params.thermal[0])
-    alpha = complex(params.alpha[0])
-    phi_d = float(np.angle(alpha)) if alpha != 0 else 0.0
-    tp1 = 2.0 * occ + 1.0
-    denom = np.sqrt(occ**2 + tp1 * np.cosh(r) ** 2)
-    expo = (1.0 + tp1 * np.cosh(2 * r) + tp1 * np.sinh(2 * r) * np.cos(2 * phi_d - theta))
-    expo *= abs(alpha) ** 2 / (2.0 * occ**2 + 2.0 * tp1 * np.cosh(r) ** 2)
-    return float(np.exp(-expo) / denom)
-
-
-def mode_vacuum_round_trip_reference(moments, mode):
-    """The former ``mode_vacuum_probability``: the reduced moments give an
-    effective squeezed thermal (r, N), whose cosh form is then evaluated."""
-    alpha = complex(moments.alpha[mode])
-    cov = complex(moments.cov[mode, mode])
-    m_c = float(moments.nbar[mode] - abs(alpha) ** 2)
-    disc = (2 * m_c + 1.0) ** 2 - 4.0 * abs(cov) ** 2
-    root = np.sqrt(max(disc, 0.0))
-    sinh2 = 0.5 * (2 * m_c + 1.0) / root - 0.5 if root > 0 else 0.0
-    r = float(np.arcsinh(np.sqrt(max(sinh2, 0.0))))
-    theta = float(np.angle(-cov)) if abs(cov) > 0 else 0.0
-    phi_rel = float(np.angle(alpha)) - 0.5 * theta if alpha != 0 else 0.0
-    eff = GaussianParams.single_mode(abs(alpha) * np.exp(1j * phi_rel), r, 0.0,
-                                     max(0.5 * root - 0.5, 0.0))
-    return no_click_cosh_reference(eff)
+def expm_squeeze_blocks(z):
+    """cosh(r) and sinh(r) e^{i theta}, read off the L of S(z)."""
+    z = np.asarray(z, dtype=complex)
+    m = len(z)
+    lin = expm_bogoliubov_reference(z, np.zeros((m, m), dtype=complex))
+    return lin[:m, :m], -lin[:m, m:]
 
 
 def vacuum_overlap_reference(params):
     """p0 of every mode as 2 pi times the overlap of the mode's reduced Wigner
     function with the vacuum one, exp(-d^T (V + I/2)^-1 d / 2) / sqrt(det(V + I/2)),
-    with the Bogoliubov matrix built by scipy's expm from the generators of
-    S(z) and R(phi) instead of by ``bogoliubov_map``."""
-    from scipy.linalg import expm
-
+    with the Bogoliubov matrix from ``expm_bogoliubov_reference``."""
     m = params.modes
-    z, phi = params.squeeze, params.rotation
-    zero = np.zeros((m, m), dtype=complex)
-    bog = expm(np.block([[zero, -z], [-z.conj(), zero]])) \
-        @ expm(np.block([[1j * phi, zero], [zero, -1j * phi.conj()]]))
+    bog = expm_bogoliubov_reference(params.squeeze, params.rotation)
     seed = np.zeros((2 * m, 2 * m), dtype=complex)
     seed[:m, m:] = np.diag(params.thermal + 1.0)
     seed[m:, :m] = np.diag(params.thermal)
@@ -633,51 +595,47 @@ def _edge_squeezes():
 
 
 class TestSqueezeBlocksVsPolarEigh:
+    """``_squeeze_blocks`` against the blocks of the expm-built L."""
+
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_random(self, modes):
         rng = np.random.default_rng(40 + modes)
         for _ in range(20):
             z = random_symmetric(rng, modes, rng.uniform(0.0, 1.5))
-            for new, ref in zip(_squeeze_blocks(z), squeeze_blocks_reference(z)):
+            for new, ref in zip(_squeeze_blocks(z), expm_squeeze_blocks(z)):
                 assert np.abs(new - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(_edge_squeezes()))
     def test_edge_cases(self, name):
         z = _edge_squeezes()[name]
-        for new, ref in zip(_squeeze_blocks(z), squeeze_blocks_reference(z)):
+        for new, ref in zip(_squeeze_blocks(z), expm_squeeze_blocks(z)):
             assert np.abs(new - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
+def _p0_draw_sets():
+    """(states, relative gate on p0) of each seeded draw set."""
+    # squeezing drawn down to 1e-4: there a route through sinh^2 r, a
+    # difference of nearly equal numbers, loses up to 1e-11 relative in p0
+    rng = np.random.default_rng(52)
+    weak = [random_params(rng, modes, alpha_max=1.5, r_max=10 ** rng.uniform(-4.0, 0.0))
+            for modes in (1, 2, 3, 4) for _ in range(25)]
+    rng = np.random.default_rng(50)
+    strong = [random_params(rng, modes, alpha_max=1.5, r_max=1.2, n_max=1.0)
+              for modes in range(1, 9) for _ in range(25)]
+    rng = np.random.default_rng(51)
+    one_mode = [random_params(rng, 1, alpha_max=1.5, r_max=1.2, n_max=1.0)
+                for _ in range(200)]
+    return [(weak, 1e-13), (strong, 1e-11), (one_mode, 1e-14)]
+
+
 class TestVacuumProbabilityVsFormerRoutes:
-    def test_mode_vacuum_probability_matches_round_trip(self):
-        rng = np.random.default_rng(50)
-        for modes in range(1, 9):
-            for _ in range(25):
-                mom = derive_moments(random_params(rng, modes, alpha_max=1.5, r_max=1.2,
-                                                   n_max=1.0))
-                for i in range(modes):
-                    ref = mode_vacuum_round_trip_reference(mom, i)
-                    assert mode_vacuum_probability(mom, i) == pytest.approx(ref, rel=1e-11)
-
-    def test_single_mode_matches_cosh_form(self):
-        rng = np.random.default_rng(51)
-        for _ in range(200):
-            params = random_params(rng, 1, alpha_max=1.5, r_max=1.2, n_max=1.0)
-            assert single_mode_p0(params) == pytest.approx(
-                no_click_cosh_reference(params), rel=1e-14)
-
     def test_matches_wigner_overlap_reference(self):
-        # squeezing drawn down to 1e-4: there the former route's sinh^2 r, a
-        # difference of nearly equal numbers, lost up to 1e-11 relative in p0
-        rng = np.random.default_rng(52)
-        for modes in (1, 2, 3, 4):
-            for _ in range(25):
-                params = random_params(rng, modes, alpha_max=1.5,
-                                       r_max=10 ** rng.uniform(-4.0, 0.0))
+        for draws, gate in _p0_draw_sets():
+            for params in draws:
                 mom = derive_moments(params)
-                new = np.array([mode_vacuum_probability(mom, i) for i in range(modes)])
+                new = np.array([mode_vacuum_probability(mom, i) for i in range(params.modes)])
                 ref = vacuum_overlap_reference(params)
-                assert np.abs(new / ref - 1.0).max() <= 1e-13
+                assert np.abs(new / ref - 1.0).max() <= gate
 
     def test_unphysical_reduced_moments_rejected(self):
         mom = MomentSummary(np.array([0.1]), np.ones((1, 1)), np.array([[0.7]]),
@@ -703,7 +661,7 @@ def derive_moments_via_L(params):
     thermal = np.zeros((2 * m, 2 * m), dtype=complex)
     thermal[:m, m:] = np.diag(params.thermal + 1.0)
     thermal[m:, :m] = np.diag(params.thermal)
-    lin = big_l(BogoliubovMap(e, f, np.concatenate([params.alpha, params.alpha.conj()])))
+    lin = big_l(e, f)
     second = lin @ thermal @ lin.T
     cov = second[:m, :m]
     coherence = second[m:, :m] + np.outer(params.alpha.conj(), params.alpha)
