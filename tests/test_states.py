@@ -612,30 +612,40 @@ class TestSqueezeBlocksVsPolarEigh:
             assert np.abs(new - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
-def _p0_draw_sets():
-    """(states, relative gate on p0) of each seeded draw set."""
-    # squeezing drawn down to 1e-4: there a route through sinh^2 r, a
-    # difference of nearly equal numbers, loses up to 1e-11 relative in p0
-    rng = np.random.default_rng(52)
-    weak = [random_params(rng, modes, alpha_max=1.5, r_max=10 ** rng.uniform(-4.0, 0.0))
-            for modes in (1, 2, 3, 4) for _ in range(25)]
-    rng = np.random.default_rng(50)
-    strong = [random_params(rng, modes, alpha_max=1.5, r_max=1.2, n_max=1.0)
-              for modes in range(1, 9) for _ in range(25)]
-    rng = np.random.default_rng(51)
-    one_mode = [random_params(rng, 1, alpha_max=1.5, r_max=1.2, n_max=1.0)
-                for _ in range(200)]
-    return [(weak, 1e-13), (strong, 1e-11), (one_mode, 1e-14)]
+def _assert_p0_matches_wigner_overlap(draws, gate):
+    """Each mode's p0 of every state in ``draws`` within ``gate`` relative of
+    ``vacuum_overlap_reference``."""
+    for params in draws:
+        mom = derive_moments(params)
+        new = np.array([mode_vacuum_probability(mom, i) for i in range(params.modes)])
+        ref = vacuum_overlap_reference(params)
+        assert np.abs(new / ref - 1.0).max() <= gate
 
 
 class TestVacuumProbabilityVsFormerRoutes:
+    """p0 against the expm/Wigner reference. The round-trip and cosh-form tests
+    keep the draws and gates they had against the former references, the
+    effective-(r, N) round trip and the single-mode cosh closed form."""
+
+    def test_mode_vacuum_probability_matches_round_trip(self):
+        rng = np.random.default_rng(50)
+        draws = [random_params(rng, modes, alpha_max=1.5, r_max=1.2, n_max=1.0)
+                 for modes in range(1, 9) for _ in range(25)]
+        _assert_p0_matches_wigner_overlap(draws, 1e-11)
+
+    def test_single_mode_matches_cosh_form(self):
+        rng = np.random.default_rng(51)
+        draws = [random_params(rng, 1, alpha_max=1.5, r_max=1.2, n_max=1.0)
+                 for _ in range(200)]
+        _assert_p0_matches_wigner_overlap(draws, 1e-14)
+
     def test_matches_wigner_overlap_reference(self):
-        for draws, gate in _p0_draw_sets():
-            for params in draws:
-                mom = derive_moments(params)
-                new = np.array([mode_vacuum_probability(mom, i) for i in range(params.modes)])
-                ref = vacuum_overlap_reference(params)
-                assert np.abs(new / ref - 1.0).max() <= gate
+        # squeezing drawn down to 1e-4: there a route through sinh^2 r, a
+        # difference of nearly equal numbers, loses up to 1e-11 relative in p0
+        rng = np.random.default_rng(52)
+        draws = [random_params(rng, modes, alpha_max=1.5, r_max=10 ** rng.uniform(-4.0, 0.0))
+                 for modes in (1, 2, 3, 4) for _ in range(25)]
+        _assert_p0_matches_wigner_overlap(draws, 1e-13)
 
     def test_unphysical_reduced_moments_rejected(self):
         mom = MomentSummary(np.array([0.1]), np.ones((1, 1)), np.array([[0.7]]),
